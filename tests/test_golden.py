@@ -1,0 +1,105 @@
+"""Byte-identity of CLI outputs for a fixed seed.
+
+Pins sha256 digests of what `encrypt`, `stream`, `analyze` and `attack`
+write for a small seeded corpus: every store file (records and keys.txt),
+every analyze output except the wall-clock `timing` fields, and the
+attack tables. A refactor that keeps these digests keeps ciphertext, key
+files and report values bit-identical.
+
+The ML-mode store depends on a model trained here, whose weights go
+through BLAS matrix products; its digest holds on one machine and numpy
+build, while the direct-mode digests involve no BLAS.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hecg.cli import main
+from hecg.pipeline import synthetic_ecg_wave
+
+DIGESTS = {
+    "encrypt-direct": "bdc4a8634240378d4901ed83141b7887282796486ad069236459d84ed63b9344",
+    "encrypt-ml": "43b80655eaf0b653382083c52a4031e306e4e47860a7fb0dbb2c17ee6fc58506",
+    "stream-direct": "56a0a412c075b29bb36e51d58e220e08b6dce7f7fd8dcdeb22f8d67198eca5c2",
+    "analyze-store": "3936bcf52ba45f9e1e1afca7b829722ed27b06d286fd0efa432ba8cae229cd87",
+    "analyze-store-burn-in": "ae222f2d4a7c32a32b09d835c10c4196641626ffa4606b8be2d9085def276307",
+    "analyze-store-reference": "fc93996054144b16d09229130569f754c303593c6df8cd3fb711b3d009c4bb83",
+    "analyze-plain": "fddd2b067dc8201c093ccaf07c382f96c68f63bd976bf991f19b260323bf6fd1",
+    "attack-noise-uniform": "c9dd462537bccfc3c5dbf5da0452d735af5700573b14cd7044b36196d8895e76",
+    "attack-occlusion": "07e25e4dfa9316599ab5aa4073d19d88dbde2d33bfcbaa32389c0d2c23e3c0fb",
+}
+
+
+def _run(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+
+def _tree_digest(root: Path) -> str:
+    sha = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        sha.update(str(path.relative_to(root)).encode() + b"\0")
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
+
+
+def _analysis_digest(prefix: Path) -> str:
+    """Every analyze output file, with the timing fields left out."""
+    sha = hashlib.sha256()
+    text = Path(f"{prefix}_report.txt").read_text()
+    sha.update("".join(l for l in text.splitlines(True) if not l.startswith("timing.")).encode())
+    report = json.loads(Path(f"{prefix}_report.json").read_text())
+    del report["timing"]
+    sha.update(json.dumps(report, sort_keys=True).encode())
+    for suffix in ("_min_entropy.json", "_histogram.tsv", "_autocorr.tsv", "_spectrum.tsv"):
+        sha.update(Path(f"{prefix}{suffix}").read_bytes())
+    return sha.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    wave = synthetic_ecg_wave(12 * 300 / 500.0, 500.0, 70.0, 0.012, seed=41)
+    csv = tmp / "ecg.csv"
+    csv.write_text("ecg\n" + "".join(f"{v!r}\n" for v in wave.tolist()))
+
+    store = tmp / "store"
+    _run("encrypt", "--input", csv, "--column", "ecg", "--store", store, "--seed", 3)
+    _run("encrypt", "--synthetic", 10, "--store", store, "--stream", "dev2",
+         "--salt-device-id", "dev2", "--seed", 4)
+    model = tmp / "model.hmlp"
+    _run("train", "--synthetic", 20, "--epochs", 5, "--hidden", "8", "--seed", 1, "--output", model)
+    ml_store = tmp / "ml"
+    _run("encrypt", "--synthetic", 10, "--store", ml_store, "--mode", "ml", "--model", model,
+         "--seed", 2)
+    stream_store = tmp / "stream"
+    _run("stream", "--store", stream_store, "--segments", 10, "--seed", 5, "--burn-in", 3)
+
+    out = {
+        "encrypt-direct": _tree_digest(store),
+        "encrypt-ml": _tree_digest(ml_store),
+        "stream-direct": _tree_digest(stream_store),
+    }
+    for name, argv in (
+        ("analyze-store", ["--store", store]),
+        ("analyze-store-burn-in", ["--store", stream_store, "--burn-in", 3]),
+        ("analyze-store-reference",
+         ["--store", store, "--stream", "stream0", "--input", csv, "--column", "ecg"]),
+        ("analyze-plain", ["--input", csv, "--column", "ecg"]),
+    ):
+        prefix = tmp / name / "out"
+        _run("analyze", *argv, "--output", prefix)
+        out[name] = _analysis_digest(prefix)
+    for kind, sweep in (("noise-uniform", "0,1,4,16"), ("occlusion", "0.05,0.25")):
+        table = tmp / f"{kind}.tsv"
+        _run("attack", "--store", store, "--kind", kind, "--sweep", sweep, "--seed", 9,
+             "--output", table)
+        out[f"attack-{kind}"] = hashlib.sha256(table.read_bytes()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_is_byte_identical(digests, name):
+    assert digests[name] == DIGESTS[name]
