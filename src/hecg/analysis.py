@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chaos import ChaoticParams
-from .cipher import SignalSegment, decrypt_bytes, encrypt, quantize
+from .cipher import SignalSegment, decrypt, decrypt_bytes, encrypt, quantize
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -500,84 +500,108 @@ class AnalysisReport:
         return cls(**json.loads(text))
 
 
+def corpus_report(
+    plaintexts: list,
+    blocks: list,
+    recovered: list,
+    reference: list | None = None,
+    max_lag: int = 50,
+    timing: dict | None = None,
+) -> AnalysisReport:
+    """Run the battery on per-segment byte blocks.
+
+    plaintexts: the SignalSegments the blocks hold, encrypted or not;
+    blocks: one uint8 array per segment; recovered: the SignalSegment a
+    reader gets back from each block. quality compares recovered with
+    `reference` (default plaintexts) on samples normalized by each
+    reference's range. timing defaults to zero encrypt and decrypt times.
+    """
+    if not plaintexts or not (len(plaintexts) == len(blocks) == len(recovered)):
+        raise ShapeError("need one block and one recovered segment per segment")
+    reference = reference or plaintexts
+
+    seg_entropies = []
+    flatnesses = []
+    correlations = []
+    monobit_passes = 0
+    quality_acc = {"mse": 0.0, "mae": 0.0}
+    for seg, block, ref, back in zip(plaintexts, blocks, reference, recovered):
+        seg_entropies.append(shannon_entropy(block))
+        flatnesses.append(spectral_flatness(block))
+        correlations.append(pearson_correlation(seg.samples, block))
+        if monobit_test(block) > 0.01:
+            monobit_passes += 1
+        lo, hi = float(np.min(ref.samples)), float(np.max(ref.samples))
+        qm = quality_metrics(
+            SignalSegment(normalize_unit(ref.samples, lo, hi), seg.sample_rate),
+            SignalSegment(normalize_unit(back.samples, lo, hi), seg.sample_rate),
+        )
+        quality_acc["mse"] += qm["mse"]
+        quality_acc["mae"] += qm["mae"]
+
+    n_seg = len(plaintexts)
+    all_bytes = np.concatenate(blocks)
+    mse = quality_acc["mse"] / n_seg
+    report = AnalysisReport(
+        shannon_entropy_bits=shannon_entropy(all_bytes),
+        monobit_p_value=monobit_test(all_bytes),
+        pearson_correlation=float(np.mean(correlations)),
+        autocorrelation=[float(v) for v in autocorrelation(all_bytes, max_lag)],
+        histogram_stats=histogram_stats(all_bytes),
+        spectral_flatness=float(np.mean(flatnesses)),
+        min_entropy_bits=min_entropy_mcv(all_bytes),
+        quality={
+            "mse": mse,
+            "psnr_db": math.inf if mse == 0 else 10.0 * math.log10(1.0 / mse),
+            "mae": quality_acc["mae"] / n_seg,
+        },
+        timing=timing or {"encrypt_seconds": 0.0, "decrypt_seconds": 0.0},
+        segment_count=n_seg,
+        per_segment_entropy_mean=float(np.mean(seg_entropies)),
+        monobit_pass_fraction=monobit_passes / n_seg,
+        autocorr_raw_lag0=raw_autocovariance_lag0(all_bytes),
+        min_entropy_block2_bits=min_entropy_mcv_blocks(all_bytes),
+    )
+    report.validate()
+    return report
+
+
 def analyze_corpus(
     originals: list,
     params_list: list,
     burn_in: int = 0,
     max_lag: int = 50,
     reference: list | None = None,
+    records: list | None = None,
 ) -> AnalysisReport:
-    """Encrypt a corpus with its per-segment params and run the battery.
+    """Run the battery on a corpus's ciphertext.
 
     originals: SignalSegments; params_list: matching (post-salt) params.
-    quality is measured against `reference` segments when given (e.g.
-    clean signals for a noisy corpus), else against the originals.
+    Without records, each original is encrypted with its params and
+    decrypted back, and timing holds the median time of each. records
+    are the stored records the originals were decrypted from: their
+    ciphertext is analyzed as it is, nothing is encrypted or decrypted,
+    and timing is zero. quality is measured against `reference` segments
+    when given (e.g. clean signals for a noisy corpus), else against the
+    originals.
     """
     if len(originals) != len(params_list) or not originals:
         raise ShapeError("need one params entry per segment")
-    reference = reference or originals
+    if records is not None:
+        blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
+        return corpus_report(originals, blocks, originals, reference, max_lag)
 
-    cipher_blocks = []
-    plain_blocks = []
-    seg_entropies = []
-    flatnesses = []
-    correlations = []
-    monobit_passes = 0
-    quality_acc = {"mse": 0.0, "mae": 0.0}
-    enc_times = []
-    dec_times = []
-
-    from .cipher import decrypt as cipher_decrypt
-
-    for seg, ref, params in zip(originals, reference, params_list):
+    blocks, recovered, enc_times, dec_times = [], [], [], []
+    for seg, params in zip(originals, params_list):
         t0 = time.perf_counter()
         record, _ = encrypt(seg, params, burn_in=burn_in)
         enc_times.append(time.perf_counter() - t0)
-        ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
         t0 = time.perf_counter()
-        plain_back = cipher_decrypt(record, params, sample_rate=seg.sample_rate, burn_in=burn_in)
+        recovered.append(decrypt(record, params, sample_rate=seg.sample_rate, burn_in=burn_in))
         dec_times.append(time.perf_counter() - t0)
-
-        cipher_blocks.append(ct)
-        plain_blocks.append(quantize(seg).bytes)
-        seg_entropies.append(shannon_entropy(ct))
-        flatnesses.append(spectral_flatness(ct))
-        correlations.append(pearson_correlation(seg.samples, ct))
-        if monobit_test(ct) > 0.01:
-            monobit_passes += 1
-        lo, hi = float(np.min(ref.samples)), float(np.max(ref.samples))
-        qm = quality_metrics(
-            SignalSegment(normalize_unit(ref.samples, lo, hi), seg.sample_rate),
-            SignalSegment(normalize_unit(plain_back.samples, lo, hi), seg.sample_rate),
-        )
-        quality_acc["mse"] += qm["mse"]
-        quality_acc["mae"] += qm["mae"]
-
-    n_seg = len(originals)
-    all_cipher = np.concatenate(cipher_blocks)
-    mse = quality_acc["mse"] / n_seg
-    report = AnalysisReport(
-        shannon_entropy_bits=shannon_entropy(all_cipher),
-        monobit_p_value=monobit_test(all_cipher),
-        pearson_correlation=float(np.mean(correlations)),
-        autocorrelation=[float(v) for v in autocorrelation(all_cipher, max_lag)],
-        histogram_stats=histogram_stats(all_cipher),
-        spectral_flatness=float(np.mean(flatnesses)),
-        min_entropy_bits=min_entropy_mcv(all_cipher),
-        quality={
-            "mse": mse,
-            "psnr_db": math.inf if mse == 0 else 10.0 * math.log10(1.0 / mse),
-            "mae": quality_acc["mae"] / n_seg,
-        },
-        timing={
-            "encrypt_seconds": float(np.median(enc_times)),
-            "decrypt_seconds": float(np.median(dec_times)),
-        },
-        segment_count=n_seg,
-        per_segment_entropy_mean=float(np.mean(seg_entropies)),
-        monobit_pass_fraction=monobit_passes / n_seg,
-        autocorr_raw_lag0=raw_autocovariance_lag0(all_cipher),
-        min_entropy_block2_bits=min_entropy_mcv_blocks(all_cipher),
-    )
-    report.validate()
-    return report
+        blocks.append(np.frombuffer(record.ciphertext, dtype=np.uint8))
+    timing = {
+        "encrypt_seconds": float(np.median(enc_times)),
+        "decrypt_seconds": float(np.median(dec_times)),
+    }
+    return corpus_report(originals, blocks, recovered, reference, max_lag, timing)

@@ -14,7 +14,14 @@ import numpy as np
 
 from .analysis import normalize_unit
 from .chaos import ChaoticParams
-from .cipher import EncryptedRecord, decrypt, derive_key_material
+from .cipher import (
+    EncryptedRecord,
+    KeyMaterial,
+    QuantizedSegment,
+    dequantize,
+    derive_key_material,
+    remove_keystream,
+)
 from .errors import ShapeError
 
 
@@ -49,10 +56,13 @@ class AttackResult:
     dispersion: float
 
 
-def _damage(original, attacked_record: EncryptedRecord, params, burn_in) -> tuple[float, float]:
+def _damage(original, attacked: np.ndarray, km: KeyMaterial) -> tuple[float, float]:
+    """MAE and MSE of the attacked ciphertext decrypted with the record's own
+    key material, against the original on [0,1]-normalized samples."""
     lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
     clean = normalize_unit(original.samples, lo, hi)
-    recovered = decrypt(attacked_record, params, original.sample_rate, burn_in)
+    q_bytes = remove_keystream(attacked, km.permutation, km.mask)
+    recovered = dequantize(QuantizedSegment(bytes=q_bytes, range=km.range), original.sample_rate)
     got = normalize_unit(recovered.samples, lo, hi)
     diff = clean - got
     return float(np.mean(np.abs(diff))), float(np.mean(diff * diff))
@@ -111,7 +121,7 @@ def noise_attack(
     changed = np.nonzero(noisy != ct.astype(np.uint8))[0]
     km = derive_key_material(params, record.segment_len, record.range, burn_in)
     corrupted = np.asarray(km.permutation)[changed]
-    mae, mse = _damage(original, _replace_ciphertext(record, noisy), params, burn_in)
+    mae, mse = _damage(original, noisy, km)
     return AttackResult(
         mae=mae,
         mse=mse,
@@ -152,7 +162,7 @@ def occlusion_attack(
     ct[start:end] = 0
     km = derive_key_material(params, n, record.range, burn_in)
     corrupted = np.asarray(km.permutation)[start:end]
-    mae, mse = _damage(original, _replace_ciphertext(record, ct), params, burn_in)
+    mae, mse = _damage(original, ct, km)
     return AttackResult(
         mae=mae,
         mse=mse,

@@ -4,7 +4,7 @@ Encryption of one segment:
 
     1. mu, sigma over the raw samples -> (r, x0), optionally salted
     2. logistic sequence X of the segment length
-    3. mask M[i] = floor(X[i] * 255), permutation P = argsort(X)
+    3. mask M[i] = floor(X[i] * 2^24) mod 256, permutation P = argsort(X)
     4. bytes = quantize(samples to 0..255)
     5. ciphertext[i] = bytes[P[i]] XOR M[i]
 

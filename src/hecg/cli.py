@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, attacks, backend, mlkey, pipeline
-from .chaos import KeySalt, apply_salt
 from .cipher import Mode, SignalSegment, decrypt, encrypt, params_for_segment, quantize
 from .errors import HecgError
-from .mlkey import KeyPredictor, TrainConfig, build_dataset, predict_params, train
+from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
 from .pipeline import FileStore, Pacing, SegmentSource, ingest_csv, synthetic_ecg
 
 
@@ -70,6 +69,11 @@ def _parse_column(args):
         pass
 
 
+def _base_timestamp(args) -> int:
+    """Salt timestamp of segment 0; segment i is salted with this plus i."""
+    return 1_700_000_000_000 + args.seed * 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -87,13 +91,13 @@ def cmd_encrypt(args) -> int:
     store = FileStore(args.store)
     device = args.salt_device_id.encode()
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
+    base_timestamp = _base_timestamp(args)
     times = []
     for i, seg in enumerate(segments):
         t0 = time.perf_counter()
-        params = predict_params(model, seg) if model else params_for_segment(seg)
-        salt = KeySalt(timestamp=1_700_000_000_000 + args.seed * 1_000_000 + i, device_id=device)
-        salted = apply_salt(params, salt)
-        record, _ = encrypt(seg, salted, salt=salt, mode_tag=mode, counter=i, burn_in=args.burn_in)
+        record, salted, _ = pipeline.seal_segment(
+            seg, i, mode, model, device, base_timestamp, args.burn_in
+        )
         times.append(time.perf_counter() - t0)
         store.put_record(args.stream, i, record)
         store.put_key(args.stream, record.key_id, salted)
@@ -139,17 +143,22 @@ def cmd_decrypt(args) -> int:
     return 0
 
 
-def _store_corpus(store: FileStore, stream: str, burn_in: int):
-    """Decrypted segments plus their stored params, in record order."""
-    indices = store.record_indices(stream)
-    originals, params_list, records = [], [], []
-    for i in indices:
-        record = store.get_record(stream, i)
-        params = store.get_key(stream, record.key_id)
-        originals.append(decrypt(record, params, burn_in=burn_in))
-        params_list.append(params)
-        records.append(record)
-    return originals, params_list, records
+def _load_store(args):
+    """Records, stored params and decrypted segments of --stream (default:
+    every stream) of --store, in stream then record order, plus the time
+    each decrypt took."""
+    store = FileStore(args.store)
+    records, params_list, segments, decrypt_s = [], [], [], []
+    for stream in [args.stream] if args.stream else store.streams():
+        for i in store.record_indices(stream):
+            record = store.get_record(stream, i)
+            params = store.get_key(stream, record.key_id)
+            t0 = time.perf_counter()
+            segments.append(decrypt(record, params, burn_in=args.burn_in))
+            decrypt_s.append(time.perf_counter() - t0)
+            records.append(record)
+            params_list.append(params)
+    return records, params_list, segments, decrypt_s
 
 
 def _emit_series(prefix: Path, name: str, header: str, rows):
@@ -164,40 +173,34 @@ def _emit_series(prefix: Path, name: str, header: str, rows):
 def cmd_analyze(args) -> int:
     _parse_column(args)
     if args.store:
-        store = FileStore(args.store)
-        streams = [args.stream] if args.stream else store.streams()
-        originals, params_list = [], []
-        cipher_blobs = []
-        for s in streams:
-            o, p, r = _store_corpus(store, s, args.burn_in)
-            originals.extend(o)
-            params_list.extend(p)
-            cipher_blobs.extend(np.frombuffer(rec.ciphertext, dtype=np.uint8) for rec in r)
-        if not originals:
+        records, params_list, segments, decrypt_s = _load_store(args)
+        if not records:
             print("store holds no records", file=sys.stderr)
             return 1
         reference = None
         if args.input:
             reference = list(
                 ingest_csv(args.input, args.column, args.sample_rate, args.segment_len)
-            )[: len(originals)]
-            if len(reference) != len(originals):
+            )[: len(segments)]
+            if len(reference) != len(segments):
                 print("reference shorter than corpus; ignoring --input", file=sys.stderr)
                 reference = None
         report = analysis.analyze_corpus(
-            originals, params_list, burn_in=args.burn_in, reference=reference
+            segments, params_list, burn_in=args.burn_in, reference=reference, records=records
         )
-        summary = analysis.MinEntropySummary.from_segments(cipher_blobs)
-        all_bytes = np.concatenate(cipher_blobs)
+        report.timing["decrypt_seconds"] = float(np.median(decrypt_s))
+        blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
     else:
         if not args.input and not args.synthetic:
             print("analyze needs --store or --input/--synthetic", file=sys.stderr)
             return 1
         segments = _load_segments(args)
         blocks = [quantize(s).bytes for s in segments]
-        all_bytes = np.concatenate(blocks)
-        report = _plain_report(segments, blocks, all_bytes)
-        summary = analysis.MinEntropySummary.from_segments(blocks)
+        # The un-encrypted baseline: the blocks are the plain quantized
+        # segments, and a reader gets the segments themselves back.
+        report = analysis.corpus_report(segments, blocks, segments)
+    all_bytes = np.concatenate(blocks)
+    summary = analysis.MinEntropySummary.from_segments(blocks)
 
     prefix = Path(args.output or "analysis")
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -248,43 +251,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _plain_report(segments, blocks, all_bytes) -> analysis.AnalysisReport:
-    """Battery over plain quantized segments (the un-encrypted baseline)."""
-    import math
-
-    corrs = [
-        analysis.pearson_correlation(seg.samples, blk) for seg, blk in zip(segments, blocks)
-    ]
-    monos = [analysis.monobit_test(blk) for blk in blocks]
-    flats = [analysis.spectral_flatness(blk) for blk in blocks]
-    report = analysis.AnalysisReport(
-        shannon_entropy_bits=analysis.shannon_entropy(all_bytes),
-        monobit_p_value=analysis.monobit_test(all_bytes),
-        pearson_correlation=float(np.mean(corrs)),
-        autocorrelation=[float(v) for v in analysis.autocorrelation(all_bytes, 50)],
-        histogram_stats=analysis.histogram_stats(all_bytes),
-        spectral_flatness=float(np.mean(flats)),
-        min_entropy_bits=analysis.min_entropy_mcv(all_bytes),
-        quality={"mse": 0.0, "psnr_db": math.inf, "mae": 0.0},
-        timing={"encrypt_seconds": 0.0, "decrypt_seconds": 0.0},
-        segment_count=len(segments),
-        per_segment_entropy_mean=float(np.mean([analysis.shannon_entropy(b) for b in blocks])),
-        monobit_pass_fraction=float(np.mean([p > 0.01 for p in monos])),
-        autocorr_raw_lag0=analysis.raw_autocovariance_lag0(all_bytes),
-        min_entropy_block2_bits=analysis.min_entropy_mcv_blocks(all_bytes),
-    )
-    return report
-
-
 def cmd_attack(args) -> int:
-    store = FileStore(args.store)
-    streams = [args.stream] if args.stream else store.streams()
-    originals, params_list, records = [], [], []
-    for s in streams:
-        o, p, r = _store_corpus(store, s, args.burn_in)
-        originals.extend(o)
-        params_list.extend(p)
-        records.extend(r)
+    records, params_list, originals, _ = _load_store(args)
     if not records:
         print("store holds no records", file=sys.stderr)
         return 1
@@ -355,7 +323,7 @@ def _run_stream(args, mode: Mode, model, store_dir) -> pipeline.PipelineMetrics:
         model=model,
         stream_id=args.stream,
         device_id=args.salt_device_id.encode(),
-        base_timestamp=1_700_000_000_000 + args.seed * 1_000_000,
+        base_timestamp=_base_timestamp(args),
         burn_in=args.burn_in,
     )
 

@@ -28,7 +28,7 @@ from .cipher import (
     params_for_segment,
 )
 from .errors import IngestionError, StoreError
-from .mlkey import KeyPredictor, encrypt_ml, predict_params
+from .mlkey import KeyPredictor, predict_params
 
 DEFAULT_SAMPLE_RATE = 500.0
 DEFAULT_SEGMENT_LEN = 300
@@ -361,6 +361,32 @@ class PipelineMetrics:
         return "\n".join(lines)
 
 
+def seal_segment(
+    segment: SignalSegment,
+    index: int,
+    mode: Mode,
+    model: KeyPredictor | None,
+    device_id: bytes,
+    base_timestamp: int,
+    burn_in: int,
+) -> tuple[EncryptedRecord, ChaoticParams, ChaoticParams]:
+    """Encrypt segment number index of a stream, ready to persist.
+
+    Derives (Direct) or predicts (ML) the segment's params, salts them
+    with KeySalt(base_timestamp + index, device_id) and encrypts. Returns
+    the record, the salted params the key store must keep, and the
+    unsalted biometric params.
+    """
+    if mode is Mode.ML_PREDICTED:
+        params = predict_params(model, segment)
+    else:
+        params = params_for_segment(segment)
+    salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
+    salted = apply_salt(params, salt)
+    record, _ = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index, burn_in=burn_in)
+    return record, salted, params
+
+
 def run_pipeline(
     source: SegmentSource,
     mode: Mode,
@@ -376,9 +402,9 @@ def run_pipeline(
 ) -> PipelineMetrics:
     """Process segments end to end until the source ends or the count is hit.
 
-    Per segment: derive or predict params, salt them with a deterministic
-    timestamp (base_timestamp + index, so runs are reproducible), encrypt,
-    persist record and key separately, read both back, decrypt, classify.
+    Per segment: seal it (see seal_segment; the salt timestamp is
+    base_timestamp + index, so runs are reproducible), persist record and
+    key separately, read both back, decrypt, classify.
     Encrypt latency excludes I/O; store latency is measured separately.
     Store failures are recorded per segment and the loop continues.
     """
@@ -412,14 +438,8 @@ def run_pipeline(
         t_seg = time.perf_counter()
         try:
             t0 = time.perf_counter()
-            if mode is Mode.ML_PREDICTED:
-                params = predict_params(model, segment)
-            else:
-                params = params_for_segment(segment)
-            salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
-            salted = apply_salt(params, salt)
-            record, _ = encrypt(
-                segment, salted, salt=salt, mode_tag=mode, counter=index, burn_in=burn_in
+            record, salted, params = seal_segment(
+                segment, index, mode, model, device_id, base_timestamp, burn_in
             )
             encrypt_elapsed = time.perf_counter() - t0
             biometric_seen.add((params.r, params.x0))

@@ -277,3 +277,14 @@ def test_env_var_default_seed(tmp_path, monkeypatch, capsys):
     a = (store_a / "stream0" / "seg_000000.rec").read_bytes()
     b = (store_b / "stream0" / "seg_000000.rec").read_bytes()
     assert a == b
+
+
+def test_encrypt_and_stream_write_the_same_store(tmp_path, capsys):
+    # Both commands seal segment i with the same salt timestamp and device.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["encrypt", "--synthetic", "6", "--store", str(a), "--seed", "4"]) == 0
+    assert main(["stream", "--segments", "6", "--store", str(b), "--seed", "4"]) == 0
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert len(files) == 7
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
