@@ -82,17 +82,6 @@ def _dispersion(indices: np.ndarray, n: int) -> float:
     return float(min(1.0, window / (n / 2.0)))
 
 
-def _replace_ciphertext(record: EncryptedRecord, ct: np.ndarray) -> EncryptedRecord:
-    return EncryptedRecord(
-        ciphertext=ct.astype(np.uint8).tobytes(),
-        range=record.range,
-        segment_len=record.segment_len,
-        key_id=record.key_id,
-        salt=record.salt,
-        mode_tag=record.mode_tag,
-    )
-
-
 def noise_attack(
     record: EncryptedRecord,
     params: ChaoticParams,

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -99,8 +100,8 @@ def cmd_encrypt(args) -> int:
             seg, i, mode, model, device, base_timestamp, args.burn_in
         )
         times.append(time.perf_counter() - t0)
-        store.put_record(args.stream, i, record)
         store.put_key(args.stream, record.key_id, salted)
+        store.put_record(args.stream, i, record)
     arr = np.asarray(times)
     print(f"encrypted {len(segments)} segments -> {args.store}/{args.stream}")
     print(f"per-segment core encrypt: median {np.median(arr) * 1e3:.4f} ms, p99 {np.percentile(arr, 99) * 1e3:.4f} ms")
@@ -397,6 +398,21 @@ def cmd_benchmark(args) -> int:
         encrypt(seg, params)
         best = min(best, time.perf_counter() - t0)
     print(f"encrypt (300-sample segment, {backend.backend_name()}): {best * 1e3:.4f} ms best-of-{reps}")
+    # key lookup: per-lookup cost should not grow with the keys a stream holds
+    reps = 5
+    for n in (1000, 10_000):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FileStore(tmp)
+            key_ids = [i.to_bytes(16, "big") for i in range(n)]
+            for key_id in key_ids:
+                store.put_key("s0", key_id, params)
+            best = float("inf")
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                for key_id in key_ids:
+                    store.get_key("s0", key_id)
+                best = min(best, (time.perf_counter() - t0) / n)
+        print(f"get_key ({n} keys in one stream): {best * 1e3:.4f} ms per lookup, best-of-{reps}")
     return 0
 
 

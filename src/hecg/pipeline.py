@@ -9,6 +9,7 @@ to a pluggable classifier hook.
 """
 
 import csv
+import os
 import queue
 import threading
 import time
@@ -211,19 +212,51 @@ class FileStore:
     <root>/<stream>/keys.txt as lines "key_id_hex32 r x0" with both reals
     at 17 significant digits (lossless binary64 round-trip). Ciphertext
     and keys are never co-located in one file.
+
+    Key lookups go through an in-memory index of the most recently used
+    stream: key_id hex -> (r, x0) text from one read of keys.txt, where
+    the first row of a key_id wins and lines without three fields are
+    skipped. Each lookup stats keys.txt and re-reads it only when its
+    (inode, size, mtime) signature changed, so keys appended by another
+    FileStore or process are found. put_key refuses a key_id the stream
+    already holds, so a stale row can never shadow a new one; writers
+    store the key before the record, so a refused write leaves the
+    stream's records as they were. Reads never create directories.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # (stream_id, keys.txt signature, {key_id hex: (r text, x0 text)})
+        self._index = None
 
     def _stream_dir(self, stream_id: str) -> Path:
         d = self.root / stream_id
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def _keys_path(self, stream_id: str) -> Path:
-        return self._stream_dir(stream_id) / "keys.txt"
+    def _keys_path(self, stream_id: str) -> str:
+        # os.path, not pathlib: every key lookup and write builds this path
+        return os.path.join(self.root, stream_id, "keys.txt")
+
+    def _key_index(self, stream_id: str) -> dict | None:
+        """The key index of stream_id, or None when it has no keys.txt."""
+        path = self._keys_path(stream_id)
+        try:
+            signature = _signature(os.stat(path))
+        except FileNotFoundError:
+            self._index = None
+            return None
+        if self._index is not None and self._index[:2] == (stream_id, signature):
+            return self._index[2]
+        keys = {}
+        with open(path) as fh:
+            for line in fh:
+                parts = line.split()
+                if len(parts) == 3:
+                    keys.setdefault(parts[0], (parts[1], parts[2]))
+        self._index = (stream_id, signature, keys)
+        return keys
 
     def put_record(self, stream_id: str, index: int, record: EncryptedRecord):
         path = self._stream_dir(stream_id) / f"seg_{index:06d}.rec"
@@ -242,29 +275,49 @@ class FileStore:
         return sorted(int(p.stem.split("_")[1]) for p in d.glob("seg_*.rec"))
 
     def put_key(self, stream_id: str, key_id: bytes, params: ChaoticParams):
-        line = f"{key_id.hex()} {params.r:.17g} {params.x0:.17g}\n"
+        want = key_id.hex()
+        keys = self._key_index(stream_id)
+        if keys is None:
+            self._stream_dir(stream_id)
+        elif want in keys:
+            raise StoreError(f"key {want} already stored in stream {stream_id}")
+        r, x0 = f"{params.r:.17g}", f"{params.x0:.17g}"
+        line = f"{want} {r} {x0}\n"
         with open(self._keys_path(stream_id), "a") as fh:
+            before = _signature(os.fstat(fh.fileno()))
             fh.write(line)
+            fh.flush()
+            after = _signature(os.fstat(fh.fileno()))
+        # Extend the index in place only if nobody else wrote to keys.txt
+        # since it was read; otherwise the next lookup re-reads the file.
+        if keys is not None and self._index[1] == before and after[1] == before[1] + len(line):
+            keys[want] = (r, x0)
+            self._index = (stream_id, after, keys)
 
     def get_key(self, stream_id: str, key_id: bytes) -> ChaoticParams:
-        path = self._keys_path(stream_id)
-        if not path.exists():
+        keys = self._key_index(stream_id)
+        if keys is None:
             raise StoreError(f"key store missing for stream {stream_id}")
         want = key_id.hex()
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 3 and parts[0] == want:
-                    return ChaoticParams(r=float(parts[1]), x0=float(parts[2]))
-        raise StoreError(f"no key {want} in stream {stream_id}")
+        if want not in keys:
+            raise StoreError(f"no key {want} in stream {stream_id}")
+        r, x0 = keys[want]
+        return ChaoticParams(r=float(r), x0=float(x0))
 
     def delete_keys(self, stream_id: str):
-        path = self._keys_path(stream_id)
-        if path.exists():
-            path.unlink()
+        self._index = None
+        try:
+            os.remove(self._keys_path(stream_id))
+        except FileNotFoundError:
+            pass
 
     def streams(self) -> list:
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
+
+
+def _signature(st: os.stat_result) -> tuple[int, int, int]:
+    """What changes when keys.txt is appended to, rewritten or replaced."""
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +456,8 @@ def run_pipeline(
     """Process segments end to end until the source ends or the count is hit.
 
     Per segment: seal it (see seal_segment; the salt timestamp is
-    base_timestamp + index, so runs are reproducible), persist record and
-    key separately, read both back, decrypt, classify.
+    base_timestamp + index, so runs are reproducible), persist key then
+    record in separate files, read both back, decrypt, classify.
     Encrypt latency excludes I/O; store latency is measured separately.
     Store failures are recorded per segment and the loop continues.
     """
@@ -446,8 +499,8 @@ def run_pipeline(
             stored_seen.add((salted.r, salted.x0))
 
             t0 = time.perf_counter()
-            store.put_record(stream_id, index, record)
             store.put_key(stream_id, record.key_id, salted)
+            store.put_record(stream_id, index, record)
             store_elapsed = time.perf_counter() - t0
 
             fetched = store.get_record(stream_id, index)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,11 +121,10 @@ class TestOcclusionAttack:
         )
         assert len(res.corrupted_sample_indices) == len(seg)
         # damage equals decrypting an all-zero ciphertext
-        from hecg.attacks import _replace_ciphertext
         from hecg.analysis import normalize_unit
         from hecg.cipher import decrypt
 
-        zeroed = _replace_ciphertext(rec, np.zeros(len(seg), dtype=np.uint8))
+        zeroed = dataclasses.replace(rec, ciphertext=bytes(len(seg)))
         back = decrypt(zeroed, p, seg.sample_rate)
         lo, hi = float(seg.samples.min()), float(seg.samples.max())
         want_mse = float(

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hecg.cipher import decrypt
 from hecg.cli import main
-from hecg.pipeline import synthetic_ecg_wave
+from hecg.pipeline import FileStore, synthetic_ecg_wave
 
 
 @pytest.fixture()
@@ -256,6 +257,7 @@ def test_benchmark_runs(capsys):
     out = capsys.readouterr().out
     assert "logistic_fill" in out
     assert "encrypt (300-sample segment" in out
+    assert "get_key" in out
 
 
 def test_console_entry_point():
@@ -288,3 +290,26 @@ def test_encrypt_and_stream_write_the_same_store(tmp_path, capsys):
     assert len(files) == 7
     assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
     assert all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
+
+
+def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):
+    # Same seed and stream means the same key_ids; a second run must not
+    # replace the records while the first run's keys stay in keys.txt.
+    store = tmp_path / "store"
+    assert main(["encrypt", "--input", str(csv_file), "--store", str(store), "--seed", "3"]) == 0
+    keys = (store / "stream0" / "keys.txt").read_bytes()
+    records = {p.name: p.read_bytes() for p in (store / "stream0").glob("seg_*.rec")}
+    rc = main(["encrypt", "--synthetic", "15", "--store", str(store), "--seed", "3"])
+    assert rc == 1
+    assert "already stored in stream stream0" in capsys.readouterr().err
+    assert (store / "stream0" / "keys.txt").read_bytes() == keys
+    assert {p.name: p.read_bytes() for p in (store / "stream0").glob("seg_*.rec")} == records
+
+    original = np.loadtxt(csv_file, skiprows=1)
+    fs = FileStore(store)
+    for i in fs.record_indices("stream0"):
+        record = fs.get_record("stream0", i)
+        got = decrypt(record, fs.get_key("stream0", record.key_id)).samples
+        ref = original[i * 300 : (i + 1) * 300]
+        half_step = (ref.max() - ref.min()) / 510
+        assert np.max(np.abs(got - ref)) <= half_step * (1 + 1e-9)

@@ -100,6 +100,14 @@ class TestIngestCsv:
             list(ingest_csv(path, "missing", 500.0, 2))
 
 
+def _key_id(i: int) -> bytes:
+    return i.to_bytes(16, "big")
+
+
+def _params(i: int) -> ChaoticParams:
+    return ChaoticParams(3.9 + i * 1e-4, 0.2 + i * 1e-3)
+
+
 class TestFileStore:
     def test_record_roundtrip_bytes(self, tmp_path, encrypted_corpus):
         _, _, records, _ = encrypted_corpus
@@ -132,8 +140,75 @@ class TestFileStore:
         store = FileStore(tmp_path / "store")
         with pytest.raises(StoreError):
             store.get_record("nope", 0)
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError, match="key store missing"):
             store.get_key("nope", b"\x00" * 16)
+        assert store.record_indices("nope") == []
+        assert store.streams() == []
+
+    def test_key_index_reads_keys_file_once(self, tmp_path, monkeypatch):
+        from hecg import pipeline
+
+        reads = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+        store = FileStore(tmp_path / "store")
+        n = 50
+        for i in range(n):
+            store.put_key("s0", _key_id(i), _params(i))
+        for i in range(n):
+            assert store.get_key("s0", _key_id(i)) == _params(i)
+        assert len(reads) <= 1
+
+    def test_keys_appended_by_another_store_are_found(self, tmp_path):
+        first = FileStore(tmp_path / "store")
+        second = FileStore(tmp_path / "store")
+        first.put_key("s0", _key_id(0), _params(0))
+        assert first.get_key("s0", _key_id(0)) == _params(0)
+        second.put_key("s0", _key_id(1), _params(1))
+        assert first.get_key("s0", _key_id(1)) == _params(1)
+        first.put_key("s0", _key_id(2), _params(2))
+        assert second.get_key("s0", _key_id(2)) == _params(2)
+        with pytest.raises(StoreError, match="already stored"):
+            first.put_key("s0", _key_id(1), _params(1))
+
+    def test_duplicate_key_refused(self, tmp_path):
+        store = FileStore(tmp_path / "store")
+        store.put_key("s0", _key_id(0), _params(0))
+        keys = (store.root / "s0" / "keys.txt").read_bytes()
+        with pytest.raises(StoreError, match=f"key {_key_id(0).hex()} already stored in stream s0"):
+            store.put_key("s0", _key_id(0), _params(1))
+        assert (store.root / "s0" / "keys.txt").read_bytes() == keys
+        assert store.get_key("s0", _key_id(0)) == _params(0)
+        store.put_key("s1", _key_id(0), _params(1))  # key_ids are per stream
+        assert store.get_key("s1", _key_id(0)) == _params(1)
+
+    def test_delete_then_put_key(self, tmp_path):
+        store = FileStore(tmp_path / "store")
+        store.put_key("s0", _key_id(0), _params(0))
+        assert store.get_key("s0", _key_id(0)) == _params(0)
+        store.delete_keys("s0")
+        store.put_key("s0", _key_id(1), _params(1))
+        with pytest.raises(StoreError, match="no key"):
+            store.get_key("s0", _key_id(0))
+        assert store.get_key("s0", _key_id(1)) == _params(1)
+
+    def test_hand_written_rows(self, tmp_path):
+        store = FileStore(tmp_path / "store")
+        (store.root / "s0").mkdir()
+        (store.root / "s0" / "keys.txt").write_text(
+            f"{_key_id(0).hex()} 3.91 0.25\n"
+            "not a key row at all\n"
+            f"{_key_id(1).hex()} 3.92\n"
+            f"{_key_id(0).hex()} 3.93 0.75\n"
+        )
+        assert store.get_key("s0", _key_id(0)) == ChaoticParams(3.91, 0.25)
+        with pytest.raises(StoreError, match="no key"):
+            store.get_key("s0", _key_id(1))
 
 
 class TestRunPipeline:
