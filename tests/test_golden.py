@@ -32,6 +32,15 @@ DIGESTS = {
     "attack-occlusion": "07e25e4dfa9316599ab5aa4073d19d88dbde2d33bfcbaa32389c0d2c23e3c0fb",
 }
 
+# analyze and attack over stores of 3 streams x 50 segments, more rows than
+# two chunks of a batched decrypt or key derivation.
+LARGE_DIGESTS = {
+    "analyze-large": "20cd134ff49d9e8bd71a6c5e83b2609cef65b4944fa7ea990e065bb8e2adbfae",
+    "analyze-large-burn-in": "f4120640b7894a46ad877b93d5e4c0c2f8058420941e603fd0201b71583a70ec",
+    "attack-large-noise-uniform": "3797909817b1b64764ada1bb0cf2bf0674196b756fdbc7d9ca5ebcb48a91659f",
+    "attack-large-occlusion-burn-in": "03294344876473d34e7bfa560b78d372b364820c4400e9c73a2863ec9729e51d",
+}
+
 
 def _run(*argv):
     assert main([str(a) for a in argv]) == 0, argv
@@ -103,3 +112,32 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_is_byte_identical(digests, name):
     assert digests[name] == DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def large_digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden-large")
+    stores = {0: tmp / "large", 3: tmp / "large-burn-in"}
+    for burn_in, store in stores.items():
+        for k in range(3):
+            _run("encrypt", "--synthetic", 50, "--store", store, "--stream", f"dev{k}",
+                 "--salt-device-id", f"dev{k}", "--seed", 20 + k, "--burn-in", burn_in)
+    out = {}
+    for name, burn_in in (("analyze-large", 0), ("analyze-large-burn-in", 3)):
+        prefix = tmp / name / "out"
+        _run("analyze", "--store", stores[burn_in], "--burn-in", burn_in, "--output", prefix)
+        out[name] = _analysis_digest(prefix)
+    for name, kind, sweep, burn_in in (
+        ("attack-large-noise-uniform", "noise-uniform", "0,1,4,16", 0),
+        ("attack-large-occlusion-burn-in", "occlusion", "0.05,0.25", 3),
+    ):
+        table = tmp / f"{name}.tsv"
+        _run("attack", "--store", stores[burn_in], "--kind", kind, "--sweep", sweep,
+             "--seed", 9, "--burn-in", burn_in, "--output", table)
+        out[name] = hashlib.sha256(table.read_bytes()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_DIGESTS))
+def test_large_store_output_is_byte_identical(large_digests, name):
+    assert large_digests[name] == LARGE_DIGESTS[name]
