@@ -18,8 +18,10 @@ from .cipher import (
     EncryptedRecord,
     KeyMaterial,
     QuantizedSegment,
+    batch_slices,
     dequantize,
     derive_key_material,
+    derive_key_material_batch,
     remove_keystream,
 )
 from .errors import ShapeError
@@ -68,6 +70,20 @@ def _damage(original, attacked: np.ndarray, km: KeyMaterial) -> tuple[float, flo
     return float(np.mean(np.abs(diff))), float(np.mean(diff * diff))
 
 
+def _key_material(record, params, burn_in: int, km: KeyMaterial | None) -> KeyMaterial:
+    """The record's key material: km when given and made for this record,
+    else derived from params."""
+    if km is None:
+        return derive_key_material(params, record.segment_len, record.range, burn_in)
+    if km.params != params or km.range != record.range or len(km.permutation) != record.segment_len:
+        raise ShapeError(
+            f"key material for params {km.params}, range {km.range} and "
+            f"{len(km.permutation)} samples does not belong to a record of "
+            f"{record.segment_len} samples with params {params}, range {record.range}"
+        )
+    return km
+
+
 def _dispersion(indices: np.ndarray, n: int) -> float:
     """Spread of corrupted positions: smallest window covering half of
     them, as a fraction of n/2. Near 1 for uniformly scattered damage,
@@ -88,12 +104,15 @@ def noise_attack(
     config: AttackConfig,
     original=None,
     burn_in: int = 0,
+    *,
+    key_material: KeyMaterial | None = None,
 ) -> AttackResult:
     """Add seeded noise to the ciphertext bytes, clamp to [0,255], decrypt.
 
     original: the clean SignalSegment the record was produced from (the
     comparison target). Uniform noise draws integers in [-a, a]; Gaussian
-    draws round(N(0, a)).
+    draws round(N(0, a)). key_material, when given, must have been derived
+    for this record and params (ShapeError otherwise) and saves deriving it.
     """
     if config.kind not in (AttackKind.NOISE_UNIFORM, AttackKind.NOISE_GAUSSIAN):
         raise ValueError(f"noise_attack got config kind {config.kind}")
@@ -108,13 +127,13 @@ def noise_attack(
         delta = np.round(rng.normal(0.0, a, size=ct.size)).astype(np.int64)
     noisy = np.clip(ct + delta, 0, 255).astype(np.uint8)
     changed = np.nonzero(noisy != ct.astype(np.uint8))[0]
-    km = derive_key_material(params, record.segment_len, record.range, burn_in)
+    km = _key_material(record, params, burn_in, key_material)
     corrupted = np.asarray(km.permutation)[changed]
     mae, mse = _damage(original, noisy, km)
     return AttackResult(
         mae=mae,
         mse=mse,
-        corrupted_sample_indices=tuple(int(i) for i in np.sort(corrupted)),
+        corrupted_sample_indices=tuple(np.sort(corrupted).tolist()),
         dispersion=_dispersion(corrupted, record.segment_len),
     )
 
@@ -125,12 +144,15 @@ def occlusion_attack(
     config: AttackConfig,
     original=None,
     burn_in: int = 0,
+    *,
+    key_material: KeyMaterial | None = None,
 ) -> AttackResult:
     """Zero a contiguous ciphertext range of the configured fraction.
 
     The region defaults to a seeded random placement. Corrupted plaintext
     positions are exactly the permutation images of the occluded range,
     so their count is ceil(fraction * n) while their locations scatter.
+    key_material is taken as in noise_attack.
     """
     if config.kind is not AttackKind.OCCLUSION:
         raise ValueError(f"occlusion_attack got config kind {config.kind}")
@@ -149,13 +171,13 @@ def occlusion_attack(
         start = end = 0
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
     ct[start:end] = 0
-    km = derive_key_material(params, n, record.range, burn_in)
+    km = _key_material(record, params, burn_in, key_material)
     corrupted = np.asarray(km.permutation)[start:end]
     mae, mse = _damage(original, ct, km)
     return AttackResult(
         mae=mae,
         mse=mse,
-        corrupted_sample_indices=tuple(int(i) for i in np.sort(corrupted)),
+        corrupted_sample_indices=tuple(np.sort(corrupted).tolist()),
         dispersion=_dispersion(corrupted, n),
     )
 
@@ -172,29 +194,38 @@ def attack_sweep(
     """Corpus sweep: one row per intensity with corpus-mean MAE/MSE.
 
     Rows are dicts {intensity, mae, mse, dispersion} ready for tabular
-    output; deterministic for a fixed seed.
+    output; deterministic for a fixed seed. Key material is derived once
+    per record, BATCH_ROWS records at a time, and serves every intensity.
     """
-    run = occlusion_attack if kind is AttackKind.OCCLUSION else noise_attack
-    rows = []
-    for level, intensity in enumerate(intensities):
-        maes, mses, disps = [], [], []
-        for i, (rec, params, orig) in enumerate(zip(records, params_list, originals)):
-            cfg = AttackConfig(
-                kind=kind, intensity=intensity, seed=seed + 7919 * level + i
-            )
-            res = run(rec, params, cfg, original=orig, burn_in=burn_in)
-            maes.append(res.mae)
-            mses.append(res.mse)
-            disps.append(res.dispersion)
-        rows.append(
-            {
-                "intensity": float(intensity),
-                "mae": float(np.mean(maes)),
-                "mse": float(np.mean(mses)),
-                "dispersion": float(np.mean(disps)),
-            }
+    if not (len(records) == len(params_list) == len(originals)):
+        raise ShapeError(
+            f"{len(records)} records, {len(params_list)} params, {len(originals)} originals"
         )
-    return rows
+    run = occlusion_attack if kind is AttackKind.OCCLUSION else noise_attack
+    # per intensity: the (mae, mse, dispersion) of each record, in record order
+    damage = [([], [], []) for _ in intensities]
+    for s in batch_slices([r.segment_len for r in records]):
+        kms = derive_key_material_batch(
+            params_list[s], records[s.start].segment_len, [r.range for r in records[s]], burn_in
+        )
+        chunk = zip(range(s.start, s.stop), records[s], params_list[s], originals[s], kms)
+        for i, rec, params, orig, km in chunk:
+            for level, intensity in enumerate(intensities):
+                cfg = AttackConfig(kind=kind, intensity=intensity, seed=seed + 7919 * level + i)
+                res = run(rec, params, cfg, original=orig, burn_in=burn_in, key_material=km)
+                maes, mses, disps = damage[level]
+                maes.append(res.mae)
+                mses.append(res.mse)
+                disps.append(res.dispersion)
+    return [
+        {
+            "intensity": float(intensity),
+            "mae": float(np.mean(maes)),
+            "mse": float(np.mean(mses)),
+            "dispersion": float(np.mean(disps)),
+        }
+        for intensity, (maes, mses, disps) in zip(intensities, damage)
+    ]
 
 
 def sweep_table(rows: list) -> str:

@@ -184,3 +184,44 @@ def iterate_logistic(params: ChaoticParams, n: int, burn_in: int = 0) -> Chaotic
     if stop != n:
         raise DegenerateOrbitError(stop)
     return ChaoticSequence(values=out, params=params, burn_in=burn_in)
+
+
+def iterate_logistic_batch(params_list: list, n: int, burn_in: int = 0) -> np.ndarray:
+    """iterate_logistic for many params at once: row i of the (rows, n)
+    result is iterate_logistic(params_list[i], n, burn_in).values.
+
+    x = R*x*(1-x) runs over the vector of rows; each ufunc rounds once, as
+    the scalar loop does, so every row is bit-identical. Burn-in iterates
+    pass through the same n-row buffer, so memory does not grow with
+    burn_in. The first row (in order) whose orbit degenerates raises
+    DegenerateOrbitError with the index iterate_logistic gives for it; a
+    degenerate orbit stays on 0.0, so later steps cannot hide it.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    r = np.array([p.r for p in params_list], dtype=np.float64)
+    x = np.array([p.x0 for p in params_list], dtype=np.float64)
+    tmp = np.empty_like(x)
+    orbit = np.empty((n, len(x)))
+    total = burn_in + n
+    # step of each row's first degenerate iterate, total if none
+    first_bad = np.full(len(x), total)
+    step = 0
+    while step < total:
+        block = orbit[: min(n, burn_in - step)] if step < burn_in else orbit
+        for row in block:
+            np.subtract(1.0, x, out=tmp)
+            np.multiply(r, x, out=row)
+            np.multiply(row, tmp, out=row)
+            x = row
+        x = x.copy()
+        bad = (block <= 0.0) | (block >= 1.0)
+        hit = bad.any(axis=0) & (first_bad == total)
+        first_bad[hit] = step + np.argmax(bad[:, hit], axis=0)
+        step += len(block)
+    degenerate = np.flatnonzero(first_bad < total)
+    if degenerate.size:
+        raise DegenerateOrbitError(int(first_bad[degenerate[0]]) - burn_in)
+    return np.ascontiguousarray(orbit.T)

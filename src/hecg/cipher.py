@@ -11,6 +11,10 @@ Encryption of one segment:
 Decryption regenerates X from the stored (r, x0); the permutation and
 mask are never persisted or transmitted. The byte-domain roundtrip is
 exact; the real-domain roundtrip is within half a quantization step.
+
+Readers of many stored records (derive_key_material_batch,
+decrypt_batch) derive key material for BATCH_ROWS segments at a time,
+bit-identical to one segment at a time.
 """
 
 import struct
@@ -20,15 +24,27 @@ from enum import IntEnum
 import numpy as np
 
 from .backend import kernels
-from .chaos import ChaoticParams, KeySalt, SegmentStats, derive_params, iterate_logistic
+from .chaos import (
+    ChaoticParams,
+    KeySalt,
+    SegmentStats,
+    derive_params,
+    iterate_logistic,
+    iterate_logistic_batch,
+)
 from .errors import (
     CorruptRecordError,
     InvalidPermutationError,
     InvalidSignalError,
+    ShapeError,
 )
 
 MAGIC = b"HECG"
 RECORD_VERSION = 1
+# Segments per vectorized chunk: amortizes the per-step ufunc overhead of
+# the logistic loop while one chunk's orbits, key material and FFT
+# temporaries stay well under a megabyte.
+BATCH_ROWS = 64
 
 
 class Mode(IntEnum):
@@ -230,11 +246,51 @@ def derive_key_material(
     """
     if n < 2:
         raise InvalidSignalError(f"segment length must be >= 2, got {n}")
-    seq = iterate_logistic(params, n, burn_in)
-    x = seq.values
-    mask = (np.floor(x * 16777216.0).astype(np.int64) & 0xFF).astype(np.uint8)
-    perm = np.argsort(x, kind="stable").astype(np.intp)
+    mask, perm = _mask_and_permutation(iterate_logistic(params, n, burn_in).values)
     return KeyMaterial(permutation=perm, mask=mask, range=rng, params=params)
+
+
+def _mask_and_permutation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask bytes and stable ascending argsort of iterates, along the last axis."""
+    mask = (np.floor(x * 16777216.0).astype(np.int64) & 0xFF).astype(np.uint8)
+    perm = np.argsort(x, axis=-1, kind="stable").astype(np.intp)
+    return mask, perm
+
+
+def batch_slices(lengths: list) -> list:
+    """Cut row indices into consecutive runs of one length, at most
+    BATCH_ROWS long, in order."""
+    slices = []
+    start = 0
+    for i in range(1, len(lengths) + 1):
+        if i == len(lengths) or lengths[i] != lengths[start] or i - start == BATCH_ROWS:
+            slices.append(slice(start, i))
+            start = i
+    return slices
+
+
+def derive_key_material_batch(
+    params_list: list, n: int, ranges: list, burn_in: int = 0
+) -> list:
+    """derive_key_material for many segments of length n, row for row.
+
+    Iterates the logistic map over a vector of BATCH_ROWS segments at a
+    time (chaos.iterate_logistic_batch), so the first row whose orbit
+    degenerates raises DegenerateOrbitError as iterate_logistic would.
+    """
+    if n < 2:
+        raise InvalidSignalError(f"segment length must be >= 2, got {n}")
+    if len(params_list) != len(ranges):
+        raise ShapeError(f"{len(params_list)} params for {len(ranges)} ranges")
+    out = []
+    for start in range(0, len(params_list), BATCH_ROWS):
+        chunk = params_list[start : start + BATCH_ROWS]
+        mask, perm = _mask_and_permutation(iterate_logistic_batch(chunk, n, burn_in))
+        out.extend(
+            KeyMaterial(permutation=perm[i], mask=mask[i], range=rng, params=params)
+            for i, (params, rng) in enumerate(zip(chunk, ranges[start : start + BATCH_ROWS]))
+        )
+    return out
 
 
 def apply_keystream(quantized: np.ndarray, perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -319,6 +375,31 @@ def decrypt(
     km = derive_key_material(params, record.segment_len, record.range, burn_in)
     q_bytes = remove_keystream(ct, km.permutation, km.mask)
     return dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
+
+
+def decrypt_batch(
+    records: list,
+    params_list: list,
+    sample_rate: float = 500.0,
+    burn_in: int = 0,
+) -> list:
+    """decrypt for many records, sample for sample, with the key material
+    of BATCH_ROWS records derived at a time."""
+    if len(records) != len(params_list):
+        raise ShapeError(f"{len(records)} records for {len(params_list)} params")
+    segments = []
+    for s in batch_slices([r.segment_len for r in records]):
+        chunk = records[s]
+        kms = derive_key_material_batch(
+            params_list[s], chunk[0].segment_len, [r.range for r in chunk], burn_in
+        )
+        for record, km in zip(chunk, kms):
+            ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
+            q_bytes = remove_keystream(ct, km.permutation, km.mask)
+            segments.append(
+                dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
+            )
+    return segments
 
 
 def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams, burn_in: int = 0) -> np.ndarray:

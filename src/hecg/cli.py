@@ -17,8 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, attacks, backend, mlkey, pipeline
-from .cipher import Mode, SignalSegment, decrypt, encrypt, params_for_segment, quantize
-from .errors import HecgError
+from .cipher import (
+    Mode,
+    SignalSegment,
+    decrypt,
+    decrypt_batch,
+    derive_key_material,
+    derive_key_material_batch,
+    encrypt,
+    params_for_segment,
+    quantize,
+)
+from .errors import HecgError, StoreError
 from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
 from .pipeline import FileStore, Pacing, SegmentSource, ingest_csv, synthetic_ecg
 
@@ -90,6 +100,10 @@ def cmd_encrypt(args) -> int:
         return 1
     model = KeyPredictor.load(args.model) if args.mode == "ml" else None
     store = FileStore(args.store)
+    # A rerun would replace the records and orphan the old run's key rows.
+    existing = store.record_indices(args.stream)
+    if existing:
+        raise StoreError(f"{len(existing)} records already stored in stream {args.stream}")
     device = args.salt_device_id.encode()
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
     base_timestamp = _base_timestamp(args)
@@ -146,19 +160,18 @@ def cmd_decrypt(args) -> int:
 
 def _load_store(args):
     """Records, stored params and decrypted segments of --stream (default:
-    every stream) of --store, in stream then record order, plus the time
-    each decrypt took."""
+    every stream) of --store, in stream then record order, plus the batch
+    decrypt time per record."""
     store = FileStore(args.store)
-    records, params_list, segments, decrypt_s = [], [], [], []
+    records, params_list = [], []
     for stream in [args.stream] if args.stream else store.streams():
         for i in store.record_indices(stream):
             record = store.get_record(stream, i)
-            params = store.get_key(stream, record.key_id)
-            t0 = time.perf_counter()
-            segments.append(decrypt(record, params, burn_in=args.burn_in))
-            decrypt_s.append(time.perf_counter() - t0)
             records.append(record)
-            params_list.append(params)
+            params_list.append(store.get_key(stream, record.key_id))
+    t0 = time.perf_counter()
+    segments = decrypt_batch(records, params_list, burn_in=args.burn_in)
+    decrypt_s = (time.perf_counter() - t0) / max(1, len(records))
     return records, params_list, segments, decrypt_s
 
 
@@ -189,7 +202,7 @@ def cmd_analyze(args) -> int:
         report = analysis.analyze_corpus(
             segments, params_list, burn_in=args.burn_in, reference=reference, records=records
         )
-        report.timing["decrypt_seconds"] = float(np.median(decrypt_s))
+        report.timing["decrypt_seconds"] = decrypt_s
         blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
     else:
         if not args.input and not args.synthetic:
@@ -375,12 +388,7 @@ def cmd_benchmark(args) -> int:
         reps = max(3, 30000 // n)
 
         def bench(mod):
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                mod.logistic_fill(3.99, 0.123, 100, out)
-                best = min(best, time.perf_counter() - t0)
-            return best * 1e3
+            return _best_of(reps, lambda: mod.logistic_fill(3.99, 0.123, 100, out)) * 1e3
 
         pure_ms = bench(_kernels_py)
         if compiled is not None:
@@ -392,11 +400,7 @@ def cmd_benchmark(args) -> int:
     seg = next(synthetic_ecg(2.0, seed=args.seed))
     params = params_for_segment(seg)
     reps = 200
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        encrypt(seg, params)
-        best = min(best, time.perf_counter() - t0)
+    best = _best_of(reps, lambda: encrypt(seg, params))
     print(f"encrypt (300-sample segment, {backend.backend_name()}): {best * 1e3:.4f} ms best-of-{reps}")
     # key lookup: per-lookup cost should not grow with the keys a stream holds
     reps = 5
@@ -406,14 +410,47 @@ def cmd_benchmark(args) -> int:
             key_ids = [i.to_bytes(16, "big") for i in range(n)]
             for key_id in key_ids:
                 store.put_key("s0", key_id, params)
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                for key_id in key_ids:
-                    store.get_key("s0", key_id)
-                best = min(best, (time.perf_counter() - t0) / n)
+            best = _best_of(reps, lambda: [store.get_key("s0", key_id) for key_id in key_ids]) / n
         print(f"get_key ({n} keys in one stream): {best * 1e3:.4f} ms per lookup, best-of-{reps}")
+    # per-segment cost of the batched read path against one segment at a time
+    n_seg = 1000
+    segments = list(synthetic_ecg((n_seg + 1) * 300 / 500.0, seed=args.seed))[:n_seg]
+    params_list = [params_for_segment(s) for s in segments]
+    ranges = [quantize(s).range for s in segments]
+    blocks = [
+        np.frombuffer(encrypt(s, p)[0].ciphertext, dtype=np.uint8)
+        for s, p in zip(segments, params_list)
+    ]
+    all_bytes = np.concatenate(blocks)
+    lengths = [len(b) for b in blocks]
+    for layer, serial, batched in (
+        (
+            "key material",
+            lambda: [derive_key_material(p, 300, r) for p, r in zip(params_list, ranges)],
+            lambda: derive_key_material_batch(params_list, 300, ranges),
+        ),
+        (
+            "spectral flatness",
+            lambda: [analysis.spectral_flatness(b) for b in blocks],
+            lambda: analysis.segment_flatness(all_bytes, lengths),
+        ),
+    ):
+        serial_us, batched_us = (_best_of(3, fn) / n_seg * 1e6 for fn in (serial, batched))
+        print(
+            f"{layer} ({n_seg} seeded 300-sample segments): serial {serial_us:.2f} us, "
+            f"batched {batched_us:.2f} us per segment, best-of-3"
+        )
     return 0
+
+
+def _best_of(reps: int, fn) -> float:
+    """Shortest wall time of reps calls of fn, in seconds."""
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,12 @@ class TestFFT:
         with pytest.raises(ValueError):
             fft_radix2(np.arange(12.0))
 
+    def test_rows_match_one_row_calls(self):
+        x = np.random.default_rng(4).normal(0.0, 1.0, (9, 256))
+        got = fft_radix2(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.stack([fft_radix2(row) for row in x]))
+
 
 class TestSpectralFlatness:
     def test_sine_low(self):
@@ -266,6 +272,15 @@ class TestSpectralFlatness:
 
         flats = [spectral_flatness(quantize(s).bytes) for s in segments]
         assert max(flats) < 0.4
+
+    def test_segment_flatness_matches_one_segment_calls(self, ciphertexts):
+        # more than two chunks of ciphertext, then runs of other lengths; the
+        # alternating 16-byte block has empty bins and a flatness of 0
+        blocks = list(ciphertexts) + [np.tile([0, 255], 8).astype(np.uint8)] * 3
+        blocks += [np.asarray(c[:100]) for c in ciphertexts[:70]]
+        got = analysis.segment_flatness(np.concatenate(blocks), [len(b) for b in blocks])
+        assert got == [spectral_flatness(b) for b in blocks]
+        assert got[len(ciphertexts)] == 0.0
 
     def test_constant_rejected(self):
         with pytest.raises(UndefinedStatisticError):

@@ -12,7 +12,9 @@ from hecg.attacks import (
     occlusion_attack,
     sweep_table,
 )
-from hecg.cipher import encrypt, params_for_segment
+from hecg.chaos import ChaoticParams
+from hecg.cipher import derive_key_material, encrypt, params_for_segment
+from hecg.errors import ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +192,27 @@ def test_sweep_table_format(attack_corpus):
     for line in lines[1:]:
         values = [float(v) for v in line.split("\t")]
         assert len(values) == 4
+
+
+@pytest.mark.parametrize(
+    "attack, config",
+    [
+        (noise_attack, AttackConfig(AttackKind.NOISE_UNIFORM, 4.0, seed=2)),
+        (occlusion_attack, AttackConfig(AttackKind.OCCLUSION, 0.25, seed=2)),
+    ],
+)
+def test_given_key_material(attack_corpus, attack, config):
+    segments, records, params_list = attack_corpus
+    rec, p, seg = records[3], params_list[3], segments[3]
+    km = derive_key_material(p, rec.segment_len, rec.range)
+    assert attack(rec, p, config, original=seg, key_material=km) == attack(
+        rec, p, config, original=seg
+    )
+    # key material of another record, of other params, or of another length
+    for wrong in (
+        derive_key_material(params_list[4], rec.segment_len, records[4].range),
+        derive_key_material(ChaoticParams(p.r, 1.0 - p.x0), rec.segment_len, rec.range),
+        derive_key_material(p, rec.segment_len - 1, rec.range),
+    ):
+        with pytest.raises(ShapeError):
+            attack(rec, p, config, original=seg, key_material=wrong)

@@ -13,6 +13,7 @@ from hecg.chaos import (
     apply_salt,
     derive_params,
     iterate_logistic,
+    iterate_logistic_batch,
 )
 from hecg.errors import DegenerateOrbitError, InvalidStatisticsError, ParameterDomainError
 
@@ -98,6 +99,20 @@ class TestIterateLogistic:
         # r=4 is outside the domain; verify the sentinel contract instead.
         stop = kernels.logistic_fill(3.99, 0.123, 0, out)
         assert stop == 4
+
+    @pytest.mark.parametrize("n, burn_in", [(1, 0), (5, 23), (300, 3), (7, 7)])
+    def test_batch_rows_match_reference(self, n, burn_in):
+        # burn-in longer than n runs through the n-row buffer several times
+        rng = np.random.default_rng(n + burn_in)
+        draws = rng.uniform(0.01, 0.99, (9, 2))
+        params = [ChaoticParams(3.6 + 0.4 * u, 0.1 + 0.8 * v) for u, v in draws]
+        got = iterate_logistic_batch(params, n, burn_in)
+        assert got.shape == (9, n) and got.flags.c_contiguous
+        for row, p in zip(got, params):
+            assert row.tolist() == reference_logistic(p.r, p.x0, n, burn_in)
+        assert iterate_logistic_batch([], n, burn_in).shape == (0, n)
+        with pytest.raises(ValueError):
+            iterate_logistic_batch(params, 0, burn_in)
 
     # principal periodic windows inside (3.6, 4.0): orbits there converge
     # to the same attracting cycle for both keys, so sensitive dependence

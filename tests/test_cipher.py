@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecg.chaos import ChaoticParams, KeySalt
+from hecg.chaos import ChaoticParams, KeySalt, iterate_logistic
 from hecg.cipher import (
+    BATCH_ROWS,
     EncryptedRecord,
     Mode,
     QuantizationRange,
@@ -15,9 +16,11 @@ from hecg.cipher import (
     apply_keystream,
     compute_stats,
     decrypt,
+    decrypt_batch,
     decrypt_bytes,
     dequantize,
     derive_key_material,
+    derive_key_material_batch,
     encrypt,
     invert_permutation,
     params_for_segment,
@@ -26,8 +29,10 @@ from hecg.cipher import (
 )
 from hecg.errors import (
     CorruptRecordError,
+    DegenerateOrbitError,
     InvalidPermutationError,
     InvalidSignalError,
+    ShapeError,
 )
 
 
@@ -134,6 +139,82 @@ class TestKeyMaterial:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidSignalError):
             derive_key_material(ChaoticParams(3.9, 0.3), 1, QuantizationRange(0.0, 1.0))
+
+
+def _batch_params(count: int, seed: int = 11) -> list:
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(1e-3, 1 - 1e-3, (count, 2))
+    return [ChaoticParams(3.6 + 0.4 * u, 0.1 + 0.8 * v) for u, v in draws]
+
+
+class TestBatch:
+    """The batched read path against the one-segment-at-a-time oracle."""
+
+    @pytest.mark.parametrize("burn_in", [0, 3])
+    def test_key_material_matches_serial(self, burn_in):
+        params_list = _batch_params(2 * BATCH_ROWS + 7)
+        ranges = [QuantizationRange(-float(i), float(i)) for i in range(len(params_list))]
+        got = derive_key_material_batch(params_list, 300, ranges, burn_in)
+        assert len(got) == len(params_list)
+        for km, params, rng in zip(got, params_list, ranges):
+            want = derive_key_material(params, 300, rng, burn_in)
+            assert np.array_equal(km.permutation, want.permutation)
+            assert km.permutation.dtype == want.permutation.dtype
+            assert np.array_equal(km.mask, want.mask)
+            assert km.params == params and km.range == rng
+
+    @pytest.mark.parametrize("burn_in", [0, 3])
+    def test_decrypt_matches_serial(self, encrypted_corpus, burn_in):
+        segments, _, _, params_list = encrypted_corpus
+        # a run of shorter segments in the middle splits the chunks
+        lengths = [300] * 70 + [100] * 5 + [300] * 50
+        records, keys = [], []
+        for i, n in enumerate(lengths):
+            seg = SignalSegment(segments[i % len(segments)].samples[:n], 500.0)
+            records.append(encrypt(seg, params_list[i % len(params_list)], burn_in=burn_in)[0])
+            keys.append(params_list[i % len(params_list)])
+        got = decrypt_batch(records, keys, 250.0, burn_in)
+        assert len(got) == len(records)
+        for seg, record, params in zip(got, records, keys):
+            want = decrypt(record, params, 250.0, burn_in)
+            assert np.array_equal(seg.samples, want.samples)
+            assert seg.sample_rate == want.sample_rate
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 3])
+    def test_first_degenerate_row_raises_like_scalar(self, burn_in):
+        params_list = _batch_params(2 * BATCH_ROWS + 7)
+        ranges = [QuantizationRange(0.0, 1.0)] * len(params_list)
+
+        def force(params, x0):
+            object.__setattr__(params, "r", 4.0)
+            object.__setattr__(params, "x0", x0)
+            with pytest.raises(DegenerateOrbitError) as scalar:
+                iterate_logistic(params, 300, burn_in)
+            return scalar.value.index
+
+        # r = 4 maps x0 = 0.5 to exactly 1.0 on iterate 0
+        assert force(params_list[BATCH_ROWS + 5], 0.5) == -burn_in
+        with pytest.raises(DegenerateOrbitError) as batch:
+            derive_key_material_batch(params_list, 300, ranges, burn_in)
+        assert batch.value.index == -burn_in
+        # an earlier row that degenerates one iterate later wins: it maps
+        # to 0.5 on iterate 0 and to 1.0 on iterate 1
+        assert force(params_list[BATCH_ROWS + 3], 0.14644660940672624) == 1 - burn_in
+        with pytest.raises(DegenerateOrbitError) as batch:
+            derive_key_material_batch(params_list, 300, ranges, burn_in)
+        assert batch.value.index == 1 - burn_in
+
+    def test_empty_and_mismatched(self):
+        rng = QuantizationRange(0.0, 1.0)
+        assert derive_key_material_batch([], 300, []) == []
+        assert decrypt_batch([], []) == []
+        with pytest.raises(InvalidSignalError):
+            derive_key_material_batch(_batch_params(2), 1, [rng] * 2)
+        with pytest.raises(ShapeError):
+            derive_key_material_batch(_batch_params(2), 300, [rng])
+        record, _ = encrypt(SignalSegment(np.arange(10.0), 500.0), _batch_params(1)[0])
+        with pytest.raises(ShapeError):
+            decrypt_batch([record], _batch_params(2))
 
 
 class TestInvertPermutation:

@@ -258,6 +258,8 @@ def test_benchmark_runs(capsys):
     assert "logistic_fill" in out
     assert "encrypt (300-sample segment" in out
     assert "get_key" in out
+    assert "key material (1000 seeded" in out
+    assert "spectral flatness (1000 seeded" in out
 
 
 def test_console_entry_point():
@@ -290,6 +292,21 @@ def test_encrypt_and_stream_write_the_same_store(tmp_path, capsys):
     assert len(files) == 7
     assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
     assert all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
+
+
+def test_encrypt_rerun_with_other_seed_is_refused(tmp_path, capsys):
+    # A different seed gives new key_ids, so only the stream's records can
+    # tell that a second run would replace the first run's segments.
+    store = tmp_path / "store"
+    assert main(["encrypt", "--synthetic", "5", "--store", str(store), "--seed", "1"]) == 0
+    stream = store / "stream0"
+    before = {p.name: p.read_bytes() for p in stream.iterdir()}
+    rc = main(["encrypt", "--synthetic", "6", "--store", str(store), "--seed", "2"])
+    assert rc == 1
+    assert "5 records already stored in stream stream0" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in stream.iterdir()} == before
+    assert main(["encrypt", "--synthetic", "6", "--store", str(store), "--seed", "2",
+                 "--stream", "stream1"]) == 0
 
 
 def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):
