@@ -58,11 +58,20 @@ class AttackResult:
     dispersion: float
 
 
-def _damage(original, attacked: np.ndarray, km: KeyMaterial) -> tuple[float, float]:
-    """MAE and MSE of the attacked ciphertext decrypted with the record's own
-    key material, against the original on [0,1]-normalized samples."""
+def clean_reference(original) -> tuple[float, float, np.ndarray]:
+    """The original's min, max and samples normalized to [0,1] on them: what
+    every attack on its record compares against."""
     lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
-    clean = normalize_unit(original.samples, lo, hi)
+    return lo, hi, normalize_unit(original.samples, lo, hi)
+
+
+def _damage(
+    original, attacked: np.ndarray, km: KeyMaterial, reference: tuple | None
+) -> tuple[float, float]:
+    """MAE and MSE of the attacked ciphertext decrypted with the record's own
+    key material, against the original on [0,1]-normalized samples.
+    reference is clean_reference(original), or None to compute it."""
+    lo, hi, clean = reference or clean_reference(original)
     q_bytes = remove_keystream(attacked, km.permutation, km.mask)
     recovered = dequantize(QuantizedSegment(bytes=q_bytes, range=km.range), original.sample_rate)
     got = normalize_unit(recovered.samples, lo, hi)
@@ -106,13 +115,16 @@ def noise_attack(
     burn_in: int = 0,
     *,
     key_material: KeyMaterial | None = None,
+    reference: tuple | None = None,
 ) -> AttackResult:
     """Add seeded noise to the ciphertext bytes, clamp to [0,255], decrypt.
 
     original: the clean SignalSegment the record was produced from (the
     comparison target). Uniform noise draws integers in [-a, a]; Gaussian
     draws round(N(0, a)). key_material, when given, must have been derived
-    for this record and params (ShapeError otherwise) and saves deriving it.
+    for this record and params (ShapeError otherwise) and saves deriving it;
+    reference, when given, must be clean_reference(original) and saves
+    recomputing it.
     """
     if config.kind not in (AttackKind.NOISE_UNIFORM, AttackKind.NOISE_GAUSSIAN):
         raise ValueError(f"noise_attack got config kind {config.kind}")
@@ -129,7 +141,7 @@ def noise_attack(
     changed = np.nonzero(noisy != ct.astype(np.uint8))[0]
     km = _key_material(record, params, burn_in, key_material)
     corrupted = np.asarray(km.permutation)[changed]
-    mae, mse = _damage(original, noisy, km)
+    mae, mse = _damage(original, noisy, km, reference)
     return AttackResult(
         mae=mae,
         mse=mse,
@@ -146,13 +158,14 @@ def occlusion_attack(
     burn_in: int = 0,
     *,
     key_material: KeyMaterial | None = None,
+    reference: tuple | None = None,
 ) -> AttackResult:
     """Zero a contiguous ciphertext range of the configured fraction.
 
     The region defaults to a seeded random placement. Corrupted plaintext
     positions are exactly the permutation images of the occluded range,
     so their count is ceil(fraction * n) while their locations scatter.
-    key_material is taken as in noise_attack.
+    key_material and reference are taken as in noise_attack.
     """
     if config.kind is not AttackKind.OCCLUSION:
         raise ValueError(f"occlusion_attack got config kind {config.kind}")
@@ -173,7 +186,7 @@ def occlusion_attack(
     ct[start:end] = 0
     km = _key_material(record, params, burn_in, key_material)
     corrupted = np.asarray(km.permutation)[start:end]
-    mae, mse = _damage(original, ct, km)
+    mae, mse = _damage(original, ct, km, reference)
     return AttackResult(
         mae=mae,
         mse=mse,
@@ -195,7 +208,8 @@ def attack_sweep(
 
     Rows are dicts {intensity, mae, mse, dispersion} ready for tabular
     output; deterministic for a fixed seed. Key material is derived once
-    per record, BATCH_ROWS records at a time, and serves every intensity.
+    per record, BATCH_ROWS records at a time, and serves every intensity,
+    as does each original's clean_reference.
     """
     if not (len(records) == len(params_list) == len(originals)):
         raise ShapeError(
@@ -210,9 +224,12 @@ def attack_sweep(
         )
         chunk = zip(range(s.start, s.stop), records[s], params_list[s], originals[s], kms)
         for i, rec, params, orig, km in chunk:
+            ref = clean_reference(orig)
             for level, intensity in enumerate(intensities):
                 cfg = AttackConfig(kind=kind, intensity=intensity, seed=seed + 7919 * level + i)
-                res = run(rec, params, cfg, original=orig, burn_in=burn_in, key_material=km)
+                res = run(
+                    rec, params, cfg, original=orig, burn_in=burn_in, key_material=km, reference=ref
+                )
                 maes, mses, disps = damage[level]
                 maes.append(res.mae)
                 mses.append(res.mse)

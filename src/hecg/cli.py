@@ -85,6 +85,13 @@ def _base_timestamp(args) -> int:
     return 1_700_000_000_000 + args.seed * 1_000_000
 
 
+def _refuse_stored_stream(store: FileStore, stream: str):
+    """A rerun would replace the records and orphan the old run's key rows."""
+    existing = store.record_indices(stream)
+    if existing:
+        raise StoreError(f"{len(existing)} records already stored in stream {stream}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -100,10 +107,7 @@ def cmd_encrypt(args) -> int:
         return 1
     model = KeyPredictor.load(args.model) if args.mode == "ml" else None
     store = FileStore(args.store)
-    # A rerun would replace the records and orphan the old run's key rows.
-    existing = store.record_indices(args.stream)
-    if existing:
-        raise StoreError(f"{len(existing)} records already stored in stream {args.stream}")
+    _refuse_stored_stream(store, args.stream)
     device = args.salt_device_id.encode()
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
     base_timestamp = _base_timestamp(args)
@@ -312,7 +316,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_stream(args, mode: Mode, model, store_dir) -> pipeline.PipelineMetrics:
+def _run_stream(args, mode: Mode, model, store: FileStore) -> pipeline.PipelineMetrics:
     if args.input:
         source = SegmentSource.from_csv(
             args.input, args.column, args.sample_rate, args.segment_len, pacing=Pacing(args.pacing)
@@ -332,7 +336,7 @@ def _run_stream(args, mode: Mode, model, store_dir) -> pipeline.PipelineMetrics:
     return pipeline.run_pipeline(
         source,
         mode,
-        FileStore(store_dir),
+        store,
         segment_count=args.segments,
         model=model,
         stream_id=args.stream,
@@ -352,24 +356,28 @@ def cmd_stream(args) -> int:
         if model is None:
             print("--compare-modes requires --model", file=sys.stderr)
             return 1
-        m_direct = _run_stream(args, Mode.DIRECT, None, Path(args.store) / "direct")
-        m_ml = _run_stream(args, Mode.ML_PREDICTED, model, Path(args.store) / "ml")
-        for label, metrics, sub in (("direct", m_direct, "direct"), ("ml", m_ml, "ml")):
+        direct, ml = (FileStore(Path(args.store) / sub) for sub in ("direct", "ml"))
+        for store in (direct, ml):
+            _refuse_stored_stream(store, args.stream)
+        m_direct = _run_stream(args, Mode.DIRECT, None, direct)
+        m_ml = _run_stream(args, Mode.ML_PREDICTED, model, ml)
+        for label, metrics, store in (("direct", m_direct, direct), ("ml", m_ml, ml)):
             print(f"--- mode {label} ---")
             print(metrics.table())
-            ent = _store_cipher_entropy(Path(args.store) / sub, args.stream, args.burn_in)
+            ent = _store_cipher_entropy(store, args.stream)
             print(f"mean ciphertext entropy {ent:.17g}")
         return 0
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
-    metrics = _run_stream(args, mode, model, args.store)
+    store = FileStore(args.store)
+    _refuse_stored_stream(store, args.stream)
+    metrics = _run_stream(args, mode, model, store)
     print(metrics.table())
     if args.json:
         print(json.dumps(metrics.summary(), indent=2))
     return 0 if not metrics.errors else 1
 
 
-def _store_cipher_entropy(store_dir, stream: str, burn_in: int) -> float:
-    store = FileStore(store_dir)
+def _store_cipher_entropy(store: FileStore, stream: str) -> float:
     ents = []
     for i in store.record_indices(stream):
         ct = np.frombuffer(store.get_record(stream, i).ciphertext, dtype=np.uint8)
@@ -440,6 +448,15 @@ def cmd_benchmark(args) -> int:
             f"{layer} ({n_seg} seeded 300-sample segments): serial {serial_us:.2f} us, "
             f"batched {batched_us:.2f} us per segment, best-of-3"
         )
+    # the stream's per-segment CSV parse and classifier peak count
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ecg.csv"
+        samples = np.concatenate([s.samples for s in segments]).tolist()
+        path.write_text("ecg\n" + "".join(f"{v!r}\n" for v in samples))
+        ingest_us = _best_of(3, lambda: list(ingest_csv(path, "ecg"))) / n_seg * 1e6
+    print(f"ingest_csv ({n_seg}-segment seeded CSV): {ingest_us:.2f} us per 300-sample segment, best-of-3")
+    peaks_us = _best_of(3, lambda: [pipeline.count_peaks(s) for s in segments]) / n_seg * 1e6
+    print(f"count_peaks ({n_seg} seeded 300-sample segments): {peaks_us:.2f} us per segment, best-of-3")
     return 0
 
 

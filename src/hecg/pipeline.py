@@ -9,6 +9,7 @@ to a pluggable classifier hook.
 """
 
 import csv
+import itertools
 import os
 import queue
 import threading
@@ -115,34 +116,94 @@ def ingest_csv(
     tolerated as a header) or a name (header required). The trailing
     partial segment is dropped; a malformed row raises IngestionError
     naming its line number.
+
+    The header and the first data row go through the row reader
+    (csv.reader plus float() per row). After them the file is read in
+    blocks of BLOCK_SEGMENTS segments of lines, each parsed by one
+    np.loadtxt call (see _parse_block). The first block that parser
+    refuses, and the rest of the file, go through the row reader, so
+    quoted, blank and malformed rows give the same values or the same
+    error as reading every row with it.
     """
-    buf = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        col_idx = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if col_idx is None:
-                if isinstance(column, str):
-                    if column not in row:
-                        raise IngestionError(f"no column named {column!r} in header", line_no)
-                    col_idx = row.index(column)
-                    continue
-                col_idx = int(column)
-                try:
-                    float(row[col_idx])
-                except (ValueError, IndexError):
-                    continue  # header row
-            if col_idx >= len(row):
-                raise IngestionError(f"row has {len(row)} fields, need {col_idx + 1}", line_no)
-            try:
-                buf.append(float(row[col_idx]))
-            except ValueError:
-                raise IngestionError(f"non-numeric value {row[col_idx]!r}", line_no) from None
+        first = next(_row_values(enumerate(csv.reader(fh), start=1), column), None)
+        if first is None:
+            return
+        line_no, col_idx, value = first
+        values = np.array([value])
+        block = []
+        # A segment_len below 1 never completes a segment: the row reader
+        # then checks every row, as it always did.
+        while segment_len > 0:
+            whole = len(values) - len(values) % segment_len
+            for start in range(0, whole, segment_len):
+                yield SignalSegment(values[start : start + segment_len], sample_rate)
+            values = values[whole:]
+            block = list(itertools.islice(fh, BLOCK_SEGMENTS * segment_len))
+            parsed = _parse_block(block, col_idx)
+            if parsed is None:
+                break
+            line_no += len(block)
+            values = np.concatenate((values, parsed))
+        buf = values.tolist()
+        rest = enumerate(csv.reader(itertools.chain(block, fh)), start=line_no + 1)
+        for _, _, value in _row_values(rest, column, col_idx):
+            buf.append(value)
             if len(buf) == segment_len:
                 yield SignalSegment(np.asarray(buf), sample_rate)
                 buf = []
+
+
+# Lines per np.loadtxt call in ingest_csv, in segments. Larger blocks cost
+# less per line but put the parse of several segments into one gap between
+# the segments a pipeline consumer completes, which raises the tail of
+# those gaps.
+BLOCK_SEGMENTS = 1
+# Characters after which np.loadtxt and the row reader can disagree: a
+# quote starts a CSV quoted field; the ASCII separators \x1c-\x1f count
+# as whitespace around a number for np.loadtxt but not for float().
+_BLOCK_REFUSES = '"\x1c\x1d\x1e\x1f'
+
+
+def _parse_block(lines: list, col_idx: int) -> np.ndarray | None:
+    """Column col_idx of every line as float64, or None when the block
+    must go through the row reader: it is empty or blank, holds a quote
+    or separator character, or np.loadtxt rejects it or skips a line."""
+    text = "".join(lines)
+    if not text.strip() or any(c in text for c in _BLOCK_REFUSES):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=col_idx, ndmin=1)
+    except ValueError:
+        return None
+    return values if len(values) == len(lines) else None
+
+
+def _row_values(rows, column, col_idx: int | None = None):
+    """(line number, column index, value) of each data row of numbered CSV
+    rows: the row reader of ingest_csv. col_idx None means the header
+    has not been seen yet."""
+    for line_no, row in rows:
+        if not row:
+            continue
+        if col_idx is None:
+            if isinstance(column, str):
+                if column not in row:
+                    raise IngestionError(f"no column named {column!r} in header", line_no)
+                col_idx = row.index(column)
+                continue
+            col_idx = int(column)
+            try:
+                float(row[col_idx])
+            except (ValueError, IndexError):
+                continue  # header row
+        if col_idx >= len(row):
+            raise IngestionError(f"row has {len(row)} fields, need {col_idx + 1}", line_no)
+        try:
+            value = float(row[col_idx])
+        except ValueError:
+            raise IngestionError(f"non-numeric value {row[col_idx]!r}", line_no) from None
+        yield line_no, col_idx, value
 
 
 @dataclass
@@ -235,8 +296,11 @@ class FileStore:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
+    # os.path, not pathlib: every record and key read and write builds a path
+    def _record_path(self, stream_id: str, index: int) -> str:
+        return os.path.join(self.root, stream_id, f"seg_{index:06d}.rec")
+
     def _keys_path(self, stream_id: str) -> str:
-        # os.path, not pathlib: every key lookup and write builds this path
         return os.path.join(self.root, stream_id, "keys.txt")
 
     def _key_index(self, stream_id: str) -> dict | None:
@@ -259,14 +323,23 @@ class FileStore:
         return keys
 
     def put_record(self, stream_id: str, index: int, record: EncryptedRecord):
-        path = self._stream_dir(stream_id) / f"seg_{index:06d}.rec"
-        path.write_bytes(record.to_bytes())
+        data = record.to_bytes()
+        path = self._record_path(stream_id, index)
+        try:
+            fh = open(path, "wb")
+        except FileNotFoundError:
+            self._stream_dir(stream_id)
+            fh = open(path, "wb")
+        with fh:
+            fh.write(data)
 
     def get_record(self, stream_id: str, index: int) -> EncryptedRecord:
-        path = self.root / stream_id / f"seg_{index:06d}.rec"
-        if not path.exists():
-            raise StoreError(f"no record for {stream_id}[{index}]")
-        return EncryptedRecord.from_bytes(path.read_bytes())
+        try:
+            with open(self._record_path(stream_id, index), "rb") as fh:
+                data = fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            raise StoreError(f"no record for {stream_id}[{index}]") from None
+        return EncryptedRecord.from_bytes(data)
 
     def record_indices(self, stream_id: str) -> list:
         d = self.root / stream_id
@@ -333,10 +406,12 @@ def count_peaks(segment: SignalSegment, threshold_frac: float = 0.6) -> int:
         return 0
     thresh = lo + threshold_frac * (hi - lo)
     refractory = max(1, int(0.25 * segment.sample_rate))
+    mid = s[1:-1]
+    candidates = np.flatnonzero((mid >= thresh) & (mid >= s[:-2]) & (mid >= s[2:])) + 1
     peaks = 0
     last = -refractory
-    for i in range(1, len(s) - 1):
-        if s[i] >= thresh and s[i] >= s[i - 1] and s[i] >= s[i + 1] and i - last >= refractory:
+    for i in candidates.tolist():
+        if i - last >= refractory:
             peaks += 1
             last = i
     return peaks

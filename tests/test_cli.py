@@ -260,6 +260,8 @@ def test_benchmark_runs(capsys):
     assert "get_key" in out
     assert "key material (1000 seeded" in out
     assert "spectral flatness (1000 seeded" in out
+    assert "ingest_csv (1000-segment seeded CSV)" in out
+    assert "count_peaks (1000 seeded" in out
 
 
 def test_console_entry_point():
@@ -307,6 +309,36 @@ def test_encrypt_rerun_with_other_seed_is_refused(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in stream.iterdir()} == before
     assert main(["encrypt", "--synthetic", "6", "--store", str(store), "--seed", "2",
                  "--stream", "stream1"]) == 0
+
+
+def test_stream_rerun_with_other_seed_is_refused(tmp_path, capsys):
+    # Like encrypt: a second run would replace the first run's records and
+    # leave its key rows in keys.txt.
+    store = tmp_path / "store"
+    assert main(["stream", "--segments", "4", "--store", str(store), "--seed", "1"]) == 0
+    stream = store / "stream0"
+    before = {p.name: p.read_bytes() for p in stream.iterdir()}
+    capsys.readouterr()
+    rc = main(["stream", "--segments", "5", "--store", str(store), "--seed", "2"])
+    assert rc == 1
+    assert "4 records already stored in stream stream0" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in stream.iterdir()} == before
+    assert main(["stream", "--segments", "5", "--store", str(store), "--seed", "2",
+                 "--stream", "stream1"]) == 0
+
+
+def test_stream_compare_modes_refuses_before_writing(tmp_path, capsys):
+    # The ml store already holds the stream: the direct run must not start.
+    model = tmp_path / "m.hmlp"
+    main(["train", "--output", str(model), "--synthetic", "20", "--epochs", "2", "--seed", "2"])
+    store = tmp_path / "store"
+    assert main(["stream", "--segments", "3", "--store", str(store / "ml")]) == 0
+    capsys.readouterr()
+    rc = main(["stream", "--segments", "3", "--store", str(store), "--model", str(model),
+               "--compare-modes"])
+    assert rc == 1
+    assert "3 records already stored in stream stream0" in capsys.readouterr().err
+    assert not list((store / "direct").rglob("*"))
 
 
 def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):

@@ -1,9 +1,13 @@
+import csv
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hecg import analysis
+from hecg import analysis, pipeline
 from hecg.chaos import ChaoticParams
 from hecg.cipher import Mode, SignalSegment, quantize
 from hecg.errors import IngestionError, StoreError
@@ -98,6 +102,221 @@ class TestIngestCsv:
         path = self._write(tmp_path, [1.0, 2.0], header="a,b")
         with pytest.raises(IngestionError):
             list(ingest_csv(path, "missing", 500.0, 2))
+
+
+def _reference_ingest(path, column=0, sample_rate=500.0, segment_len=300):
+    """ingest_csv as a csv.reader + float() loop over every row: the
+    reader the block parser must agree with."""
+    buf = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        col_idx = None
+        for line_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if col_idx is None:
+                if isinstance(column, str):
+                    if column not in row:
+                        raise IngestionError(f"no column named {column!r} in header", line_no)
+                    col_idx = row.index(column)
+                    continue
+                col_idx = int(column)
+                try:
+                    float(row[col_idx])
+                except (ValueError, IndexError):
+                    continue  # header row
+            if col_idx >= len(row):
+                raise IngestionError(f"row has {len(row)} fields, need {col_idx + 1}", line_no)
+            try:
+                buf.append(float(row[col_idx]))
+            except ValueError:
+                raise IngestionError(f"non-numeric value {row[col_idx]!r}", line_no) from None
+            if len(buf) == segment_len:
+                yield SignalSegment(np.asarray(buf), sample_rate)
+                buf = []
+
+
+def _outcome(segments):
+    """Bytes of every segment yielded before the end or an error, and the
+    error's type, message and line number."""
+    got = []
+    try:
+        for seg in segments:
+            got.append(seg.samples.tobytes())
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return got, (type(exc), str(exc), getattr(exc, "line_number", None))
+    return got, None
+
+
+def _assert_same_as_reference(path, column, segment_len):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = _outcome(ingest_csv(path, column, 500.0, segment_len))
+    assert [str(w.message) for w in caught] == []
+    assert new == _outcome(_reference_ingest(path, column, 500.0, segment_len))
+    return new
+
+
+# Value-column cells that one of the two parsers might read differently.
+_ODD_CELLS = [
+    '"1.5"',
+    '" 2.5e1 "',
+    "1_000",
+    "1__0",
+    " 3.25 ",
+    "\t-0.0",
+    "",
+    " ",
+    "abc",
+    "0x1p3",
+    "nan",
+    "-inf",
+    "1e400",
+    "1.5\x1c",
+    "\x1f2",
+    "1\x00",
+    "\u0661\u0662",
+    "\u20034.5",
+    "4.5\x85",
+    "#7",
+]
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, column, segment_len): mostly valid numeric rows in two columns
+    with a few odd rows, cells and line endings mixed in; segment lengths
+    below 2 never make a valid segment."""
+    value_col = draw(st.sampled_from([0, 1]))
+    numbers = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+        st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: f"{v:.6e}"),
+        st.integers(-5000, 5000).map(str),
+    )
+    rows = [
+        [draw(numbers), draw(numbers)] for _ in range(draw(st.integers(0, 40)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["blank", "space", "short", "cell", "multiline"]))
+        row = (rows[i] + ["0", "0"])[:2]  # an earlier change may have cut it
+        if kind == "blank":  # a run of them may fill a whole block
+            rows[i:i] = [[]] * draw(st.integers(1, 12))
+        elif kind == "space":
+            rows[i:i] = [[draw(st.sampled_from([" ", "\t", "  \t "]))]] * draw(st.integers(1, 12))
+        elif kind == "short":
+            rows[i] = row[:1]
+        elif kind == "cell":
+            row[value_col] = draw(st.sampled_from(_ODD_CELLS))
+            rows[i] = row
+        else:
+            row[1 - value_col] = '"1\n2,3\r\n4"'
+            rows[i] = row
+    header = draw(st.sampled_from(["none", "name", "index"]))
+    column = value_col
+    if header != "none":
+        rows.insert(0, ["t", "ecg"] if value_col == 1 else ["ecg", "t"])
+        if header == "name":
+            column = "ecg"
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows), max_size=len(rows)))
+    text = "".join(",".join(row) + end for row, end in zip(rows, endings))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last row
+    return text, column, draw(st.integers(-1, 5))
+
+
+class TestIngestMatchesRowReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_files())
+    def test_same_segments_or_same_error(self, tmp_path_factory, case):
+        text, column, segment_len = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        _assert_same_as_reference(path, column, segment_len)
+
+    @pytest.mark.parametrize("at", range(1, 14))
+    def test_multiline_field_across_block_boundary(self, tmp_path, at):
+        # Blocks after the first data row hold BLOCK_SEGMENTS * 3 lines; a
+        # quoted field that opens at row `at` spans the next three lines,
+        # each of which would read as a number without the quote.
+        rows = [f"{i},{i * 0.5!r}" for i in range(40)]
+        rows[at] = f'"{at},1\n2,3\n4,5\n6",{at * 0.5!r}'
+        path = tmp_path / "data.csv"
+        path.write_text("t,ecg\n" + "\n".join(rows) + "\n")
+        segs, err = _assert_same_as_reference(path, "ecg", 3)
+        assert err is None and len(segs) == 13
+
+    def test_error_line_number_after_blocks(self, tmp_path):
+        rows = [repr(i * 0.25) for i in range(1000)]
+        rows[700] = "oops"
+        path = tmp_path / "data.csv"
+        path.write_text("ecg\r\n" + "\r\n".join(rows) + "\r\n")
+        segs, err = _assert_same_as_reference(path, 0, 300)
+        assert len(segs) == 2
+        assert err == (IngestionError, "line 702: non-numeric value 'oops'", 702)
+
+    def test_block_reader_in_use(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline._parse_block
+
+        def counting(lines, col_idx):
+            calls.append(len(lines))
+            return real(lines, col_idx)
+
+        monkeypatch.setattr(pipeline, "_parse_block", counting)
+        path = tmp_path / "data.csv"
+        path.write_text("ecg\n" + "".join(f"{i * 0.5!r}\n" for i in range(901)))
+        segs = list(ingest_csv(path, "ecg", 500.0, 300))
+        assert [s.samples[0] for s in segs] == [0.0, 150.0, 300.0]
+        # every row after the first data row, in full blocks, then the
+        # short block and the empty read at the end of the file
+        block = pipeline.BLOCK_SEGMENTS * 300
+        assert calls == [block] * (900 // block) + [900 % block] * (900 % block > 0) + [0]
+
+
+def _reference_count_peaks(segment, threshold_frac=0.6):
+    s = segment.samples
+    lo, hi = float(np.min(s)), float(np.max(s))
+    if hi == lo:
+        return 0
+    thresh = lo + threshold_frac * (hi - lo)
+    refractory = max(1, int(0.25 * segment.sample_rate))
+    peaks = 0
+    last = -refractory
+    for i in range(1, len(s) - 1):
+        if s[i] >= thresh and s[i] >= s[i - 1] and s[i] >= s[i + 1] and i - last >= refractory:
+            peaks += 1
+            last = i
+    return peaks
+
+
+class TestCountPeaksMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=200),
+        st.sampled_from([4.0, 20.0, 100.0, 500.0]),
+        st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+    )
+    def test_random(self, samples, rate, frac):
+        seg = SignalSegment(np.asarray(samples), rate)
+        assert count_peaks(seg, frac) == _reference_count_peaks(seg, frac)
+
+    @pytest.mark.parametrize("rate", [4.0, 40.0, 500.0])
+    def test_flat_and_plateaus(self, rate):
+        rng = np.random.default_rng(3)
+        signals = [np.full(300, 1.5), np.repeat(rng.integers(0, 3, 60), 5).astype(float)]
+        for width in (1, 2, 7):
+            bump = np.r_[np.zeros(9), np.ones(width)]
+            signals.append(np.tile(bump, 30)[:300])
+        for x in signals:
+            seg = SignalSegment(x, rate)
+            assert count_peaks(seg) == _reference_count_peaks(seg)
+
+    def test_ecg_segments(self):
+        for seg in synthetic_ecg(20.0, seed=11):
+            assert count_peaks(seg) == _reference_count_peaks(seg)
 
 
 def _key_id(i: int) -> bytes:
