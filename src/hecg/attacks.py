@@ -17,9 +17,8 @@ from .chaos import ChaoticParams
 from .cipher import (
     EncryptedRecord,
     KeyMaterial,
-    QuantizedSegment,
+    _dequantized_samples,
     batch_slices,
-    dequantize,
     derive_key_material,
     derive_key_material_batch,
     remove_keystream,
@@ -35,7 +34,12 @@ class AttackKind(Enum):
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """kind plus intensity: byte amplitude for noise, fraction for occlusion."""
+    """kind plus intensity: byte amplitude for noise, fraction for occlusion.
+
+    region, when given, is the [start, end) ciphertext range occlusion
+    zeroes in place of a seeded placement; it needs 0 <= start <= end
+    here, and end <= segment_len in occlusion_attack.
+    """
 
     kind: AttackKind
     intensity: float
@@ -43,6 +47,10 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.region is not None:
+            start, end = self.region
+            if start < 0 or end < start:
+                raise ValueError(f"region must satisfy 0 <= start <= end, got {self.region}")
         if self.kind is AttackKind.OCCLUSION:
             if not (0.0 <= self.intensity <= 1.0):
                 raise ValueError(f"occlusion fraction must be in [0,1], got {self.intensity}")
@@ -73,8 +81,8 @@ def _damage(
     reference is clean_reference(original), or None to compute it."""
     lo, hi, clean = reference or clean_reference(original)
     q_bytes = remove_keystream(attacked, km.permutation, km.mask)
-    recovered = dequantize(QuantizedSegment(bytes=q_bytes, range=km.range), original.sample_rate)
-    got = normalize_unit(recovered.samples, lo, hi)
+    # the recovered bytes are finite samples by construction: no SignalSegment
+    got = normalize_unit(_dequantized_samples(q_bytes, km.range), lo, hi)
     diff = clean - got
     return float(np.mean(np.abs(diff))), float(np.mean(diff * diff))
 
@@ -93,16 +101,15 @@ def _key_material(record, params, burn_in: int, km: KeyMaterial | None) -> KeyMa
     return km
 
 
-def _dispersion(indices: np.ndarray, n: int) -> float:
-    """Spread of corrupted positions: smallest window covering half of
-    them, as a fraction of n/2. Near 1 for uniformly scattered damage,
-    near 0 for a contiguous clump.
+def _dispersion(idx: np.ndarray, n: int) -> float:
+    """Spread of corrupted positions, given sorted ascending: smallest
+    window covering half of them, as a fraction of n/2. Near 1 for
+    uniformly scattered damage, near 0 for a contiguous clump.
     """
-    m = indices.size
+    m = idx.size
     if m == 0:
         return 0.0
     k = (m + 1) // 2
-    idx = np.sort(indices)
     window = int(np.min(idx[k - 1 :] - idx[: m - k + 1])) + 1
     return float(min(1.0, window / (n / 2.0)))
 
@@ -130,22 +137,25 @@ def noise_attack(
         raise ValueError(f"noise_attack got config kind {config.kind}")
     if original is None:
         raise ShapeError("noise_attack needs the original segment for damage metrics")
-    ct = np.frombuffer(record.ciphertext, dtype=np.uint8).astype(np.int32)
+    ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
     rng = np.random.default_rng(config.seed)
     a = config.intensity
     if config.kind is AttackKind.NOISE_UNIFORM:
         delta = rng.integers(-int(round(a)), int(round(a)) + 1, size=ct.size)
     else:
         delta = np.round(rng.normal(0.0, a, size=ct.size)).astype(np.int64)
-    noisy = np.clip(ct + delta, 0, 255).astype(np.uint8)
-    changed = np.nonzero(noisy != ct.astype(np.uint8))[0]
+    noisy = ct + delta  # int64, so nothing wraps before the clamp
+    np.maximum(noisy, 0, out=noisy)
+    np.minimum(noisy, 255, out=noisy)
+    noisy = noisy.astype(np.uint8)
+    changed = np.flatnonzero(noisy != ct)
     km = _key_material(record, params, burn_in, key_material)
-    corrupted = np.asarray(km.permutation)[changed]
+    corrupted = np.sort(np.asarray(km.permutation)[changed])
     mae, mse = _damage(original, noisy, km, reference)
     return AttackResult(
         mae=mae,
         mse=mse,
-        corrupted_sample_indices=tuple(np.sort(corrupted).tolist()),
+        corrupted_sample_indices=tuple(corrupted.tolist()),
         dispersion=_dispersion(corrupted, record.segment_len),
     )
 
@@ -175,7 +185,8 @@ def occlusion_attack(
     length = int(np.ceil(config.intensity * n))
     if config.region is not None:
         start, end = config.region
-        length = end - start
+        if end > n:
+            raise ShapeError(f"region {config.region} runs past the record's {n} samples")
     elif length > 0:
         rng = np.random.default_rng(config.seed)
         start = int(rng.integers(0, n - length + 1))
@@ -185,12 +196,12 @@ def occlusion_attack(
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
     ct[start:end] = 0
     km = _key_material(record, params, burn_in, key_material)
-    corrupted = np.asarray(km.permutation)[start:end]
+    corrupted = np.sort(np.asarray(km.permutation)[start:end])
     mae, mse = _damage(original, ct, km, reference)
     return AttackResult(
         mae=mae,
         mse=mse,
-        corrupted_sample_indices=tuple(np.sort(corrupted).tolist()),
+        corrupted_sample_indices=tuple(corrupted.tolist()),
         dispersion=_dispersion(corrupted, n),
     )
 

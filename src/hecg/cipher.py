@@ -17,6 +17,7 @@ decrypt_batch) derive key material for BATCH_ROWS segments at a time,
 bit-identical to one segment at a time.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -64,7 +65,7 @@ class SignalSegment:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidSignalError(f"segment needs >= 2 samples, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidSignalError("segment contains non-finite samples")
         if not (self.sample_rate > 0):
             raise InvalidSignalError(f"sample_rate must be positive, got {self.sample_rate}")
@@ -81,11 +82,11 @@ class QuantizationRange:
     max: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.min) and np.isfinite(self.max)):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise InvalidSignalError("quantization range must be finite")
         if self.max < self.min:
             raise InvalidSignalError(f"max {self.max} < min {self.min}")
-        if not np.isfinite(self.max - self.min):
+        if not math.isfinite(self.max - self.min):
             raise InvalidSignalError("quantization range span overflows")
 
     @property
@@ -206,8 +207,8 @@ def quantize(segment: SignalSegment) -> QuantizedSegment:
     the range.
     """
     s = segment.samples
-    lo = float(np.min(s))
-    hi = float(np.max(s))
+    lo = float(s.min())
+    hi = float(s.max())
     rng = QuantizationRange(min=lo, max=hi)
     if hi == lo:
         return QuantizedSegment(bytes=np.zeros(len(s), dtype=np.uint8), range=rng)
@@ -220,12 +221,15 @@ def quantize(segment: SignalSegment) -> QuantizedSegment:
 
 def dequantize(q: QuantizedSegment, sample_rate: float) -> SignalSegment:
     """Inverse of quantize up to half a quantization step per sample."""
-    lo, hi = q.range.min, q.range.max
+    return SignalSegment(samples=_dequantized_samples(q.bytes, q.range), sample_rate=sample_rate)
+
+
+def _dequantized_samples(q_bytes: np.ndarray, rng: QuantizationRange) -> np.ndarray:
+    """The samples of dequantize, before it validates them into a SignalSegment."""
+    lo, hi = rng.min, rng.max
     if hi == lo:
-        samples = np.full(len(q.bytes), lo, dtype=np.float64)
-    else:
-        samples = lo + q.bytes.astype(np.float64) / 255.0 * (hi - lo)
-    return SignalSegment(samples=samples, sample_rate=sample_rate)
+        return np.full(len(q_bytes), lo, dtype=np.float64)
+    return lo + q_bytes.astype(np.float64) / 255.0 * (hi - lo)
 
 
 def derive_key_material(
@@ -251,8 +255,12 @@ def derive_key_material(
 
 
 def _mask_and_permutation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask bytes and stable ascending argsort of iterates, along the last axis."""
-    mask = (np.floor(x * 16777216.0).astype(np.int64) & 0xFF).astype(np.uint8)
+    """Mask bytes and stable ascending argsort of iterates, along the last axis.
+
+    For iterates in [0, 1] the cast to int64 truncates to floor(x * 2^24),
+    and the cast to uint8 keeps its low byte: floor(x * 2^24) mod 256.
+    """
+    mask = (x * 16777216.0).astype(np.int64).astype(np.uint8)
     perm = np.argsort(x, axis=-1, kind="stable").astype(np.intp)
     return mask, perm
 

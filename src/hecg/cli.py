@@ -28,7 +28,7 @@ from .cipher import (
     params_for_segment,
     quantize,
 )
-from .errors import HecgError, StoreError
+from .errors import HecgError
 from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
 from .pipeline import FileStore, Pacing, SegmentSource, ingest_csv, synthetic_ecg
 
@@ -85,13 +85,6 @@ def _base_timestamp(args) -> int:
     return 1_700_000_000_000 + args.seed * 1_000_000
 
 
-def _refuse_stored_stream(store: FileStore, stream: str):
-    """A rerun would replace the records and orphan the old run's key rows."""
-    existing = store.record_indices(stream)
-    if existing:
-        raise StoreError(f"{len(existing)} records already stored in stream {stream}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,7 +100,7 @@ def cmd_encrypt(args) -> int:
         return 1
     model = KeyPredictor.load(args.model) if args.mode == "ml" else None
     store = FileStore(args.store)
-    _refuse_stored_stream(store, args.stream)
+    store.refuse_stored(args.stream)
     device = args.salt_device_id.encode()
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
     base_timestamp = _base_timestamp(args)
@@ -357,8 +350,9 @@ def cmd_stream(args) -> int:
             print("--compare-modes requires --model", file=sys.stderr)
             return 1
         direct, ml = (FileStore(Path(args.store) / sub) for sub in ("direct", "ml"))
+        # both before either run writes, so a refusal leaves neither half-done
         for store in (direct, ml):
-            _refuse_stored_stream(store, args.stream)
+            store.refuse_stored(args.stream)
         m_direct = _run_stream(args, Mode.DIRECT, None, direct)
         m_ml = _run_stream(args, Mode.ML_PREDICTED, model, ml)
         for label, metrics, store in (("direct", m_direct, direct), ("ml", m_ml, ml)):
@@ -368,9 +362,7 @@ def cmd_stream(args) -> int:
             print(f"mean ciphertext entropy {ent:.17g}")
         return 0
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
-    store = FileStore(args.store)
-    _refuse_stored_stream(store, args.stream)
-    metrics = _run_stream(args, mode, model, store)
+    metrics = _run_stream(args, mode, model, FileStore(args.store))
     print(metrics.table())
     if args.json:
         print(json.dumps(metrics.summary(), indent=2))
@@ -425,10 +417,8 @@ def cmd_benchmark(args) -> int:
     segments = list(synthetic_ecg((n_seg + 1) * 300 / 500.0, seed=args.seed))[:n_seg]
     params_list = [params_for_segment(s) for s in segments]
     ranges = [quantize(s).range for s in segments]
-    blocks = [
-        np.frombuffer(encrypt(s, p)[0].ciphertext, dtype=np.uint8)
-        for s, p in zip(segments, params_list)
-    ]
+    sealed = [encrypt(s, p) for s, p in zip(segments, params_list)]
+    blocks = [np.frombuffer(record.ciphertext, dtype=np.uint8) for record, _ in sealed]
     all_bytes = np.concatenate(blocks)
     lengths = [len(b) for b in blocks]
     for layer, serial, batched in (
@@ -457,6 +447,30 @@ def cmd_benchmark(args) -> int:
     print(f"ingest_csv ({n_seg}-segment seeded CSV): {ingest_us:.2f} us per 300-sample segment, best-of-3")
     peaks_us = _best_of(3, lambda: [pipeline.count_peaks(s) for s in segments]) / n_seg * 1e6
     print(f"count_peaks ({n_seg} seeded 300-sample segments): {peaks_us:.2f} us per segment, best-of-3")
+    # the fixed per-call costs of the stream's key prediction and quantize,
+    # and of the attack sweep's per-record noise_attack
+    model, _ = train(build_dataset(segments), TrainConfig(epochs=1, seed=args.seed))
+    noise = attacks.AttackConfig(attacks.AttackKind.NOISE_UNIFORM, 4.0, seed=args.seed)
+    references = [attacks.clean_reference(s) for s in segments]
+    attacked = list(zip(segments, params_list, sealed, references))
+    for layer, note, fn in (
+        (
+            "predict_params",
+            ", one-epoch model",
+            lambda: [mlkey.predict_params(model, s) for s in segments],
+        ),
+        ("quantize", "", lambda: [quantize(s) for s in segments]),
+        (
+            "noise_attack",
+            ", amplitude 4, given key material",
+            lambda: [
+                attacks.noise_attack(rec, p, noise, s, key_material=km, reference=ref)
+                for s, p, (rec, km), ref in attacked
+            ],
+        ),
+    ):
+        us = _best_of(3, fn) / n_seg * 1e6
+        print(f"{layer} ({n_seg} seeded 300-sample segments{note}): {us:.2f} us per segment, best-of-3")
     return 0
 
 

@@ -17,7 +17,7 @@ The layout is stable across releases; bump the version byte on change.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +36,23 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Per-position median imputation followed by min-max scaling."""
+    """Per-position median imputation followed by min-max scaling.
+
+    Positions whose span (hi - lo) is not positive scale to 0. The span
+    and whether every span is positive are computed once, at
+    construction, so the arrays must not be mutated afterwards.
+    """
 
     fill: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    span: np.ndarray = field(init=False, repr=False, compare=False)
+    all_spans_positive: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        span = self.hi - self.lo
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "all_spans_positive", bool(np.all(span > 0)))
 
     @classmethod
     def fit(cls, raw: np.ndarray) -> "Preprocessor":
@@ -50,11 +62,14 @@ class Preprocessor:
         return cls(fill=fill, lo=clean.min(axis=0), hi=clean.max(axis=0))
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
+        # With nothing to impute and no zero span, the general path below
+        # computes exactly (raw - lo) / span at every position.
+        if self.all_spans_positive and np.isfinite(raw).all():
+            return (raw - self.lo) / self.span
         x = np.where(np.isfinite(raw), raw, self.fill)
-        span = self.hi - self.lo
         out = np.zeros_like(x)
-        nz = span > 0
-        out[..., nz] = (x[..., nz] - self.lo[nz]) / span[nz]
+        nz = self.span > 0
+        out[..., nz] = (x[..., nz] - self.lo[nz]) / self.span[nz]
         return out
 
 
@@ -336,6 +351,17 @@ def train(dataset: Dataset, config: TrainConfig = TrainConfig()):
     return model, report
 
 
+# predicted params are clamped to the nudged interior of the chaotic regime
+_R_BOUNDS = (R_MIN + R_SPAN * NUDGE, R_MAX - R_SPAN * NUDGE)
+_X0_BOUNDS = (X0_MIN + X0_SPAN * NUDGE, X0_MAX - X0_SPAN * NUDGE)
+
+
+def _clamp(value, lo: float, hi: float) -> float:
+    """np.clip for one scalar. NaN stays NaN: max and min return their first
+    argument unless a later one compares past it, and nothing compares past NaN."""
+    return float(min(max(value, lo), hi))
+
+
 def predict_params(model: KeyPredictor, segment: SignalSegment) -> ChaoticParams:
     """Predict (r, x0) for one segment, clamped into the chaotic regime.
 
@@ -348,9 +374,7 @@ def predict_params(model: KeyPredictor, segment: SignalSegment) -> ChaoticParams
         raise ShapeError(f"segment length {len(segment)} != training length {expected}")
     feats = model.prep.transform(segment.samples[np.newaxis, :])
     raw_r, raw_x0 = model.forward(feats)[0]
-    r = float(np.clip(raw_r, R_MIN + R_SPAN * NUDGE, R_MAX - R_SPAN * NUDGE))
-    x0 = float(np.clip(raw_x0, X0_MIN + X0_SPAN * NUDGE, X0_MAX - X0_SPAN * NUDGE))
-    return ChaoticParams(r=r, x0=x0)
+    return ChaoticParams(r=_clamp(raw_r, *_R_BOUNDS), x0=_clamp(raw_x0, *_X0_BOUNDS))
 
 
 def encrypt_ml(

@@ -347,6 +347,14 @@ class FileStore:
             return []
         return sorted(int(p.stem.split("_")[1]) for p in d.glob("seg_*.rec"))
 
+    def refuse_stored(self, stream_id: str):
+        """Raise StoreError if stream_id already holds records: writing a
+        second run into it would replace them and orphan the old run's key
+        rows."""
+        existing = self.record_indices(stream_id)
+        if existing:
+            raise StoreError(f"{len(existing)} records already stored in stream {stream_id}")
+
     def put_key(self, stream_id: str, key_id: bytes, params: ChaoticParams):
         want = key_id.hex()
         keys = self._key_index(stream_id)
@@ -401,7 +409,7 @@ def count_peaks(segment: SignalSegment, threshold_frac: float = 0.6) -> int:
     """R-wave style peak count: local maxima above a range threshold,
     separated by a 250 ms refractory gap."""
     s = segment.samples
-    lo, hi = float(np.min(s)), float(np.max(s))
+    lo, hi = float(s.min()), float(s.max())
     if hi == lo:
         return 0
     thresh = lo + threshold_frac * (hi - lo)
@@ -534,10 +542,13 @@ def run_pipeline(
     base_timestamp + index, so runs are reproducible), persist key then
     record in separate files, read both back, decrypt, classify.
     Encrypt latency excludes I/O; store latency is measured separately.
-    Store failures are recorded per segment and the loop continues.
+    Store failures are recorded per segment and the loop continues. A
+    stream that already holds records is refused (StoreError) before
+    anything is read or written.
     """
     if mode is Mode.ML_PREDICTED and model is None:
         raise StoreError("ML mode requires a trained KeyPredictor")
+    store.refuse_stored(stream_id)
     metrics = PipelineMetrics(mode_tag=mode)
     handoff: queue.Queue = queue.Queue(maxsize=queue_size)
     stop = object()

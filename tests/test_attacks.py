@@ -4,17 +4,89 @@ import math
 import numpy as np
 import pytest
 
+from hecg.analysis import normalize_unit
 from hecg.attacks import (
     AttackConfig,
     AttackKind,
+    AttackResult,
     attack_sweep,
+    clean_reference,
     noise_attack,
     occlusion_attack,
     sweep_table,
 )
 from hecg.chaos import ChaoticParams
-from hecg.cipher import derive_key_material, encrypt, params_for_segment
+from hecg.cipher import (
+    QuantizedSegment,
+    dequantize,
+    derive_key_material,
+    encrypt,
+    params_for_segment,
+    remove_keystream,
+)
 from hecg.errors import ShapeError
+
+
+def reference_damage(original, attacked, km):
+    """_damage as it was: decrypt through dequantize's SignalSegment."""
+    lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
+    clean = normalize_unit(original.samples, lo, hi)
+    q_bytes = remove_keystream(attacked, km.permutation, km.mask)
+    recovered = dequantize(QuantizedSegment(bytes=q_bytes, range=km.range), original.sample_rate)
+    diff = clean - normalize_unit(recovered.samples, lo, hi)
+    return float(np.mean(np.abs(diff))), float(np.mean(diff * diff))
+
+
+def reference_dispersion(indices, n):
+    m = indices.size
+    if m == 0:
+        return 0.0
+    k = (m + 1) // 2
+    idx = np.sort(indices)
+    window = int(np.min(idx[k - 1 :] - idx[: m - k + 1])) + 1
+    return float(min(1.0, window / (n / 2.0)))
+
+
+def reference_noise_attack(record, params, config, original):
+    """noise_attack as it was: int32 ciphertext, np.clip, indices sorted twice."""
+    ct = np.frombuffer(record.ciphertext, dtype=np.uint8).astype(np.int32)
+    rng = np.random.default_rng(config.seed)
+    a = config.intensity
+    if config.kind is AttackKind.NOISE_UNIFORM:
+        delta = rng.integers(-int(round(a)), int(round(a)) + 1, size=ct.size)
+    else:
+        delta = np.round(rng.normal(0.0, a, size=ct.size)).astype(np.int64)
+    noisy = np.clip(ct + delta, 0, 255).astype(np.uint8)
+    changed = np.nonzero(noisy != ct.astype(np.uint8))[0]
+    km = derive_key_material(params, record.segment_len, record.range)
+    corrupted = np.asarray(km.permutation)[changed]
+    mae, mse = reference_damage(original, noisy, km)
+    return AttackResult(
+        mae, mse, tuple(np.sort(corrupted).tolist()), reference_dispersion(corrupted, len(ct))
+    )
+
+
+def reference_occlusion_attack(record, params, config, original):
+    n = record.segment_len
+    length = int(np.ceil(config.intensity * n))
+    if config.region is not None:
+        start, end = config.region
+    elif length > 0:
+        start = int(np.random.default_rng(config.seed).integers(0, n - length + 1))
+        end = start + length
+    else:
+        start = end = 0
+    ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
+    ct[start:end] = 0
+    km = derive_key_material(params, n, record.range)
+    corrupted = np.asarray(km.permutation)[start:end]
+    mae, mse = reference_damage(original, ct, km)
+    return AttackResult(mae, mse, tuple(np.sort(corrupted).tolist()), reference_dispersion(corrupted, n))
+
+
+def result_bits(res):
+    """Every field of an AttackResult, floats by their bits."""
+    return (res.mae.hex(), res.mse.hex(), res.corrupted_sample_indices, res.dispersion.hex())
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +223,54 @@ class TestOcclusionAttack:
             AttackConfig(AttackKind.OCCLUSION, 1.5)
         with pytest.raises(ValueError):
             AttackConfig(AttackKind.NOISE_UNIFORM, -1.0)
+
+
+    @pytest.mark.parametrize("region", [(-10, 5), (50, 20)])
+    def test_bad_region_rejected(self, region):
+        with pytest.raises(ValueError, match="region"):
+            AttackConfig(AttackKind.OCCLUSION, 0.0, region=region)
+
+    def test_region_past_record_rejected(self, attack_corpus):
+        segments, records, params_list = attack_corpus
+        with pytest.raises(ShapeError, match="300 samples"):
+            occlusion_attack(
+                records[0],
+                params_list[0],
+                AttackConfig(AttackKind.OCCLUSION, 0.0, region=(290, 400)),
+                original=segments[0],
+            )
+
+
+class TestMatchesReference:
+    """Every field of each attack's result equals the version before the
+    per-call costs were cut, with and without sweep-supplied key material."""
+
+    @pytest.mark.parametrize("kind", [AttackKind.NOISE_UNIFORM, AttackKind.NOISE_GAUSSIAN])
+    @pytest.mark.parametrize("intensity", [0.0, 16.0])
+    def test_noise(self, attack_corpus, kind, intensity):
+        segments, records, params_list = attack_corpus
+        for i in range(0, 40, 5):
+            seg, rec, p = segments[i], records[i], params_list[i]
+            cfg = AttackConfig(kind, intensity, seed=31 + i)
+            want = result_bits(reference_noise_attack(rec, p, cfg, seg))
+            assert result_bits(noise_attack(rec, p, cfg, original=seg)) == want
+            km = derive_key_material(p, rec.segment_len, rec.range)
+            got = noise_attack(rec, p, cfg, seg, key_material=km, reference=clean_reference(seg))
+            assert result_bits(got) == want
+
+    @pytest.mark.parametrize(
+        "intensity, region", [(0.0, (10, 40)), (0.0, (0, 300)), (0.0, (120, 120)), (0.1, None)]
+    )
+    def test_occlusion(self, attack_corpus, intensity, region):
+        segments, records, params_list = attack_corpus
+        for i in range(0, 40, 5):
+            seg, rec, p = segments[i], records[i], params_list[i]
+            cfg = AttackConfig(AttackKind.OCCLUSION, intensity, region=region, seed=17 + i)
+            want = result_bits(reference_occlusion_attack(rec, p, cfg, seg))
+            assert result_bits(occlusion_attack(rec, p, cfg, original=seg)) == want
+            km = derive_key_material(p, rec.segment_len, rec.range)
+            got = occlusion_attack(rec, p, cfg, seg, key_material=km, reference=clean_reference(seg))
+            assert result_bits(got) == want
 
 
 class TestDispersionStatistic:

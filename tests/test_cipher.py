@@ -13,6 +13,7 @@ from hecg.cipher import (
     QuantizationRange,
     QuantizedSegment,
     SignalSegment,
+    _mask_and_permutation,
     apply_keystream,
     compute_stats,
     decrypt,
@@ -57,6 +58,19 @@ def naive_quantize(samples):
     return out, lo, hi
 
 
+def reference_quantize(samples):
+    """quantize as it was, with the np.min / np.max wrappers: (bytes, lo, hi)."""
+    lo, hi = float(np.min(samples)), float(np.max(samples))
+    if hi == lo:
+        return np.zeros(len(samples), dtype=np.uint8), lo, hi
+    return np.floor((samples - lo) / (hi - lo) * 255.0 + 0.5).astype(np.uint8), lo, hi
+
+
+def reference_mask(x):
+    """Mask bytes as they were computed: floor, then & 0xFF."""
+    return (np.floor(x * 16777216.0).astype(np.int64) & 0xFF).astype(np.uint8)
+
+
 class TestQuantize:
     def test_endpoints_and_midpoint(self):
         q = quantize(SignalSegment(np.array([-1.0, 0.0, 1.0]), 500.0))
@@ -87,6 +101,16 @@ class TestQuantize:
     def test_overflow_range_rejected(self):
         with pytest.raises(InvalidSignalError):
             quantize(SignalSegment(np.array([-1e308, 1e308]), 500.0))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.full(300, -2.5), np.full(2, 0.0), np.full(7, 1e300), np.array([3.0, -0.0, 0.0])],
+    )
+    def test_matches_reference(self, samples):
+        q = quantize(SignalSegment(samples, 500.0))
+        want, lo, hi = reference_quantize(samples)
+        assert q.bytes.dtype == np.uint8 and q.bytes.tobytes() == want.tobytes()
+        assert (q.range.min.hex(), q.range.max.hex()) == (lo.hex(), hi.hex())
 
     @given(
         st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=2, max_size=64),
@@ -126,6 +150,20 @@ class TestKeyMaterial:
         x = np.array([0.9, 0.1, 0.5])
         mask = (np.floor(x * 16777216.0).astype(np.int64) & 0xFF).tolist()
         assert mask == [102, 153, 0]
+
+    def test_mask_matches_reference(self):
+        edges = [2.0**-53, 1.0 - 2.0**-53, 2.0**-24, 1.0 - 2.0**-24, 0.5, 0.0, 1.0]
+        x = np.concatenate([edges, np.random.default_rng(8).random(4000)])
+        mask, _ = _mask_and_permutation(x)
+        assert mask.dtype == np.uint8 and mask.tobytes() == reference_mask(x).tobytes()
+        rows, _ = _mask_and_permutation(x[:4000].reshape(40, 100))
+        assert rows.tobytes() == reference_mask(x[:4000]).tobytes()
+
+    @pytest.mark.parametrize("params", [ChaoticParams(3.99, 0.123), ChaoticParams(3.61, 0.87)])
+    def test_derived_mask_matches_reference(self, params):
+        km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0), burn_in=5)
+        orbit = iterate_logistic(params, 300, 5).values
+        assert km.mask.tobytes() == reference_mask(orbit).tobytes()
 
     def test_bijective_permutation(self):
         km = derive_key_material(ChaoticParams(3.97, 0.321), 257, QuantizationRange(0.0, 1.0))

@@ -262,6 +262,9 @@ def test_benchmark_runs(capsys):
     assert "spectral flatness (1000 seeded" in out
     assert "ingest_csv (1000-segment seeded CSV)" in out
     assert "count_peaks (1000 seeded" in out
+    assert "predict_params (1000 seeded" in out
+    assert "quantize (1000 seeded" in out
+    assert "noise_attack (1000 seeded" in out
 
 
 def test_console_entry_point():

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hecg import mlkey
-from hecg.chaos import ChaoticParams
+from hecg.chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams
 from hecg.cipher import Mode, SignalSegment, decrypt_bytes, params_for_segment, quantize
-from hecg.errors import CorruptRecordError, DatasetError, ShapeError, TrainingDivergedError
+from hecg.errors import (
+    CorruptRecordError,
+    DatasetError,
+    ParameterDomainError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from hecg.mlkey import (
     KeyPredictor,
     Preprocessor,
@@ -21,6 +29,29 @@ from hecg.mlkey import (
 def small_segments(n=30, length=40, seed=0):
     rng = np.random.default_rng(seed)
     return [SignalSegment(rng.normal(0.1, 0.3, length), 500.0) for _ in range(n)]
+
+
+def reference_transform(prep, raw):
+    """Preprocessor.transform as it was before its all-finite fast path."""
+    x = np.where(np.isfinite(raw), raw, prep.fill)
+    span = prep.hi - prep.lo
+    out = np.zeros_like(x)
+    nz = span > 0
+    out[..., nz] = (x[..., nz] - prep.lo[nz]) / span[nz]
+    return out
+
+
+def reference_clamp(raw_r, raw_x0):
+    """predict_params' clamp as it was, with np.clip."""
+    r = float(np.clip(raw_r, R_MIN + R_SPAN * NUDGE, R_MAX - R_SPAN * NUDGE))
+    x0 = float(np.clip(raw_x0, X0_MIN + X0_SPAN * NUDGE, X0_MAX - X0_SPAN * NUDGE))
+    return r, x0
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestBuildDataset:
@@ -98,6 +129,37 @@ class TestPreprocessor:
         out = prep.transform(raw)
         assert np.all(out[:, 0] == 0.0)
         assert out[:, 1].min() == 0.0 and out[:, 1].max() == 1.0
+
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
+    def test_transform_matches_reference(self, shape, bad):
+        # column 2 has zero span; bad (when given) lands in row 0, column 1
+        prep = Preprocessor(
+            fill=np.array([0.5, -1.0, 2.0, 0.25]),
+            lo=np.array([-1.0, 0.0, 3.0, 1e-3]),
+            hi=np.array([2.0, 7.5, 3.0, 1e3]),
+        )
+        raw = np.random.default_rng(4).uniform(-5.0, 10.0, shape)
+        if bad is not None:
+            raw[(0,) * (raw.ndim - 1) + (1,)] = bad
+        assert_same_bits(prep.transform(raw), reference_transform(prep, raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.sampled_from([None, 1, 3]))
+    def test_transform_matches_reference_any_input(self, data, n, rows):
+        # rows None: one 1-D feature vector; else a 2-D batch of rows
+        values = st.one_of(
+            st.floats(-1e6, 1e6),
+            st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308]),
+        )
+        column = st.lists(values, min_size=n, max_size=n).map(np.array)
+        lo = data.draw(column)
+        hi = data.draw(st.one_of(column, st.just(lo.copy())))
+        raw = data.draw(column) if rows is None else np.array([data.draw(column) for _ in range(rows)])
+        with np.errstate(all="ignore"):
+            prep = Preprocessor(fill=data.draw(column), lo=lo, hi=hi)
+            assert_same_bits(prep.transform(raw), reference_transform(prep, raw))
 
 
 class TestGradients:
@@ -189,6 +251,37 @@ class TestPredictParams:
         params = predict_params(model, SignalSegment(np.array([0.1, 0.2, 0.3, 0.4]), 500.0))
         assert 3.6 < params.r < 4.0
         assert 0.1 < params.x0 < 0.9
+
+    @pytest.mark.parametrize(
+        "unit_r, unit_x0",
+        [
+            (np.nan, 0.5),
+            (0.5, np.nan),
+            (np.inf, -np.inf),
+            (-np.inf, np.inf),
+            (50.0, -50.0),
+            (0.0, 1.0),
+            (0.25, 0.75),
+            (1e-300, 1.0 - 2.0**-53),
+        ],
+    )
+    def test_clamp_matches_reference(self, unit_r, unit_x0):
+        # an adversarial net whose raw outputs are R_MIN + R_SPAN * unit_r
+        # and X0_MIN + X0_SPAN * unit_x0 for every input
+        model = KeyPredictor(
+            weights=[np.zeros((4, 2))],
+            biases=[np.array([unit_r, unit_x0])],
+            prep=Preprocessor(fill=np.zeros(4), lo=np.zeros(4), hi=np.ones(4)),
+        )
+        seg = SignalSegment(np.array([0.1, 0.2, 0.3, 0.4]), 500.0)
+        raw_r, raw_x0 = model.forward(model.prep.transform(seg.samples[np.newaxis, :]))[0]
+        want_r, want_x0 = reference_clamp(raw_r, raw_x0)
+        if np.isnan(want_r) or np.isnan(want_x0):
+            with pytest.raises(ParameterDomainError, match="non-finite"):
+                predict_params(model, seg)
+            return
+        got = predict_params(model, seg)
+        assert (got.r.hex(), got.x0.hex()) == (want_r.hex(), want_x0.hex())
 
     def test_nan_input_still_valid(self, trained_model):
         model, _ = trained_model

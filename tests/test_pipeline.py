@@ -486,6 +486,26 @@ class TestRunPipeline:
         record = store.get_record("stream0", 0)
         assert record.mode_tag is Mode.ML_PREDICTED
 
+    def test_rerun_into_stored_stream_refused(self, tmp_path):
+        store = FileStore(tmp_path / "s")
+        run_pipeline(SegmentSource.synthetic(5.0, seed=24), Mode.DIRECT, store, segment_count=5)
+        stream_dir = tmp_path / "s" / "stream0"
+        before = {p.name: p.read_bytes() for p in stream_dir.iterdir()}
+        with pytest.raises(StoreError, match="5 records already stored in stream stream0"):
+            run_pipeline(
+                SegmentSource.synthetic(5.0, seed=99), Mode.DIRECT, store, segment_count=4
+            )
+        assert {p.name: p.read_bytes() for p in stream_dir.iterdir()} == before
+        # another stream of the same store is still open to a run
+        other = run_pipeline(
+            SegmentSource.synthetic(5.0, seed=99),
+            Mode.DIRECT,
+            store,
+            segment_count=4,
+            stream_id="stream1",
+        )
+        assert other.segments_processed == 4 and store.record_indices("stream1") == [0, 1, 2, 3]
+
     def test_ml_mode_requires_model(self, tmp_path):
         source = SegmentSource.synthetic(2.0, seed=26)
         with pytest.raises(StoreError):
