@@ -1,9 +1,9 @@
 """Byte-identity of CLI outputs for a fixed seed.
 
-Pins sha256 digests of what `encrypt`, `stream`, `analyze` and `attack`
-write for a small seeded corpus: every store file (records and keys.txt),
-every analyze output except the wall-clock `timing` fields, and the
-attack tables. A refactor that keeps these digests keeps ciphertext, key
+Pins sha256 digests of what `encrypt`, `stream`, `analyze`, `attack` and
+`decrypt` write for a small seeded corpus: every store file (records and
+keys.txt), every analyze output except the wall-clock `timing` fields,
+the attack tables and the decrypted CSV with its quality report. A refactor that keeps these digests keeps ciphertext, key
 files and report values bit-identical.
 
 The ML-mode store depends on a model trained here, whose weights go
@@ -11,7 +11,9 @@ through BLAS matrix products; its digest holds on one machine and numpy
 build, while the direct-mode digests involve no BLAS.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -141,3 +143,48 @@ def large_digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(LARGE_DIGESTS))
 def test_large_store_output_is_byte_identical(large_digests, name):
     assert large_digests[name] == LARGE_DIGESTS[name]
+
+
+# decrypt of one 70-record stream, more records than two chunks of a
+# batched decrypt, with its --report lines (the line naming the output path
+# left out). A store decrypted at its own burn-in gives the same plaintext
+# at 0 and 3; at the wrong burn-in it gives pinned garbage.
+DECRYPT_DIGESTS = {
+    "decrypt-70": "cbb66a22482165411f8c1854642ccd3076cc8667cd6da06fcd0bfb8bedd2f811",
+    "decrypt-70-burn-in": "cbb66a22482165411f8c1854642ccd3076cc8667cd6da06fcd0bfb8bedd2f811",
+    "decrypt-70-wrong-burn-in": "3e6af1df58f58d4bbe2af74601730a363ba0f90142bfb23f960de84c2fe07e0b",
+}
+
+
+@pytest.fixture(scope="module")
+def decrypt_digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden-decrypt")
+    wave = synthetic_ecg_wave(70 * 300 / 500.0, 500.0, 66.0, 0.015, seed=43)
+    csv = tmp / "ecg.csv"
+    csv.write_text("ecg\n" + "".join(f"{v!r}\n" for v in wave.tolist()))
+    stores = {burn_in: tmp / f"store-{burn_in}" for burn_in in (0, 3)}
+    for burn_in, store in stores.items():
+        _run("encrypt", "--input", csv, "--column", "ecg", "--store", store, "--seed", 6,
+             "--burn-in", burn_in)
+    out = {}
+    for name, store_burn_in, burn_in in (
+        ("decrypt-70", 0, 0),
+        ("decrypt-70-burn-in", 3, 3),
+        ("decrypt-70-wrong-burn-in", 3, 0),
+    ):
+        plain = tmp / f"{name}.csv"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            _run("decrypt", "--store", stores[store_burn_in], "--output", plain,
+                 "--burn-in", burn_in, "--report", "--input", csv, "--column", "ecg")
+        report = [l for l in stdout.getvalue().splitlines(True) if not l.startswith("decrypted ")]
+        assert [l.split()[0] for l in report] == ["mse", "psnr_db", "mae"]
+        sha = hashlib.sha256(plain.read_bytes())
+        sha.update("".join(report).encode())
+        out[name] = sha.hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DECRYPT_DIGESTS))
+def test_decrypt_output_is_byte_identical(decrypt_digests, name):
+    assert decrypt_digests[name] == DECRYPT_DIGESTS[name]
