@@ -7,7 +7,6 @@ transmits key material: decryption regenerates the keystream from the
 stored (r, x0) pair.
 """
 
-from .backend import HAVE_COMPILED, backend_name
 from .chaos import (
     ChaoticParams,
     ChaoticSequence,
@@ -39,6 +38,15 @@ from .mlkey import KeyPredictor, TrainConfig, TrainingReport, build_dataset, enc
 from .pipeline import FileStore, Pacing, SegmentSource, run_pipeline, synthetic_ecg
 
 __version__ = "0.1.0"
+
+# The one cipher core is pure Python and numpy; perfbench records both
+# names in its run metadata, so they stay, as constants.
+HAVE_COMPILED = False
+
+
+def backend_name() -> str:
+    return "pure-python"
+
 
 __all__ = [
     "HAVE_COMPILED",

@@ -24,7 +24,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .backend import kernels
 from .chaos import (
     ChaoticParams,
     KeySalt,
@@ -310,7 +309,7 @@ def apply_keystream(quantized: np.ndarray, perm: np.ndarray, mask: np.ndarray) -
         raise CorruptRecordError(
             f"keystream length mismatch: data {len(q)}, perm {len(p)}, mask {len(m)}"
         )
-    return np.asarray(kernels.keystream_apply(q, p, m))
+    return np.bitwise_xor(q[p], m)
 
 
 def remove_keystream(ciphertext: np.ndarray, perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -322,7 +321,9 @@ def remove_keystream(ciphertext: np.ndarray, perm: np.ndarray, mask: np.ndarray)
         raise CorruptRecordError(
             f"keystream length mismatch: data {len(c)}, perm {len(p)}, mask {len(m)}"
         )
-    return np.asarray(kernels.keystream_invert(c, p, m))
+    out = np.empty_like(c)
+    out[p] = np.bitwise_xor(c, m)
+    return out
 
 
 def invert_permutation(p: np.ndarray) -> np.ndarray:

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, backend, mlkey, pipeline
+from . import analysis, attacks, mlkey, pipeline
+from .chaos import logistic_fill
 from .cipher import (
     Mode,
     SignalSegment,
-    decrypt,
     decrypt_batch,
     derive_key_material,
     derive_key_material_batch,
@@ -120,23 +120,16 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    store = FileStore(args.store)
-    indices = store.record_indices(args.stream)
-    if not indices:
+    _, _, segments, _ = _load_store(args)
+    if not segments:
         print(f"no records in {args.store}/{args.stream}", file=sys.stderr)
         return 1
-    samples = []
-    for i in indices:
-        record = store.get_record(args.stream, i)
-        params = store.get_key(args.stream, record.key_id)
-        seg = decrypt(record, params, args.sample_rate, args.burn_in)
-        samples.append(seg.samples)
-    out = np.concatenate(samples)
+    out = np.concatenate([s.samples for s in segments])
     with open(args.output, "w") as fh:
         fh.write("value\n")
         for v in out:
             fh.write(f"{v:.17g}\n")
-    print(f"decrypted {len(indices)} segments -> {args.output}")
+    print(f"decrypted {len(segments)} segments -> {args.output}")
     if args.report:
         if not args.input:
             print("--report needs --input with the reference CSV", file=sys.stderr)
@@ -378,30 +371,18 @@ def _store_cipher_entropy(store: FileStore, stream: str) -> float:
 
 
 def cmd_benchmark(args) -> int:
-    from . import _kernels_py
-
-    compiled = backend.kernels if backend.HAVE_COMPILED else None
-    print(f"active backend: {backend.backend_name()}")
-    print("kernel            n        compiled_ms   pure_ms      speedup")
+    print("kernel           n        ms")
     for n in (300, 3000, 100_000):
         out = np.empty(n)
         reps = max(3, 30000 // n)
-
-        def bench(mod):
-            return _best_of(reps, lambda: mod.logistic_fill(3.99, 0.123, 100, out)) * 1e3
-
-        pure_ms = bench(_kernels_py)
-        if compiled is not None:
-            comp_ms = bench(compiled)
-            print(f"logistic_fill    {n:<8d} {comp_ms:<13.4f} {pure_ms:<12.4f} {pure_ms / comp_ms:.1f}x")
-        else:
-            print(f"logistic_fill    {n:<8d} {'-':<13s} {pure_ms:<12.4f} -")
+        ms = _best_of(reps, lambda: logistic_fill(3.99, 0.123, 100, out)) * 1e3
+        print(f"logistic_fill    {n:<8d} {ms:.4f}")
     # end-to-end encrypt on the default segment size
     seg = next(synthetic_ecg(2.0, seed=args.seed))
     params = params_for_segment(seg)
     reps = 200
     best = _best_of(reps, lambda: encrypt(seg, params))
-    print(f"encrypt (300-sample segment, {backend.backend_name()}): {best * 1e3:.4f} ms best-of-{reps}")
+    print(f"encrypt (300-sample segment): {best * 1e3:.4f} ms best-of-{reps}")
     # key lookup: per-lookup cost should not grow with the keys a stream holds
     reps = 5
     for n in (1000, 10_000):
@@ -563,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stream)
 
-    p = sub.add_parser("benchmark", help="compiled vs pure-Python kernel timings")
+    p = sub.add_parser("benchmark", help="per-layer timings on seeded segments")
     _add_common(p)
     p.set_defaults(func=cmd_benchmark)
 

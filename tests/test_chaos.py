@@ -14,6 +14,7 @@ from hecg.chaos import (
     derive_params,
     iterate_logistic,
     iterate_logistic_batch,
+    logistic_fill,
 )
 from hecg.errors import DegenerateOrbitError, InvalidStatisticsError, ParameterDomainError
 
@@ -89,16 +90,13 @@ class TestIterateLogistic:
         assert np.array_equal(a.values, b.values)
 
     def test_degenerate_orbit_reports_index(self):
-        # x0 chosen so the 1st emitted iterate is the fixed point route:
-        # force degeneracy by monkeypatching is avoided; instead check the
-        # error type surfaces from a crafted kernel call.
-        from hecg.backend import kernels
-
-        out = np.empty(4)
-        # direct kernel probe: r*x*(1-x) with x=0.5, r=4 would hit 1.0, but
-        # r=4 is outside the domain; verify the sentinel contract instead.
-        stop = kernels.logistic_fill(3.99, 0.123, 0, out)
-        assert stop == 4
+        # r=4 is outside the parameter domain, but logistic_fill takes raw
+        # floats: from x=0.5 the first iterate is exactly 1.0. A degenerate
+        # burn-in iterate is reported as position - burn_in; a healthy
+        # orbit fills every slot.
+        for r, x0, burn_in, want in ((4.0, 0.5, 0, 0), (4.0, 0.5, 2, -2), (3.99, 0.123, 0, 4)):
+            out = np.empty(4)
+            assert logistic_fill(r, x0, burn_in, out) == want, (r, x0, burn_in)
 
     @pytest.mark.parametrize("n, burn_in", [(1, 0), (5, 23), (300, 3), (7, 7)])
     def test_batch_rows_match_reference(self, n, burn_in):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hecg import HAVE_COMPILED, backend_name
 from hecg.cipher import decrypt
 from hecg.cli import main
 from hecg.pipeline import FileStore, synthetic_ecg_wave
@@ -265,6 +266,12 @@ def test_benchmark_runs(capsys):
     assert "predict_params (1000 seeded" in out
     assert "quantize (1000 seeded" in out
     assert "noise_attack (1000 seeded" in out
+
+
+def test_backend_is_pure_python():
+    # perfbench records both in its run metadata
+    assert backend_name() == "pure-python"
+    assert HAVE_COMPILED is False
 
 
 def test_console_entry_point():
