@@ -242,34 +242,6 @@ def raw_autocovariance_lag0(data) -> float:
 # spectra
 
 
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT along the last axis, whose
-    length must be a power of 2. Each row is transformed exactly as it
-    would be on its own."""
-    a = np.asarray(x, dtype=np.complex128)
-    n = a.shape[-1]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"fft_radix2 needs a power-of-two length, got {n}")
-    lead = a.shape[:-1]
-    levels = n.bit_length() - 1
-    # bit-reversal permutation
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    a = a[..., rev]
-    half = 1
-    while half < n:
-        w = np.exp(-1j * np.pi * np.arange(half) / half)
-        a = a.reshape(*lead, -1, 2 * half)
-        even = a[..., :half]
-        odd = a[..., half:] * w
-        a = np.concatenate([even + odd, even - odd], axis=-1).reshape(*lead, n)
-        half *= 2
-    return a
-
-
 def _next_pow2(n: int) -> int:
     m = 1
     while m < n:
@@ -278,14 +250,10 @@ def _next_pow2(n: int) -> int:
 
 
 def power_spectrum(samples, nfft: int | None = None) -> np.ndarray:
-    """|FFT|^2 of the zero-padded input along its last axis (full
-    two-sided spectrum)."""
+    """|FFT|^2 along the last axis of the input zero-padded to nfft
+    (default: the next power of two), bins 0..nfft/2 (numpy.fft.rfft)."""
     x = np.asarray(samples, dtype=np.float64)
-    n = nfft or _next_pow2(x.shape[-1])
-    padded = np.zeros(x.shape[:-1] + (n,))
-    padded[..., : x.shape[-1]] = x
-    spec = fft_radix2(padded)
-    return np.abs(spec) ** 2
+    return np.abs(np.fft.rfft(x, nfft or _next_pow2(x.shape[-1]), axis=-1)) ** 2
 
 
 def _flatness_rows(x: np.ndarray) -> np.ndarray:
@@ -383,6 +351,35 @@ def normalize_unit(samples: np.ndarray, lo: float | None = None, hi: float | Non
     if hi == lo:
         return np.zeros_like(x)
     return (x - lo) / (hi - lo)
+
+
+def fidelity(reference: list, recovered: list) -> dict:
+    """Reconstruction fidelity of recovered segments against reference ones.
+
+    Each pair is normalized by its reference segment's range, then MSE
+    and MAE are averaged over segments and PSNR (dB, peak 1) is taken
+    from the mean MSE. Raises ShapeError unless both lists hold the same
+    number of segments, at least one.
+    """
+    if not reference or len(reference) != len(recovered):
+        raise ShapeError(
+            f"{len(recovered)} recovered segments for {len(reference)} reference segments"
+        )
+    mse = mae = 0.0
+    for ref, back in zip(reference, recovered):
+        lo, hi = float(np.min(ref.samples)), float(np.max(ref.samples))
+        qm = quality_metrics(
+            SignalSegment(normalize_unit(ref.samples, lo, hi), ref.sample_rate),
+            SignalSegment(normalize_unit(back.samples, lo, hi), ref.sample_rate),
+        )
+        mse += qm["mse"]
+        mae += qm["mae"]
+    mse /= len(reference)
+    return {
+        "mse": mse,
+        "psnr_db": math.inf if mse == 0 else 10.0 * math.log10(1.0 / mse),
+        "mae": mae / len(reference),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +481,17 @@ class AnalysisReport:
     min_entropy_block2_bits: float = 0.0
 
     def validate(self):
-        """Invariant checks: finiteness and the PSNR/MSE identity."""
-        mse = self.quality["mse"]
-        psnr = self.quality["psnr_db"]
-        if mse > 0:
-            expect = 10.0 * math.log10(1.0 / mse)
-            if abs(psnr - expect) > 1e-9:
-                raise ValueError(f"psnr {psnr} inconsistent with mse {mse}")
-        elif not math.isinf(psnr):
-            raise ValueError("zero mse must report infinite psnr")
+        """Invariant checks: finiteness and, when quality was measured
+        (its block is empty otherwise), the PSNR/MSE identity."""
+        if self.quality:
+            mse = self.quality["mse"]
+            psnr = self.quality["psnr_db"]
+            if mse > 0:
+                expect = 10.0 * math.log10(1.0 / mse)
+                if abs(psnr - expect) > 1e-9:
+                    raise ValueError(f"psnr {psnr} inconsistent with mse {mse}")
+            elif not math.isinf(psnr):
+                raise ValueError("zero mse must report infinite psnr")
         for name, value in self.flat_items():
             if name.startswith("quality.psnr_db"):
                 continue
@@ -536,35 +535,25 @@ def corpus_report(
 
     plaintexts: the SignalSegments the blocks hold, encrypted or not;
     blocks: one uint8 array per segment; recovered: the SignalSegment a
-    reader gets back from each block. quality compares recovered with
-    `reference` (default plaintexts) on samples normalized by each
-    reference's range. timing defaults to zero encrypt and decrypt times.
+    reader gets back from each block. quality is fidelity(reference,
+    recovered) when a reference is given, else empty: nothing was
+    measured. timing defaults to zero encrypt and decrypt times.
     """
     if not plaintexts or not (len(plaintexts) == len(blocks) == len(recovered)):
         raise ShapeError("need one block and one recovered segment per segment")
-    reference = reference or plaintexts
 
     all_bytes = np.concatenate(blocks)
     flatnesses = segment_flatness(all_bytes, [len(b) for b in blocks])
     seg_entropies = []
     correlations = []
     monobit_passes = 0
-    quality_acc = {"mse": 0.0, "mae": 0.0}
-    for seg, block, ref, back in zip(plaintexts, blocks, reference, recovered):
+    for seg, block in zip(plaintexts, blocks):
         seg_entropies.append(shannon_entropy(block))
         correlations.append(pearson_correlation(seg.samples, block))
         if monobit_test(block) > 0.01:
             monobit_passes += 1
-        lo, hi = float(np.min(ref.samples)), float(np.max(ref.samples))
-        qm = quality_metrics(
-            SignalSegment(normalize_unit(ref.samples, lo, hi), seg.sample_rate),
-            SignalSegment(normalize_unit(back.samples, lo, hi), seg.sample_rate),
-        )
-        quality_acc["mse"] += qm["mse"]
-        quality_acc["mae"] += qm["mae"]
 
     n_seg = len(plaintexts)
-    mse = quality_acc["mse"] / n_seg
     report = AnalysisReport(
         shannon_entropy_bits=shannon_entropy(all_bytes),
         monobit_p_value=monobit_test(all_bytes),
@@ -573,11 +562,7 @@ def corpus_report(
         histogram_stats=histogram_stats(all_bytes),
         spectral_flatness=float(np.mean(flatnesses)),
         min_entropy_bits=min_entropy_mcv(all_bytes),
-        quality={
-            "mse": mse,
-            "psnr_db": math.inf if mse == 0 else 10.0 * math.log10(1.0 / mse),
-            "mae": quality_acc["mae"] / n_seg,
-        },
+        quality={} if reference is None else fidelity(reference, recovered),
         timing=timing or {"encrypt_seconds": 0.0, "decrypt_seconds": 0.0},
         segment_count=n_seg,
         per_segment_entropy_mean=float(np.mean(seg_entropies)),
@@ -605,8 +590,9 @@ def analyze_corpus(
     are the stored records the originals were decrypted from: their
     ciphertext is analyzed as it is, nothing is encrypted or decrypted,
     and timing is zero. quality is measured against `reference` segments
-    when given (e.g. clean signals for a noisy corpus), else against the
-    originals.
+    when given (e.g. clean signals for a noisy corpus); without records
+    it defaults to the originals, and with records and no reference it
+    is left empty, since the originals are what was decrypted.
     """
     if len(originals) != len(params_list) or not originals:
         raise ShapeError("need one params entry per segment")
@@ -627,4 +613,4 @@ def analyze_corpus(
         "encrypt_seconds": float(np.median(enc_times)),
         "decrypt_seconds": float(np.median(dec_times)),
     }
-    return corpus_report(originals, blocks, recovered, reference, max_lag, timing)
+    return corpus_report(originals, blocks, recovered, reference or originals, max_lag, timing)

@@ -376,13 +376,7 @@ def decrypt(
     record itself does not carry the sample rate, so the caller supplies
     it (default 500 Hz).
     """
-    ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-    if len(ct) != record.segment_len:
-        raise CorruptRecordError(
-            f"ciphertext length {len(ct)} != segment_len {record.segment_len}"
-        )
-    km = derive_key_material(params, record.segment_len, record.range, burn_in)
-    q_bytes = remove_keystream(ct, km.permutation, km.mask)
+    q_bytes = decrypt_bytes(record, params, burn_in)
     return dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
 
 

@@ -20,7 +20,6 @@ from . import analysis, attacks, mlkey, pipeline
 from .chaos import logistic_fill
 from .cipher import (
     Mode,
-    SignalSegment,
     decrypt_batch,
     derive_key_material,
     derive_key_material_batch,
@@ -136,12 +135,7 @@ def cmd_decrypt(args) -> int:
             return 1
         _parse_column(args)
         ref = list(ingest_csv(args.input, args.column, args.sample_rate, args.segment_len))
-        ref_cat = np.concatenate([s.samples for s in ref])[: len(out)]
-        lo, hi = float(ref_cat.min()), float(ref_cat.max())
-        qm = analysis.quality_metrics(
-            SignalSegment(analysis.normalize_unit(ref_cat, lo, hi), args.sample_rate),
-            SignalSegment(analysis.normalize_unit(out[: len(ref_cat)], lo, hi), args.sample_rate),
-        )
+        qm = analysis.fidelity(ref[: len(segments)], segments)
         print(f"mse {qm['mse']:.17g}")
         print(f"psnr_db {qm['psnr_db']:.17g}")
         print(f"mae {qm['mae']:.17g}")
@@ -232,7 +226,7 @@ def cmd_analyze(args) -> int:
     )
     spec = analysis.power_spectrum(all_bytes[:4096] - all_bytes[:4096].mean())
     _emit_series(
-        prefix, "spectrum", "bin\tpower", [(i, float(v)) for i, v in enumerate(spec[: len(spec) // 2])]
+        prefix, "spectrum", "bin\tpower", [(i, float(v)) for i, v in enumerate(spec[:-1])]
     )
     print(report.to_flat_text(), end="")
     print(f"min_entropy.median {summary.median:.17g}")

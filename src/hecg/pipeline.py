@@ -36,11 +36,6 @@ DEFAULT_SAMPLE_RATE = 500.0
 DEFAULT_SEGMENT_LEN = 300
 
 
-class SourceKind(Enum):
-    FILE_REPLAY = "file-replay"
-    SYNTHETIC = "synthetic"
-
-
 class Pacing(Enum):
     REAL_TIME = "real-time"
     UNPACED = "unpaced"
@@ -210,7 +205,6 @@ def _row_values(rows, column, col_idx: int | None = None):
 class SegmentSource:
     """Segment stream plus the pacing contract the pipeline honours."""
 
-    kind: SourceKind
     sample_rate: float = DEFAULT_SAMPLE_RATE
     segment_len: int = DEFAULT_SEGMENT_LEN
     pacing: Pacing = Pacing.UNPACED
@@ -235,7 +229,6 @@ class SegmentSource:
         pacing: Pacing = Pacing.UNPACED,
     ) -> "SegmentSource":
         return cls(
-            kind=SourceKind.SYNTHETIC,
             sample_rate=sample_rate,
             segment_len=segment_len,
             pacing=pacing,
@@ -254,7 +247,6 @@ class SegmentSource:
         pacing: Pacing = Pacing.UNPACED,
     ) -> "SegmentSource":
         return cls(
-            kind=SourceKind.FILE_REPLAY,
             sample_rate=sample_rate,
             segment_len=segment_len,
             pacing=pacing,

@@ -12,7 +12,7 @@ from hecg.analysis import (
     MinEntropySummary,
     autocorrelation,
     empirical_key_space_bits,
-    fft_radix2,
+    fidelity,
     histogram_distance,
     histogram_stats,
     js_divergence,
@@ -23,7 +23,9 @@ from hecg.analysis import (
     normalize_unit,
     pearson_correlation,
     plaintext_sensitivity_test,
+    power_spectrum,
     quality_metrics,
+    segment_flatness,
     shannon_entropy,
     spectral_flatness,
 )
@@ -222,6 +224,49 @@ class TestHistogramDistance:
         assert -1e-12 <= d_ab <= 1.0 + 1e-12
 
 
+def _reference_fft_radix2(x: np.ndarray) -> np.ndarray:
+    """The hand-written radix-2 FFT (along the last axis) that spectral
+    flatness used before numpy.fft, kept as the reference it is compared
+    with."""
+    a = np.asarray(x, dtype=np.complex128)
+    n = a.shape[-1]
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"fft_radix2 needs a power-of-two length, got {n}")
+    lead = a.shape[:-1]
+    levels = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for _ in range(levels):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    a = a[..., rev]
+    half = 1
+    while half < n:
+        w = np.exp(-1j * np.pi * np.arange(half) / half)
+        a = a.reshape(*lead, -1, 2 * half)
+        even = a[..., :half]
+        odd = a[..., half:] * w
+        a = np.concatenate([even + odd, even - odd], axis=-1).reshape(*lead, n)
+        half *= 2
+    return a
+
+
+def _reference_flatness(samples) -> float:
+    """spectral_flatness as computed with _reference_fft_radix2."""
+    d = np.asarray(samples, dtype=np.float64)
+    d = d - d.mean()
+    half = len(d) // 2
+    nfft = analysis._next_pow2(half)
+    padded = np.zeros((2, nfft))
+    padded[0, :half] = d[:half]
+    padded[1, :half] = d[half : 2 * half]
+    p = np.abs(_reference_fft_radix2(padded)) ** 2
+    bins = (0.5 * (p[0] + p[1]))[1 : nfft // 2 + 1]
+    if np.any(bins <= 0.0):
+        return 0.0
+    return float(np.exp(np.mean(np.log(bins))) / np.mean(bins))
+
+
 class TestFFT:
     def naive_dft(self, x):
         n = len(x)
@@ -229,22 +274,20 @@ class TestFFT:
         return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
 
     def test_matches_direct_dft(self):
+        # 50 samples are zero-padded to 64
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.normal(0.0, 1.0, 64)
-            got = fft_radix2(x)
-            want = self.naive_dft(x)
+        for n in [64] * 10 + [50] * 5:
+            x = rng.normal(0.0, 1.0, n)
+            got = power_spectrum(x)
+            want = (np.abs(self.naive_dft(np.pad(x, (0, 64 - n)))) ** 2)[:33]
+            assert got.shape == want.shape
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
-
-    def test_non_pow2_rejected(self):
-        with pytest.raises(ValueError):
-            fft_radix2(np.arange(12.0))
 
     def test_rows_match_one_row_calls(self):
         x = np.random.default_rng(4).normal(0.0, 1.0, (9, 256))
-        got = fft_radix2(x)
-        assert got.shape == x.shape
-        assert np.array_equal(got, np.stack([fft_radix2(row) for row in x]))
+        got = power_spectrum(x)
+        assert got.shape == (9, 129)
+        assert np.array_equal(got, np.stack([power_spectrum(row) for row in x]))
 
 
 class TestSpectralFlatness:
@@ -281,6 +324,19 @@ class TestSpectralFlatness:
         got = analysis.segment_flatness(np.concatenate(blocks), [len(b) for b in blocks])
         assert got == [spectral_flatness(b) for b in blocks]
         assert got[len(ciphertexts)] == 0.0
+
+    def test_matches_radix2_reference(self, ciphertexts):
+        rng = np.random.default_rng(8)
+        blocks = [np.asarray(c) for c in ciphertexts]
+        for n in (16, 100, 301, 1024):
+            blocks += [rng.integers(0, 256, n).astype(np.uint8) for _ in range(20)]
+        blocks += [rng.normal(0.0, 1.0, n) for n in (64, 300, 777) for _ in range(20)]
+        want = np.array([_reference_flatness(b) for b in blocks])
+        assert np.all(want > 0)
+        one = np.array([spectral_flatness(b) for b in blocks])
+        batched = np.array(segment_flatness(np.concatenate(blocks), [len(b) for b in blocks]))
+        for got in (one, batched):
+            assert np.max(np.abs(got - want) / want) <= 1e-12
 
     def test_constant_rejected(self):
         with pytest.raises(UndefinedStatisticError):
@@ -369,7 +425,7 @@ class TestQualityMetrics:
         from hecg.cipher import decrypt
 
         segments, _, records, params_list = encrypted_corpus
-        mses, maes = [], []
+        mses, maes, backs = [], [], []
         for seg, rec, params in zip(segments[:50], records[:50], params_list[:50]):
             back = decrypt(rec, params, seg.sample_rate)
             lo, hi = float(seg.samples.min()), float(seg.samples.max())
@@ -379,8 +435,15 @@ class TestQualityMetrics:
             )
             mses.append(qm["mse"])
             maes.append(qm["mae"])
+            backs.append(back)
         assert np.mean(mses) <= 1e-5
         assert np.mean(maes) <= 0.003
+        got = fidelity(segments[:50], backs)
+        assert got["mse"] == pytest.approx(np.mean(mses), rel=1e-12)
+        assert got["mae"] == pytest.approx(np.mean(maes), rel=1e-12)
+        assert got["psnr_db"] == 10 * math.log10(1 / got["mse"])
+        with pytest.raises(ShapeError):
+            fidelity(segments[:49], backs)
 
 
 class TestSensitivity:

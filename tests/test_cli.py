@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hecg import HAVE_COMPILED, backend_name
+from hecg.analysis import AnalysisReport
 from hecg.cipher import decrypt
 from hecg.cli import main
 from hecg.pipeline import FileStore, synthetic_ecg_wave
@@ -63,6 +64,53 @@ def test_decrypt_missing_key_fails(tmp_path, csv_file, capsys):
     rc = main(["decrypt", "--store", str(store), "--output", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _report_lines(text: str, names) -> dict:
+    return {k: v for k, v in (l.split(" ", 1) for l in text.splitlines() if " " in l) if k in names}
+
+
+def test_decrypt_report_matches_analyze_quality(tmp_path, csv_file, capsys):
+    store = tmp_path / "store"
+    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
+    assert main(["decrypt", "--store", str(store), "--output", str(tmp_path / "back.csv"),
+                 "--report", "--input", str(csv_file)]) == 0
+    decrypt_report = _report_lines(capsys.readouterr().out, ("mse", "psnr_db", "mae"))
+    prefix = tmp_path / "ref"
+    assert main(["analyze", "--store", str(store), "--stream", "stream0",
+                 "--input", str(csv_file), "--output", str(prefix)]) == 0
+    capsys.readouterr()
+    quality = _report_lines(
+        Path(f"{prefix}_report.txt").read_text(), ("quality.mse", "quality.psnr_db", "quality.mae")
+    )
+    assert len(decrypt_report) == 3
+    assert decrypt_report == {k.removeprefix("quality."): v for k, v in quality.items()}
+
+
+def test_analyze_without_reference_writes_no_quality(tmp_path, csv_file, capsys):
+    store = tmp_path / "store"
+    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
+    for name, argv in (("store", ["--store", str(store)]), ("plain", ["--input", str(csv_file)])):
+        prefix = tmp_path / name
+        assert main(["analyze", *argv, "--output", str(prefix)]) == 0
+        assert "quality." not in capsys.readouterr().out
+        assert "quality." not in Path(f"{prefix}_report.txt").read_text()
+        text = Path(f"{prefix}_report.json").read_text()
+        assert json.loads(text)["quality"] == {}
+        report = AnalysisReport.from_json(text)
+        report.validate()
+        assert report.to_json() == text
+
+
+def test_decrypt_report_short_reference_fails(tmp_path, csv_file, capsys):
+    store = tmp_path / "store"
+    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
+    short = tmp_path / "short.csv"
+    short.write_text("".join(csv_file.read_text().splitlines(True)[: 1 + 5 * 300]))
+    rc = main(["decrypt", "--store", str(store), "--output", str(tmp_path / "back.csv"),
+               "--report", "--input", str(short)])
+    assert rc == 1
+    assert "error: 13 recovered segments for 5 reference segments" in capsys.readouterr().err
 
 
 def test_encrypt_ml_mode_without_model_errors(tmp_path, csv_file, capsys):

@@ -26,10 +26,10 @@ DIGESTS = {
     "encrypt-direct": "bdc4a8634240378d4901ed83141b7887282796486ad069236459d84ed63b9344",
     "encrypt-ml": "43b80655eaf0b653382083c52a4031e306e4e47860a7fb0dbb2c17ee6fc58506",
     "stream-direct": "56a0a412c075b29bb36e51d58e220e08b6dce7f7fd8dcdeb22f8d67198eca5c2",
-    "analyze-store": "3936bcf52ba45f9e1e1afca7b829722ed27b06d286fd0efa432ba8cae229cd87",
-    "analyze-store-burn-in": "ae222f2d4a7c32a32b09d835c10c4196641626ffa4606b8be2d9085def276307",
-    "analyze-store-reference": "fc93996054144b16d09229130569f754c303593c6df8cd3fb711b3d009c4bb83",
-    "analyze-plain": "fddd2b067dc8201c093ccaf07c382f96c68f63bd976bf991f19b260323bf6fd1",
+    "analyze-store": "21ddf3382b4205e76596c085795cb391c7ee836cb115d94fb68bb2f783896ac0",
+    "analyze-store-burn-in": "d596229ac7d41756937d5b2386ba2a70a65c39bc6bc7dc2c63b2043fe5bab57d",
+    "analyze-store-reference": "ff81a2eb1fbb4e741dcbae3bd03b557f38959b5d29cb8112a5f329a6478492f4",
+    "analyze-plain": "31ffd05aa91aa53e1255cc62b5e581bd231617b8284556029e6796dd2e36a693",
     "attack-noise-uniform": "c9dd462537bccfc3c5dbf5da0452d735af5700573b14cd7044b36196d8895e76",
     "attack-occlusion": "07e25e4dfa9316599ab5aa4073d19d88dbde2d33bfcbaa32389c0d2c23e3c0fb",
 }
@@ -37,8 +37,8 @@ DIGESTS = {
 # analyze and attack over stores of 3 streams x 50 segments, more rows than
 # two chunks of a batched decrypt or key derivation.
 LARGE_DIGESTS = {
-    "analyze-large": "20cd134ff49d9e8bd71a6c5e83b2609cef65b4944fa7ea990e065bb8e2adbfae",
-    "analyze-large-burn-in": "f4120640b7894a46ad877b93d5e4c0c2f8058420941e603fd0201b71583a70ec",
+    "analyze-large": "7a14c19994b42453430c4960cf9b2254153537b41c3c5cf1813d76be88b85db9",
+    "analyze-large-burn-in": "457b0be4b5809e3ea137b578489d3bcd55a62c6c165224a180ead4da312e80b0",
     "attack-large-noise-uniform": "3797909817b1b64764ada1bb0cf2bf0674196b756fdbc7d9ca5ebcb48a91659f",
     "attack-large-occlusion-burn-in": "03294344876473d34e7bfa560b78d372b364820c4400e9c73a2863ec9729e51d",
 }
@@ -150,9 +150,9 @@ def test_large_store_output_is_byte_identical(large_digests, name):
 # left out). A store decrypted at its own burn-in gives the same plaintext
 # at 0 and 3; at the wrong burn-in it gives pinned garbage.
 DECRYPT_DIGESTS = {
-    "decrypt-70": "cbb66a22482165411f8c1854642ccd3076cc8667cd6da06fcd0bfb8bedd2f811",
-    "decrypt-70-burn-in": "cbb66a22482165411f8c1854642ccd3076cc8667cd6da06fcd0bfb8bedd2f811",
-    "decrypt-70-wrong-burn-in": "3e6af1df58f58d4bbe2af74601730a363ba0f90142bfb23f960de84c2fe07e0b",
+    "decrypt-70": "43ff1f1604488ba0069f63dc57d0e82edc782f15766f7573486a0a9278a90c4a",
+    "decrypt-70-burn-in": "43ff1f1604488ba0069f63dc57d0e82edc782f15766f7573486a0a9278a90c4a",
+    "decrypt-70-wrong-burn-in": "08ad2c22ff720ec21d801a022631a1ca577f24dd1d41a0a3efc0f0dd3075b83b",
 }
 
 
