@@ -194,6 +194,13 @@ class MinEntropySummary:
 # correlation
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two 1-D float64 arrays by numpy's own
+    sum-of-products loop (einsum at its default optimize=False never
+    reaches BLAS), so its bits do not depend on a BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def pearson_correlation(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -201,11 +208,11 @@ def pearson_correlation(a, b) -> float:
         raise ShapeError(f"need equal lengths >= 2, got {a.shape} and {b.shape}")
     da = a - a.mean()
     db = b - b.mean()
-    na = math.sqrt(float(np.dot(da, da)))
-    nb = math.sqrt(float(np.dot(db, db)))
+    na = math.sqrt(_dot(da, da))
+    nb = math.sqrt(_dot(db, db))
     if na == 0.0 or nb == 0.0:
         raise UndefinedStatisticError("correlation undefined for constant input")
-    return float(np.dot(da, db) / (na * nb))
+    return _dot(da, db) / (na * nb)
 
 
 def autocorrelation(data, max_lag: int) -> np.ndarray:
@@ -214,6 +221,12 @@ def autocorrelation(data, max_lag: int) -> np.ndarray:
     Returns lags 0..max_lag with the lag-0 value fixed at 1.0. The raw
     (unnormalized) lag-0 autocovariance is available separately via
     raw_autocovariance_lag0 since reported conventions differ.
+
+    The products do not use numpy.dot: OpenBLAS splits a dot of more than
+    10 000 elements over its thread pool, which changes the last bits of
+    the result with the thread count and stalls when the pool has more
+    threads than the process has CPUs (a CPU quota or affinity mask
+    narrower than the machine). _dot sums in one thread, in a fixed order.
     """
     x = np.asarray(data, dtype=np.float64)
     n = x.size
@@ -222,13 +235,13 @@ def autocorrelation(data, max_lag: int) -> np.ndarray:
     if n <= max_lag:
         raise InsufficientDataError(f"need length > max_lag, got {n} <= {max_lag}")
     d = x - x.mean()
-    denom = float(np.dot(d, d))
+    denom = _dot(d, d)
     if denom == 0.0:
         raise UndefinedStatisticError("autocorrelation undefined for constant input")
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     for k in range(1, max_lag + 1):
-        out[k] = float(np.dot(d[:-k], d[k:])) / denom
+        out[k] = _dot(d[:-k], d[k:]) / denom
     return out
 
 

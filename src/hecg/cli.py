@@ -119,10 +119,18 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    if args.report and not args.input:
+        print("--report needs --input with the reference CSV", file=sys.stderr)
+        return 1
     _, _, segments, _ = _load_store(args)
     if not segments:
         print(f"no records in {args.store}/{args.stream}", file=sys.stderr)
         return 1
+    if args.report:
+        # measured before --output is written, so a short reference leaves no CSV
+        _parse_column(args)
+        ref = list(ingest_csv(args.input, args.column, args.sample_rate, args.segment_len))
+        qm = analysis.fidelity(ref[: len(segments)], segments)
     out = np.concatenate([s.samples for s in segments])
     with open(args.output, "w") as fh:
         fh.write("value\n")
@@ -130,12 +138,6 @@ def cmd_decrypt(args) -> int:
             fh.write(f"{v:.17g}\n")
     print(f"decrypted {len(segments)} segments -> {args.output}")
     if args.report:
-        if not args.input:
-            print("--report needs --input with the reference CSV", file=sys.stderr)
-            return 1
-        _parse_column(args)
-        ref = list(ingest_csv(args.input, args.column, args.sample_rate, args.segment_len))
-        qm = analysis.fidelity(ref[: len(segments)], segments)
         print(f"mse {qm['mse']:.17g}")
         print(f"psnr_db {qm['psnr_db']:.17g}")
         print(f"mae {qm['mae']:.17g}")
@@ -180,9 +182,6 @@ def cmd_analyze(args) -> int:
             reference = list(
                 ingest_csv(args.input, args.column, args.sample_rate, args.segment_len)
             )[: len(segments)]
-            if len(reference) != len(segments):
-                print("reference shorter than corpus; ignoring --input", file=sys.stderr)
-                reference = None
         report = analysis.analyze_corpus(
             segments, params_list, burn_in=args.burn_in, reference=reference, records=records
         )
@@ -413,6 +412,11 @@ def cmd_benchmark(args) -> int:
             f"{layer} ({n_seg} seeded 300-sample segments): serial {serial_us:.2f} us, "
             f"batched {batched_us:.2f} us per segment, best-of-3"
         )
+    # the analyze battery's corpus autocorrelation, over as many bytes as
+    # the audit workload's 24 x 50 segments
+    corpus = np.random.default_rng(args.seed).integers(0, 256, 1200 * 300, dtype=np.uint8)
+    ms = _best_of(3, lambda: analysis.autocorrelation(corpus, 50)) * 1e3
+    print(f"autocorrelation (1200 x 300 seeded bytes, lag 50): {ms:.3f} ms, best-of-3")
     # the stream's per-segment CSV parse and classifier peak count
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ecg.csv"

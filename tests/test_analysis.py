@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,61 @@ class TestAutocorrelation:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             autocorrelation(np.arange(10.0), 10)
+
+    def test_matches_blas_dot_reference(self, encrypted_corpus, ciphertexts):
+        rng = np.random.default_rng(7)
+        t = np.arange(500)
+        for x in (
+            rng.integers(0, 256, 4096).astype(np.uint8),
+            np.sin(2 * np.pi * t / 50.0),
+            np.concatenate(ciphertexts),
+            np.concatenate([s.samples for s in encrypted_corpus[0]]),
+        ):
+            np.testing.assert_allclose(
+                autocorrelation(x, 100), _np_dot_autocorrelation(x, 100), rtol=0, atol=1e-12
+            )
+
+    def test_bits_independent_of_blas_threads(self):
+        # OpenBLAS splits a dot of more than 10 000 elements over its pool,
+        # whose size it caps at the CPU count: on a 1-CPU runner every
+        # setting below gives one thread and this test cannot tell the
+        # kernels apart.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from hecg.analysis import autocorrelation, pearson_correlation\n"
+            "rng = np.random.default_rng(3)\n"
+            "x = rng.integers(0, 256, 45_000).astype(np.uint8)\n"
+            "a = rng.standard_normal(45_000)\n"
+            "b = rng.standard_normal(45_000) + 0.1 * a\n"
+            "sha = hashlib.sha256(autocorrelation(x, 50).tobytes())\n"
+            "sha.update(np.float64(pearson_correlation(a, b)).tobytes())\n"
+            "print(sha.hexdigest())\n"
+        )
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1] == outs[2]
+
+
+def _np_dot_autocorrelation(data, max_lag: int) -> np.ndarray:
+    """autocorrelation as it was computed with np.dot, kept as an oracle."""
+    x = np.asarray(data, dtype=np.float64)
+    d = x - x.mean()
+    denom = float(np.dot(d, d))
+    out = np.empty(max_lag + 1)
+    out[0] = 1.0
+    for k in range(1, max_lag + 1):
+        out[k] = float(np.dot(d[:-k], d[k:])) / denom
+    return out
 
 
 class TestHistogramStats:

@@ -111,6 +111,32 @@ def test_decrypt_report_short_reference_fails(tmp_path, csv_file, capsys):
                "--report", "--input", str(short)])
     assert rc == 1
     assert "error: 13 recovered segments for 5 reference segments" in capsys.readouterr().err
+    assert not (tmp_path / "back.csv").exists()
+
+
+def test_decrypt_report_without_input_fails(tmp_path, csv_file, capsys):
+    store = tmp_path / "store"
+    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
+    rc = main(["decrypt", "--store", str(store), "--output", str(tmp_path / "back.csv"),
+               "--report"])
+    assert rc == 1
+    assert "--report needs --input" in capsys.readouterr().err
+    assert not (tmp_path / "back.csv").exists()
+
+
+def test_analyze_short_reference_fails(tmp_path, csv_file, capsys):
+    store = tmp_path / "store"
+    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
+    short = tmp_path / "short.csv"
+    short.write_text("".join(csv_file.read_text().splitlines(True)[: 1 + 5 * 300]))
+    capsys.readouterr()
+    prefix = tmp_path / "out" / "ref"
+    rc = main(["analyze", "--store", str(store), "--input", str(short), "--output", str(prefix)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: 13 recovered segments for 5 reference segments" in captured.err
+    assert captured.out == ""
+    assert not prefix.parent.exists()
 
 
 def test_encrypt_ml_mode_without_model_errors(tmp_path, csv_file, capsys):
@@ -309,6 +335,7 @@ def test_benchmark_runs(capsys):
     assert "get_key" in out
     assert "key material (1000 seeded" in out
     assert "spectral flatness (1000 seeded" in out
+    assert "autocorrelation (1200 x 300 seeded bytes, lag 50)" in out
     assert "ingest_csv (1000-segment seeded CSV)" in out
     assert "count_peaks (1000 seeded" in out
     assert "predict_params (1000 seeded" in out
