@@ -46,22 +46,30 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--burn-in", type=int, default=_env("BURN_IN", 0))
 
 
-def _load_segments(args) -> list:
+def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSource:
+    """The segments of the CSV named by --input or, without one, of a
+    seeded synthetic recording long enough for count segments."""
     if args.input:
-        return list(ingest_csv(args.input, args.column, args.sample_rate, args.segment_len))
-    count = args.synthetic
-    duration = (count + 1) * args.segment_len / args.sample_rate
-    segs = list(
-        synthetic_ecg(
-            duration,
-            args.sample_rate,
-            heart_rate_bpm=args.heart_rate,
-            noise_amplitude=args.noise_amplitude,
-            seed=args.seed,
-            segment_len=args.segment_len,
+        return SegmentSource.from_csv(
+            args.input, _column(args), args.sample_rate, args.segment_len, pacing
         )
+    return SegmentSource.synthetic(
+        (count + 1) * args.segment_len / args.sample_rate,
+        args.sample_rate,
+        args.segment_len,
+        heart_rate_bpm=args.heart_rate,
+        noise_amplitude=args.noise_amplitude,
+        seed=args.seed,
+        pacing=pacing,
     )
-    return segs[:count]
+
+
+def _load_segments(args) -> list:
+    """Every segment of the CSV named by --input, else the first
+    --synthetic segments of the synthetic recording."""
+    if args.input:
+        return list(_source(args))
+    return list(_source(args, args.synthetic))[: args.synthetic]
 
 
 def _input_flags(p, synthetic_default=0):
@@ -72,11 +80,12 @@ def _input_flags(p, synthetic_default=0):
     p.add_argument("--noise-amplitude", type=float, default=0.012)
 
 
-def _parse_column(args):
+def _column(args):
+    """--column as an index if it is a number, else as a header name."""
     try:
-        args.column = int(args.column)
+        return int(args.column)
     except (TypeError, ValueError):
-        pass
+        return args.column
 
 
 def _base_timestamp(args) -> int:
@@ -89,7 +98,6 @@ def _base_timestamp(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    _parse_column(args)
     segments = _load_segments(args)
     if not segments:
         print("no segments to encrypt", file=sys.stderr)
@@ -128,9 +136,7 @@ def cmd_decrypt(args) -> int:
         return 1
     if args.report:
         # measured before --output is written, so a short reference leaves no CSV
-        _parse_column(args)
-        ref = list(ingest_csv(args.input, args.column, args.sample_rate, args.segment_len))
-        qm = analysis.fidelity(ref[: len(segments)], segments)
+        qm = analysis.fidelity(_load_segments(args)[: len(segments)], segments)
     out = np.concatenate([s.samples for s in segments])
     with open(args.output, "w") as fh:
         fh.write("value\n")
@@ -171,7 +177,6 @@ def _emit_series(prefix: Path, name: str, header: str, rows):
 
 
 def cmd_analyze(args) -> int:
-    _parse_column(args)
     if args.store:
         records, params_list, segments, decrypt_s = _load_store(args)
         if not records:
@@ -179,9 +184,7 @@ def cmd_analyze(args) -> int:
             return 1
         reference = None
         if args.input:
-            reference = list(
-                ingest_csv(args.input, args.column, args.sample_rate, args.segment_len)
-            )[: len(segments)]
+            reference = _load_segments(args)[: len(segments)]
         report = analysis.analyze_corpus(
             segments, params_list, burn_in=args.burn_in, reference=reference, records=records
         )
@@ -266,7 +269,6 @@ def cmd_attack(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _parse_column(args)
     segments = _load_segments(args)
     if len(segments) < 10:
         print(f"training needs >= 10 segments, got {len(segments)}", file=sys.stderr)
@@ -296,24 +298,8 @@ def cmd_train(args) -> int:
 
 
 def _run_stream(args, mode: Mode, model, store: FileStore) -> pipeline.PipelineMetrics:
-    if args.input:
-        source = SegmentSource.from_csv(
-            args.input, args.column, args.sample_rate, args.segment_len, pacing=Pacing(args.pacing)
-        )
-    else:
-        count = args.segments
-        duration = (count + 1) * args.segment_len / args.sample_rate
-        source = SegmentSource.synthetic(
-            duration,
-            args.sample_rate,
-            args.segment_len,
-            heart_rate_bpm=args.heart_rate,
-            noise_amplitude=args.noise_amplitude,
-            seed=args.seed,
-            pacing=Pacing(args.pacing),
-        )
     return pipeline.run_pipeline(
-        source,
+        _source(args, args.segments, Pacing(args.pacing)),
         mode,
         store,
         segment_count=args.segments,
@@ -326,7 +312,6 @@ def _run_stream(args, mode: Mode, model, store: FileStore) -> pipeline.PipelineM
 
 
 def cmd_stream(args) -> int:
-    _parse_column(args)
     model = KeyPredictor.load(args.model) if args.model else None
     if args.mode == "ml" and model is None:
         print("--mode ml requires --model", file=sys.stderr)

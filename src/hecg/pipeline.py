@@ -3,16 +3,14 @@
 The serial-port acquisition of the original system is replaced by two
 sources (synthetic quasi-ECG and CSV replay) and the cloud by a local
 directory store that keeps ciphertext records and key material in
-separate files. A single producer thread feeds a bounded queue; the
-consumer encrypts, persists, retrieves, decrypts and hands the segment
-to a pluggable classifier hook.
+separate files. One loop on the caller's thread takes each segment from
+the source as it arrives, then encrypts, persists, retrieves, decrypts
+and hands it to a pluggable classifier hook.
 """
 
 import csv
 import itertools
 import os
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -526,7 +524,6 @@ def run_pipeline(
     base_timestamp: int = 1_700_000_000_000,
     classifier=default_classifier,
     burn_in: int = 0,
-    queue_size: int = 8,
 ) -> PipelineMetrics:
     """Process segments end to end until the source ends or the count is hit.
 
@@ -537,34 +534,29 @@ def run_pipeline(
     Store failures are recorded per segment and the loop continues. A
     stream that already holds records is refused (StoreError) before
     anything is read or written.
+
+    The source is read in this loop, one segment at a time, and never
+    past segment_count. An exception the source raises (IngestionError
+    for a malformed CSV row, InvalidSignalError for a non-finite one)
+    ends the run and propagates unchanged; the segments before it stay
+    stored. A REAL_TIME source is paced against a deadline: segment i is
+    taken no earlier than i * segment_duration_s after segment 0, however
+    long the work on the segments before it took.
     """
     if mode is Mode.ML_PREDICTED and model is None:
         raise StoreError("ML mode requires a trained KeyPredictor")
     store.refuse_stored(stream_id)
     metrics = PipelineMetrics(mode_tag=mode)
-    handoff: queue.Queue = queue.Queue(maxsize=queue_size)
-    stop = object()
-
-    def produce():
-        cadence = source.segment_duration_s
-        for i, seg in enumerate(source):
-            if segment_count is not None and i >= segment_count:
-                break
-            if source.pacing is Pacing.REAL_TIME and i > 0:
-                time.sleep(cadence)
-            handoff.put((i, seg))
-        handoff.put(stop)
-
-    producer = threading.Thread(target=produce, daemon=True)
-    producer.start()
-
+    cadence = source.segment_duration_s if source.pacing is Pacing.REAL_TIME else 0.0
     biometric_seen = set()
     stored_seen = set()
-    while True:
-        item = handoff.get()
-        if item is stop:
-            break
-        index, segment = item
+    # zip takes the next index first, so the source is never read past the count
+    indices = itertools.count() if segment_count is None else range(segment_count)
+    for index, segment in zip(indices, source):
+        if index == 0:
+            first = time.perf_counter()
+        elif cadence:
+            time.sleep(max(0.0, first + index * cadence - time.perf_counter()))
         metrics.arrival_monotonic.append(time.perf_counter())
         t_seg = time.perf_counter()
         try:
@@ -597,7 +589,6 @@ def run_pipeline(
         metrics.decrypt_s.append(decrypt_elapsed)
         metrics.total_s.append(time.perf_counter() - t_seg)
 
-    producer.join()
     metrics.distinct_biometric_params = len(biometric_seen)
     metrics.distinct_stored_params = len(stored_seen)
     return metrics

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,51 @@ def robust_model(training_segments):
         dataset,
         mlkey.TrainConfig(epochs=3000, learning_rate=0.15, lr_decay=0.999, seed=1),
     )
+
+
+# Seconds a run over a few segments may take before a test calls it hung.
+BOUND_S = 10.0
+
+
+@pytest.fixture()
+def bounded():
+    """Call fn() on a daemon thread and return its result or re-raise its
+    exception; fail the test, rather than hang it, if fn() is still
+    running after BOUND_S seconds."""
+
+    def call(fn):
+        box = {}
+
+        def target():
+            try:
+                box["value"] = fn()
+            except BaseException as exc:  # re-raised on the test's thread
+                box["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(BOUND_S)
+        if thread.is_alive():
+            pytest.fail(f"still running after {BOUND_S} s")
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+
+    return call
+
+
+@pytest.fixture()
+def bad_csv(tmp_path):
+    """Write a 5-segment CSV of 300-sample segments under the header "ecg"
+    with line 702 (sample 700, in segment 2) replaced by bad; returns its
+    path and the original samples."""
+
+    def write(bad: str):
+        wave = pipeline.synthetic_ecg_wave(3.0, seed=34)
+        lines = ["ecg"] + [f"{v:.17g}" for v in wave]
+        lines[701] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, wave
+
+    return write

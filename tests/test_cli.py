@@ -447,3 +447,13 @@ def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):
         ref = original[i * 300 : (i + 1) * 300]
         half_step = (ref.max() - ref.min()) / 510
         assert np.max(np.abs(got - ref)) <= half_step * (1 + 1e-9)
+
+
+def test_stream_malformed_csv_exits_1_with_its_line(tmp_path, bounded, bad_csv, capsys):
+    path, _ = bad_csv("oops")
+    store = tmp_path / "store"
+    argv = ["stream", "--input", str(path), "--column", "ecg", "--store", str(store)]
+    assert bounded(lambda: main(argv)) == 1
+    assert "error: line 702: non-numeric value 'oops'" in capsys.readouterr().err
+    # the two segments before the bad row stay in the store
+    assert FileStore(store).record_indices("stream0") == [0, 1]

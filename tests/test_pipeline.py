@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hecg import analysis, pipeline
 from hecg.chaos import ChaoticParams
-from hecg.cipher import Mode, SignalSegment, quantize
-from hecg.errors import IngestionError, StoreError
+from hecg.cipher import Mode, SignalSegment, decrypt, quantize
+from hecg.errors import IngestionError, InvalidSignalError, StoreError
 from hecg.pipeline import (
     FileStore,
     Pacing,
@@ -544,9 +544,18 @@ class TestRunPipeline:
         assert metrics.segments_processed == 3
 
     def test_realtime_pacing_cadence(self, tmp_path):
-        # 300 samples at 500 Hz = 600 ms cadence; allow 50 ms of sleep slop
+        # 300 samples at 500 Hz = 600 ms cadence; allow 50 ms of sleep slop.
+        # Each segment is due 600 ms after the one before, however long the
+        # work on it takes: sleeping a whole cadence after 200 ms of
+        # classifier work would give 800 ms gaps.
+        def slow(segment):
+            time.sleep(0.2)
+            return "slow"
+
         source = SegmentSource.synthetic(3.0, seed=30, pacing=Pacing.REAL_TIME)
-        metrics = run_pipeline(source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=3)
+        metrics = run_pipeline(
+            source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=3, classifier=slow
+        )
         gaps = np.diff(metrics.arrival_monotonic)
         assert len(gaps) == 2
         for gap in gaps:
@@ -566,6 +575,44 @@ class TestRunPipeline:
         summary = metrics.summary()
         assert summary["segments"] == 3
         assert summary["mode"] == "DIRECT"
+
+
+class TestSourceErrors:
+    """A source that raises ends the run with its own error, in bounded time."""
+
+    def test_malformed_row_ends_the_run(self, tmp_path, bounded, bad_csv):
+        path, wave = bad_csv("oops")
+        store = FileStore(tmp_path / "s")
+        with pytest.raises(IngestionError) as err:
+            bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+        assert err.value.line_number == 702
+        # the segments before the bad row stay stored and decrypt
+        assert store.record_indices("stream0") == [0, 1]
+        for i in (0, 1):
+            record = store.get_record("stream0", i)
+            back = decrypt(record, store.get_key("stream0", record.key_id))
+            plain = wave[i * 300 : (i + 1) * 300]
+            half_step = (plain.max() - plain.min()) / 510
+            assert np.max(np.abs(back.samples - plain)) <= half_step * (1 + 1e-9)
+
+    def test_nan_row_ends_the_run(self, tmp_path, bounded, bad_csv):
+        path, _ = bad_csv("nan")
+        store = FileStore(tmp_path / "s")
+        with pytest.raises(InvalidSignalError):
+            bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+        assert store.record_indices("stream0") == [0, 1]
+
+    def test_source_not_read_past_the_count(self, tmp_path, bounded, bad_csv):
+        path, _ = bad_csv("oops")
+        store = FileStore(tmp_path / "s")
+        metrics = bounded(
+            lambda: run_pipeline(
+                SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store, segment_count=2
+            )
+        )
+        assert metrics.segments_processed == 2
+        assert not metrics.errors
+        assert store.record_indices("stream0") == [0, 1]
 
 
 class TestClassifier:
