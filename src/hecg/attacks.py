@@ -19,6 +19,7 @@ from .cipher import (
     KeyMaterial,
     _dequantized_samples,
     batch_slices,
+    decrypt_with_key_material,
     derive_key_material,
     derive_key_material_batch,
     remove_keystream,
@@ -84,7 +85,9 @@ def _damage(
     # the recovered bytes are finite samples by construction: no SignalSegment
     got = normalize_unit(_dequantized_samples(q_bytes, km.range), lo, hi)
     diff = clean - got
-    return float(np.mean(np.abs(diff))), float(np.mean(diff * diff))
+    # np.mean's own steps: the pairwise sum, then one division
+    n = diff.size
+    return float(np.abs(diff).sum() / n), float((diff * diff).sum() / n)
 
 
 def _key_material(record, params, burn_in: int, km: KeyMaterial | None) -> KeyMaterial:
@@ -110,7 +113,7 @@ def _dispersion(idx: np.ndarray, n: int) -> float:
     if m == 0:
         return 0.0
     k = (m + 1) // 2
-    window = int(np.min(idx[k - 1 :] - idx[: m - k + 1])) + 1
+    window = int((idx[k - 1 :] - idx[: m - k + 1]).min()) + 1
     return float(min(1.0, window / (n / 2.0)))
 
 
@@ -148,9 +151,10 @@ def noise_attack(
     np.maximum(noisy, 0, out=noisy)
     np.minimum(noisy, 255, out=noisy)
     noisy = noisy.astype(np.uint8)
-    changed = np.flatnonzero(noisy != ct)
+    changed = (noisy != ct).nonzero()[0]
     km = _key_material(record, params, burn_in, key_material)
-    corrupted = np.sort(np.asarray(km.permutation)[changed])
+    corrupted = km.permutation[changed]
+    corrupted.sort()
     mae, mse = _damage(original, noisy, km, reference)
     return AttackResult(
         mae=mae,
@@ -196,7 +200,7 @@ def occlusion_attack(
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
     ct[start:end] = 0
     km = _key_material(record, params, burn_in, key_material)
-    corrupted = np.sort(np.asarray(km.permutation)[start:end])
+    corrupted = np.sort(km.permutation[start:end])
     mae, mse = _damage(original, ct, km, reference)
     return AttackResult(
         mae=mae,
@@ -209,7 +213,7 @@ def occlusion_attack(
 def attack_sweep(
     records: list,
     params_list: list,
-    originals: list,
+    originals: list | None,
     kind: AttackKind,
     intensities: list,
     seed: int = 0,
@@ -220,12 +224,17 @@ def attack_sweep(
     Rows are dicts {intensity, mae, mse, dispersion} ready for tabular
     output; deterministic for a fixed seed. Key material is derived once
     per record, BATCH_ROWS records at a time, and serves every intensity,
-    as does each original's clean_reference.
+    as does each original's clean_reference. originals None stands for
+    the records decrypted with their params: each chunk's records are
+    decrypted with the key material just derived for them, so a store is
+    read, derived and decrypted once, and the rows equal those of the
+    decrypt_batch originals bit for bit.
     """
-    if not (len(records) == len(params_list) == len(originals)):
-        raise ShapeError(
-            f"{len(records)} records, {len(params_list)} params, {len(originals)} originals"
-        )
+    if len(records) != len(params_list) or (
+        originals is not None and len(originals) != len(records)
+    ):
+        given = "no" if originals is None else len(originals)
+        raise ShapeError(f"{len(records)} records, {len(params_list)} params, {given} originals")
     run = occlusion_attack if kind is AttackKind.OCCLUSION else noise_attack
     # per intensity: the (mae, mse, dispersion) of each record, in record order
     damage = [([], [], []) for _ in intensities]
@@ -233,9 +242,13 @@ def attack_sweep(
         kms = derive_key_material_batch(
             params_list[s], records[s.start].segment_len, [r.range for r in records[s]], burn_in
         )
-        chunk = zip(range(s.start, s.stop), records[s], params_list[s], originals[s], kms)
-        for i, rec, params, orig, km in chunk:
-            ref = clean_reference(orig)
+        if originals is None:
+            origs = [decrypt_with_key_material(rec, km) for rec, km in zip(records[s], kms)]
+        else:
+            origs = originals[s]
+        refs = [clean_reference(orig) for orig in origs]
+        chunk = zip(range(s.start, s.stop), records[s], params_list[s], origs, kms, refs)
+        for i, rec, params, orig, km, ref in chunk:
             for level, intensity in enumerate(intensities):
                 cfg = AttackConfig(kind=kind, intensity=intensity, seed=seed + 7919 * level + i)
                 res = run(

@@ -396,13 +396,17 @@ def decrypt_batch(
         kms = derive_key_material_batch(
             params_list[s], chunk[0].segment_len, [r.range for r in chunk], burn_in
         )
-        for record, km in zip(chunk, kms):
-            ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-            q_bytes = remove_keystream(ct, km.permutation, km.mask)
-            segments.append(
-                dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
-            )
+        segments.extend(decrypt_with_key_material(r, km, sample_rate) for r, km in zip(chunk, kms))
     return segments
+
+
+def decrypt_with_key_material(
+    record: EncryptedRecord, km: KeyMaterial, sample_rate: float = 500.0
+) -> SignalSegment:
+    """decrypt with the record's key material already derived."""
+    ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
+    q_bytes = remove_keystream(ct, km.permutation, km.mask)
+    return dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
 
 
 def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams, burn_in: int = 0) -> np.ndarray:

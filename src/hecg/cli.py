@@ -72,10 +72,15 @@ def _load_segments(args) -> list:
     return list(_source(args, args.synthetic))[: args.synthetic]
 
 
-def _input_flags(p, synthetic_default=0):
+def _input_flags(p, synthetic_default: int | None = 0):
+    """The input flags; synthetic_default None leaves out --synthetic, for
+    stream, whose segment count is --segments."""
     p.add_argument("--input", help="CSV file with one sample per row")
     p.add_argument("--column", default=0, help="CSV column index or header name")
-    p.add_argument("--synthetic", type=int, default=synthetic_default, help="synthetic segment count")
+    if synthetic_default is not None:
+        p.add_argument(
+            "--synthetic", type=int, default=synthetic_default, help="synthetic segment count"
+        )
     p.add_argument("--heart-rate", type=float, default=72.0)
     p.add_argument("--noise-amplitude", type=float, default=0.012)
 
@@ -150,10 +155,10 @@ def cmd_decrypt(args) -> int:
     return 0
 
 
-def _load_store(args):
-    """Records, stored params and decrypted segments of --stream (default:
-    every stream) of --store, in stream then record order, plus the batch
-    decrypt time per record."""
+def _read_store(args):
+    """Records and stored params of --stream (default: every stream) of
+    --store, in stream then record order. Nothing is decrypted here:
+    attack decrypts inside its sweep, with the key material it derives."""
     store = FileStore(args.store)
     records, params_list = [], []
     for stream in [args.stream] if args.stream else store.streams():
@@ -161,6 +166,13 @@ def _load_store(args):
             record = store.get_record(stream, i)
             records.append(record)
             params_list.append(store.get_key(stream, record.key_id))
+    return records, params_list
+
+
+def _load_store(args):
+    """_read_store's records and params, plus their segments decrypted by
+    decrypt_batch and the batch decrypt time per record."""
+    records, params_list = _read_store(args)
     t0 = time.perf_counter()
     segments = decrypt_batch(records, params_list, burn_in=args.burn_in)
     decrypt_s = (time.perf_counter() - t0) / max(1, len(records))
@@ -252,14 +264,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    records, params_list, originals, _ = _load_store(args)
+    records, params_list = _read_store(args)
     if not records:
         print("store holds no records", file=sys.stderr)
         return 1
     kind = attacks.AttackKind(args.kind)
     intensities = [float(v) for v in args.sweep.split(",")]
     rows = attacks.attack_sweep(
-        records, params_list, originals, kind, intensities, seed=args.seed, burn_in=args.burn_in
+        records, params_list, None, kind, intensities, seed=args.seed, burn_in=args.burn_in
     )
     table = attacks.sweep_table(rows)
     if args.output:
@@ -515,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="run the end-to-end pipeline")
     _add_common(p)
-    _input_flags(p)
+    _input_flags(p, synthetic_default=None)
     p.add_argument("--store", required=True)
     p.add_argument("--stream", default="stream0")
     p.add_argument("--mode", choices=["direct", "ml"], default="direct")

@@ -10,6 +10,7 @@ and hands it to a pluggable classifier hook.
 
 import csv
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -107,8 +108,8 @@ def ingest_csv(
 
     column may be an index (no header assumed; a non-numeric first row is
     tolerated as a header) or a name (header required). The trailing
-    partial segment is dropped; a malformed row raises IngestionError
-    naming its line number.
+    partial segment is dropped; a malformed row, or one whose value is
+    not finite (nan, inf), raises IngestionError naming its line number.
 
     The header and the first data row go through the row reader
     (csv.reader plus float() per row). After them the file is read in
@@ -161,7 +162,8 @@ _BLOCK_REFUSES = '"\x1c\x1d\x1e\x1f'
 def _parse_block(lines: list, col_idx: int) -> np.ndarray | None:
     """Column col_idx of every line as float64, or None when the block
     must go through the row reader: it is empty or blank, holds a quote
-    or separator character, or np.loadtxt rejects it or skips a line."""
+    or separator character, np.loadtxt rejects it or skips a line, or a
+    value is not finite."""
     text = "".join(lines)
     if not text.strip() or any(c in text for c in _BLOCK_REFUSES):
         return None
@@ -169,7 +171,7 @@ def _parse_block(lines: list, col_idx: int) -> np.ndarray | None:
         values = np.loadtxt(lines, delimiter=",", comments=None, usecols=col_idx, ndmin=1)
     except ValueError:
         return None
-    return values if len(values) == len(lines) else None
+    return values if len(values) == len(lines) and np.isfinite(values).all() else None
 
 
 def _row_values(rows, column, col_idx: int | None = None):
@@ -196,6 +198,8 @@ def _row_values(rows, column, col_idx: int | None = None):
             value = float(row[col_idx])
         except ValueError:
             raise IngestionError(f"non-numeric value {row[col_idx]!r}", line_no) from None
+        if not math.isfinite(value):
+            raise IngestionError(f"non-finite value {row[col_idx]!r}", line_no)
         yield line_no, col_idx, value
 
 

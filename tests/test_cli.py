@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hecg import HAVE_COMPILED, backend_name
+from hecg import HAVE_COMPILED, attacks, backend_name, cipher, cli
 from hecg.analysis import AnalysisReport
 from hecg.cipher import decrypt
 from hecg.cli import main
@@ -237,6 +237,42 @@ def test_attack_noise_monotone(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     maes = [float(r.split("\t")[1]) for r in rows]
     assert maes == sorted(maes)
+
+
+def test_attack_derives_each_record_once_and_never_batch_decrypts(tmp_path, monkeypatch, capsys):
+    # 70 records: one full chunk of 64 and a short one
+    store = tmp_path / "store"
+    main(["encrypt", "--synthetic", "70", "--store", str(store), "--seed", "6"])
+    capsys.readouterr()
+    rows, decrypts = [], []
+    derive, decrypt_all = cipher.derive_key_material_batch, cipher.decrypt_batch
+
+    def counting(params_list, *args, **kwargs):
+        rows.append(len(params_list))
+        return derive(params_list, *args, **kwargs)
+
+    def recorded(records, *args, **kwargs):
+        decrypts.append(len(records))
+        return decrypt_all(records, *args, **kwargs)
+
+    for module in (cipher, attacks, cli):
+        monkeypatch.setattr(module, "derive_key_material_batch", counting)
+    for module in (cipher, cli):
+        monkeypatch.setattr(module, "decrypt_batch", recorded)
+    assert main(["attack", "--store", str(store), "--sweep", "0,4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert sum(rows) == 70
+    assert decrypts == []
+
+
+def test_stream_refuses_synthetic(tmp_path, capsys):
+    # stream takes its segment count from --segments only
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        main(["stream", "--synthetic", "3", "--store", str(store)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --synthetic 3" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_train_determinism_and_model_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import math
 import time
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hecg import analysis, pipeline
 from hecg.chaos import ChaoticParams
 from hecg.cipher import Mode, SignalSegment, decrypt, quantize
-from hecg.errors import IngestionError, InvalidSignalError, StoreError
+from hecg.errors import IngestionError, StoreError
 from hecg.pipeline import (
     FileStore,
     Pacing,
@@ -128,9 +129,12 @@ def _reference_ingest(path, column=0, sample_rate=500.0, segment_len=300):
             if col_idx >= len(row):
                 raise IngestionError(f"row has {len(row)} fields, need {col_idx + 1}", line_no)
             try:
-                buf.append(float(row[col_idx]))
+                value = float(row[col_idx])
             except ValueError:
                 raise IngestionError(f"non-numeric value {row[col_idx]!r}", line_no) from None
+            if not math.isfinite(value):
+                raise IngestionError(f"non-finite value {row[col_idx]!r}", line_no)
+            buf.append(value)
             if len(buf) == segment_len:
                 yield SignalSegment(np.asarray(buf), sample_rate)
                 buf = []
@@ -598,9 +602,21 @@ class TestSourceErrors:
     def test_nan_row_ends_the_run(self, tmp_path, bounded, bad_csv):
         path, _ = bad_csv("nan")
         store = FileStore(tmp_path / "s")
-        with pytest.raises(InvalidSignalError):
+        with pytest.raises(IngestionError) as err:
             bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+        assert err.value.line_number == 702
         assert store.record_indices("stream0") == [0, 1]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_row_names_its_line(self, bad_csv, bad):
+        # the block reader refuses the block that holds the row, and the
+        # row reader rejects the row itself
+        path, _ = bad_csv(bad)
+        segments = ingest_csv(path, "ecg")
+        assert len([next(segments), next(segments)]) == 2
+        with pytest.raises(IngestionError) as err:
+            next(segments)
+        assert str(err.value) == f"line 702: non-finite value {bad!r}"
 
     def test_source_not_read_past_the_count(self, tmp_path, bounded, bad_csv):
         path, _ = bad_csv("oops")
