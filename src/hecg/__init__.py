@@ -29,12 +29,11 @@ from .cipher import (
     dequantize,
     derive_key_material,
     encrypt,
-    invert_permutation,
     params_for_segment,
     quantize,
 )
 from .errors import HecgError
-from .mlkey import KeyPredictor, TrainConfig, TrainingReport, build_dataset, encrypt_ml, predict_params, train
+from .mlkey import KeyPredictor, TrainConfig, TrainingReport, build_dataset, predict_params, train
 from .pipeline import FileStore, Pacing, SegmentSource, run_pipeline, synthetic_ecg
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "dequantize",
     "derive_key_material",
     "encrypt",
-    "invert_permutation",
     "params_for_segment",
     "quantize",
     "HecgError",
@@ -78,7 +76,6 @@ __all__ = [
     "TrainConfig",
     "TrainingReport",
     "build_dataset",
-    "encrypt_ml",
     "predict_params",
     "train",
     "FileStore",

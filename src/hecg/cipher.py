@@ -34,7 +34,6 @@ from .chaos import (
 )
 from .errors import (
     CorruptRecordError,
-    InvalidPermutationError,
     InvalidSignalError,
     ShapeError,
 )
@@ -324,17 +323,6 @@ def remove_keystream(ciphertext: np.ndarray, perm: np.ndarray, mask: np.ndarray)
     out = np.empty_like(c)
     out[p] = np.bitwise_xor(c, m)
     return out
-
-
-def invert_permutation(p: np.ndarray) -> np.ndarray:
-    """Return q with q[p[i]] = i, validating that p is a bijection."""
-    p = np.asarray(p)
-    n = len(p)
-    if n == 0 or not np.array_equal(np.sort(p), np.arange(n)):
-        raise InvalidPermutationError("index list is not a bijection on 0..n-1")
-    q = np.empty(n, dtype=np.intp)
-    q[p] = np.arange(n, dtype=np.intp)
-    return q
 
 
 def encrypt(

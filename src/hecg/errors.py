@@ -31,10 +31,6 @@ class InvalidSignalError(HecgError):
     """Segment samples are non-finite, too few, or otherwise unusable."""
 
 
-class InvalidPermutationError(HecgError):
-    """Index list is not a bijection on 0..n-1."""
-
-
 class CorruptRecordError(HecgError):
     """Encrypted record bytes do not parse or are internally inconsistent."""
 

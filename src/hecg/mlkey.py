@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams, KeySalt
-from .cipher import Mode, SignalSegment, compute_stats, encrypt
+from .chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams
+from .cipher import SignalSegment, compute_stats
 from .errors import CorruptRecordError, DatasetError, ShapeError, TrainingDivergedError
 from .chaos import derive_params
 
@@ -375,22 +375,3 @@ def predict_params(model: KeyPredictor, segment: SignalSegment) -> ChaoticParams
     feats = model.prep.transform(segment.samples[np.newaxis, :])
     raw_r, raw_x0 = model.forward(feats)[0]
     return ChaoticParams(r=_clamp(raw_r, *_R_BOUNDS), x0=_clamp(raw_x0, *_X0_BOUNDS))
-
-
-def encrypt_ml(
-    segment: SignalSegment,
-    model: KeyPredictor,
-    salt: KeySalt = KeySalt(0),
-    counter: int = 0,
-    burn_in: int = 0,
-):
-    """Encrypt with model-predicted params; mode tag marks the record.
-
-    The predicted params are returned inside the key material and must be
-    persisted by the caller: decryption retrieves the stored values, it
-    never re-predicts.
-    """
-    params = predict_params(model, segment)
-    return encrypt(
-        segment, params, salt=salt, mode_tag=Mode.ML_PREDICTED, counter=counter, burn_in=burn_in
-    )

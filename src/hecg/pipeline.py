@@ -114,10 +114,16 @@ def ingest_csv(
     The header and the first data row go through the row reader
     (csv.reader plus float() per row). After them the file is read in
     blocks of BLOCK_SEGMENTS segments of lines, each parsed by one
-    np.loadtxt call (see _parse_block). The first block that parser
-    refuses, and the rest of the file, go through the row reader, so
-    quoted, blank and malformed rows give the same values or the same
-    error as reading every row with it.
+    np.loadtxt call (see _parse_block), and the segments of a block are
+    yielded from that one array. The first block that parser refuses,
+    and the rest of the file, go through the row reader, so quoted,
+    blank and malformed rows give the same values or the same error as
+    reading every row with it.
+
+    The file is therefore read up to one block ahead of the segment last
+    yielded. The lines read ahead never change what a caller sees: a bad
+    row makes its block go to the row reader, which raises only when the
+    caller asks for the segment that holds the row.
     """
     with open(path, newline="") as fh:
         first = next(_row_values(enumerate(csv.reader(fh), start=1), column), None)
@@ -148,11 +154,22 @@ def ingest_csv(
                 buf = []
 
 
-# Lines per np.loadtxt call in ingest_csv, in segments. Larger blocks cost
-# less per line but put the parse of several segments into one gap between
-# the segments a pipeline consumer completes, which raises the tail of
-# those gaps.
-BLOCK_SEGMENTS = 1
+# Lines per np.loadtxt call in ingest_csv, in segments. A pipeline that
+# takes one segment at a time pays a block's parse in the gap before the
+# block's first segment and none of it in the other gaps. At 32 the parse
+# lands in 1 gap of 32, under the 10% that p90 reads; at 2 and 4 it landed
+# in 50% and 25% of them, and p90 rose. The cost is the tail: p99 holds a
+# whole block's parse, a few ms at 32, about 1% of a 600 ms real-time
+# cadence. Scans of perfbench's stream workload (2000 segments of 300
+# lines, one run per size on one pinned CPU of a 2-vCPU host) at
+# 1 / 16 / 32 / 64 segments per block:
+#   seed 905: p50 0.51 / 0.34 / 0.36 / 0.33 ms, p90 0.84 / 0.58 / 0.49 /
+#     0.55 ms, p99 1.0 / 3.7 / 6.1 / 8.0 ms, peak RSS 62.5 / 62.6 / 63.1 /
+#     64.5 MB, 1744 / 1876 / 1872 / 1875 segments/s
+#   seed 131: p50 0.93 / 0.52 / 0.53 / 0.53 ms, p90 1.07 / 0.69 / 0.67 /
+#     0.65 ms, p99 1.7 / 4.4 / 8.0 / 12.9 ms, peak RSS 62.4 / 62.4 / 62.8 /
+#     63.7 MB, 1073 / 1401 / 1353 / 1365 segments/s
+BLOCK_SEGMENTS = 32
 # Characters after which np.loadtxt and the row reader can disagree: a
 # quote starts a CSV quoted field; the ASCII separators \x1c-\x1f count
 # as whitespace around a number for np.loadtxt but not for float().
@@ -271,18 +288,22 @@ class FileStore:
     Key lookups go through an in-memory index of the most recently used
     stream: key_id hex -> (r, x0) text from one read of keys.txt, where
     the first row of a key_id wins and lines without three fields are
-    skipped. Each lookup stats keys.txt and re-reads it only when its
-    (inode, size, mtime) signature changed, so keys appended by another
-    FileStore or process are found. put_key refuses a key_id the stream
-    already holds, so a stale row can never shadow a new one; writers
-    store the key before the record, so a refused write leaves the
-    stream's records as they were. Reads never create directories.
+    skipped. A row counts only once its newline is written: a final line
+    without one is a torn write, so it is skipped, and put_key starts its
+    own row on a new line after it. Each lookup stats keys.txt and
+    re-reads it only when its (inode, size, mtime) signature changed, so
+    keys appended by another FileStore or process are found. put_key
+    refuses a key_id the stream already holds, so a stale row can never
+    shadow a new one; writers store the key before the record, so a
+    refused write leaves the stream's records as they were. Reads never
+    create directories.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # (stream_id, keys.txt signature, {key_id hex: (r text, x0 text)})
+        # (stream_id, keys.txt signature, {key_id hex: (r text, x0 text)},
+        #  whether keys.txt ends in a torn row)
         self._index = None
 
     def _stream_dir(self, stream_id: str) -> Path:
@@ -307,13 +328,14 @@ class FileStore:
             return None
         if self._index is not None and self._index[:2] == (stream_id, signature):
             return self._index[2]
-        keys = {}
         with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 3:
-                    keys.setdefault(parts[0], (parts[1], parts[2]))
-        self._index = (stream_id, signature, keys)
+            *rows, torn = fh.read().split("\n")
+        keys = {}
+        for row in rows:
+            parts = row.split()
+            if len(parts) == 3:
+                keys.setdefault(parts[0], (parts[1], parts[2]))
+        self._index = (stream_id, signature, keys, bool(torn))
         return keys
 
     def put_record(self, stream_id: str, index: int, record: EncryptedRecord):
@@ -358,6 +380,8 @@ class FileStore:
             raise StoreError(f"key {want} already stored in stream {stream_id}")
         r, x0 = f"{params.r:.17g}", f"{params.x0:.17g}"
         line = f"{want} {r} {x0}\n"
+        if keys is not None and self._index[3]:
+            line = "\n" + line
         with open(self._keys_path(stream_id), "a") as fh:
             before = _signature(os.fstat(fh.fileno()))
             fh.write(line)
@@ -367,7 +391,7 @@ class FileStore:
         # since it was read; otherwise the next lookup re-reads the file.
         if keys is not None and self._index[1] == before and after[1] == before[1] + len(line):
             keys[want] = (r, x0)
-            self._index = (stream_id, after, keys)
+            self._index = (stream_id, after, keys, False)
 
     def get_key(self, stream_id: str, key_id: bytes) -> ChaoticParams:
         keys = self._key_index(stream_id)
@@ -539,9 +563,13 @@ def run_pipeline(
     stream that already holds records is refused (StoreError) before
     anything is read or written.
 
-    The source is read in this loop, one segment at a time, and never
-    past segment_count. An exception the source raises (IngestionError
-    for a malformed CSV row, InvalidSignalError for a non-finite one)
+    The source is read in this loop, one segment at a time, and no
+    segment past segment_count is taken from it. The source may read its
+    input ahead of the segment taken (ingest_csv reads up to one block of
+    BLOCK_SEGMENTS segments of lines), but it raises only for a segment
+    taken, so a bad CSV row past segment_count is never reported. An
+    exception the source raises (IngestionError for a malformed or
+    non-finite CSV row, InvalidSignalError for a segment it cannot build)
     ends the run and propagates unchanged; the segments before it stay
     stored. A REAL_TIME source is paced against a deadline: segment i is
     taken no earlier than i * segment_duration_s after segment 0, however

@@ -148,14 +148,19 @@ def bounded():
 
 @pytest.fixture()
 def bad_csv(tmp_path):
-    """Write a 5-segment CSV of 300-sample segments under the header "ecg"
-    with line 702 (sample 700, in segment 2) replaced by bad; returns its
-    path and the original samples."""
+    """Write a 70-segment CSV of 300-sample segments under the header "ecg"
+    with line 20002 (sample 20000, in segment 66) replaced by bad; returns
+    its path and the original samples.
+
+    At BLOCK_SEGMENTS 1, 2 and 32 the bad row lies in a later block than
+    the first. At 32, ingest_csv reads two full blocks of 9600 lines after
+    the first data row, then a remainder (lines 19203-21001) that holds
+    the bad row and the rows of segments 65 and 64 (except its first)."""
 
     def write(bad: str):
-        wave = pipeline.synthetic_ecg_wave(3.0, seed=34)
+        wave = pipeline.synthetic_ecg_wave(42.0, seed=34)
         lines = ["ecg"] + [f"{v:.17g}" for v in wave]
-        lines[701] = bad
+        lines[20001] = bad
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines) + "\n")
         return path, wave

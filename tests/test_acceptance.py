@@ -18,14 +18,16 @@ import pytest
 from hecg import analysis, mlkey, pipeline
 from hecg.chaos import ChaoticParams
 from hecg.cipher import (
+    QuantizationRange,
     SignalSegment,
     apply_keystream,
     decrypt,
     decrypt_bytes,
+    derive_key_material,
     encrypt,
-    invert_permutation,
     params_for_segment,
     quantize,
+    remove_keystream,
 )
 
 
@@ -250,10 +252,13 @@ def test_criterion_8_oracle_equivalence():
         want = [int(q[perm[i]]) ^ int(mask[i]) for i in range(n)]
         assert apply_keystream(q, perm, mask).tolist() == want
     for _ in range(100):
-        p = rng.permutation(300)
-        q_inv = invert_permutation(p)
-        assert np.array_equal(q_inv[p], np.arange(300))
-    report(8, "1000 tiny instances match the naive cipher; 100 inversions compose to identity")
+        params = ChaoticParams(float(rng.uniform(3.61, 3.99)), float(rng.uniform(0.11, 0.89)))
+        km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0))
+        assert np.array_equal(np.sort(km.permutation), np.arange(300))
+        q = rng.integers(0, 256, 300).astype(np.uint8)
+        c = apply_keystream(q, km.permutation, km.mask)
+        assert np.array_equal(remove_keystream(c, km.permutation, km.mask), q)
+    report(8, "1000 tiny instances match the naive cipher; 100 derived permutations are bijections that invert")
 
 
 def test_criterion_9_ml_key_generator(trained_model, robust_model, training_segments):

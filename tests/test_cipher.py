@@ -23,7 +23,6 @@ from hecg.cipher import (
     derive_key_material,
     derive_key_material_batch,
     encrypt,
-    invert_permutation,
     params_for_segment,
     quantize,
     remove_keystream,
@@ -31,7 +30,6 @@ from hecg.cipher import (
 from hecg.errors import (
     CorruptRecordError,
     DegenerateOrbitError,
-    InvalidPermutationError,
     InvalidSignalError,
     ShapeError,
 )
@@ -253,26 +251,6 @@ class TestBatch:
         record, _ = encrypt(SignalSegment(np.arange(10.0), 500.0), _batch_params(1)[0])
         with pytest.raises(ShapeError):
             decrypt_batch([record], _batch_params(2))
-
-
-class TestInvertPermutation:
-    def test_small_cases(self):
-        assert invert_permutation(np.array([1, 2, 0])).tolist() == [2, 0, 1]
-        assert invert_permutation(np.array([0, 1, 2])).tolist() == [0, 1, 2]
-
-    def test_compose_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = rng.permutation(300)
-            q = invert_permutation(p)
-            assert np.array_equal(p[q], np.arange(300))
-            assert np.array_equal(q[p], np.arange(300))
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(InvalidPermutationError):
-            invert_permutation(np.array([0, 0, 2]))
-        with pytest.raises(InvalidPermutationError):
-            invert_permutation(np.array([], dtype=int))
 
 
 class TestEncryptDecrypt:

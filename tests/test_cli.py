@@ -488,8 +488,8 @@ def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):
 def test_stream_malformed_csv_exits_1_with_its_line(tmp_path, bounded, bad_csv, capsys):
     path, _ = bad_csv("oops")
     store = tmp_path / "store"
-    argv = ["stream", "--input", str(path), "--column", "ecg", "--store", str(store)]
+    argv = ["stream", "--input", str(path), "--column", "ecg", "--store", str(store), "--segments", "70"]
     assert bounded(lambda: main(argv)) == 1
-    assert "error: line 702: non-numeric value 'oops'" in capsys.readouterr().err
-    # the two segments before the bad row stay in the store
-    assert FileStore(store).record_indices("stream0") == [0, 1]
+    assert "error: line 20002: non-numeric value 'oops'" in capsys.readouterr().err
+    # the 66 segments before the bad row stay in the store
+    assert FileStore(store).record_indices("stream0") == list(range(66))

@@ -18,12 +18,12 @@ from hecg.mlkey import (
     Preprocessor,
     TrainConfig,
     build_dataset,
-    encrypt_ml,
     loss_and_gradients,
     noise_sigma_for_snr,
     predict_params,
     train,
 )
+from hecg.pipeline import seal_segment
 
 
 def small_segments(n=30, length=40, seed=0):
@@ -318,18 +318,26 @@ class TestPredictParams:
         assert wins >= 60
 
 
+def _seal_ml(segment, model, index=0):
+    """Encrypt as the ML stream path does: (record, stored params)."""
+    record, salted, _ = seal_segment(
+        segment, index, Mode.ML_PREDICTED, model, b"desk01", 1_700_000_000_000, 0
+    )
+    return record, salted
+
+
 class TestEncryptMl:
     def test_roundtrip_with_stored_params(self, trained_model, training_segments):
         model, _ = trained_model
         seg = training_segments[0]
-        record, km = encrypt_ml(seg, model)
+        record, stored = _seal_ml(seg, model)
         # decryption uses the stored params, never a re-prediction
-        assert np.array_equal(decrypt_bytes(record, km.params), quantize(seg).bytes)
+        assert np.array_equal(decrypt_bytes(record, stored), quantize(seg).bytes)
         assert record.mode_tag is Mode.ML_PREDICTED
 
     def test_serialized_mode_tag(self, trained_model, training_segments):
         model, _ = trained_model
-        record, _ = encrypt_ml(training_segments[1], model)
+        record, _ = _seal_ml(training_segments[1], model)
         assert record.to_bytes()[5] == 1
 
     def test_ciphertext_entropy(self, trained_model, training_segments):
@@ -337,8 +345,8 @@ class TestEncryptMl:
 
         model, _ = trained_model
         ents = []
-        for seg in training_segments[:40]:
-            record, _ = encrypt_ml(seg, model)
+        for i, seg in enumerate(training_segments[:40]):
+            record, _ = _seal_ml(seg, model, i)
             ents.append(analysis.shannon_entropy(np.frombuffer(record.ciphertext, np.uint8)))
         assert np.mean(ents) > 7.0
 

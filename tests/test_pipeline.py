@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import itertools
 import math
 import time
 import warnings
@@ -105,6 +107,20 @@ class TestIngestCsv:
             list(ingest_csv(path, "missing", 500.0, 2))
 
 
+# BLOCK_SEGMENTS values the block reader is checked at: one segment, two,
+# and the shipped value.
+SHIPPED_BLOCK_SEGMENTS = pipeline.BLOCK_SEGMENTS
+BLOCK_SIZES = (1, 2, SHIPPED_BLOCK_SEGMENTS)
+
+
+@contextlib.contextmanager
+def _block_segments(size):
+    """pipeline.BLOCK_SEGMENTS set to size inside the with block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "BLOCK_SEGMENTS", size)
+        yield
+
+
 def _reference_ingest(path, column=0, sample_rate=500.0, segment_len=300):
     """ingest_csv as a csv.reader + float() loop over every row: the
     reader the block parser must agree with."""
@@ -153,12 +169,15 @@ def _outcome(segments):
 
 
 def _assert_same_as_reference(path, column, segment_len):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        new = _outcome(ingest_csv(path, column, 500.0, segment_len))
-    assert [str(w.message) for w in caught] == []
-    assert new == _outcome(_reference_ingest(path, column, 500.0, segment_len))
-    return new
+    """ingest_csv gives the row reader's outcome at every size in BLOCK_SIZES."""
+    want = _outcome(_reference_ingest(path, column, 500.0, segment_len))
+    for size in BLOCK_SIZES:
+        with _block_segments(size), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(ingest_csv(path, column, 500.0, segment_len))
+        assert [str(w.message) for w in caught] == []
+        assert got == want, f"BLOCK_SEGMENTS = {size}"
+    return want
 
 
 # Value-column cells that one of the two parsers might read differently.
@@ -190,8 +209,11 @@ _ODD_CELLS = [
 def _csv_files(draw):
     """(text, column, segment_len): mostly valid numeric rows in two columns
     with a few odd rows, cells and line endings mixed in; segment lengths
-    below 2 never make a valid segment."""
+    below 2 never make a valid segment. Half the files repeat their drawn
+    rows until ingest_csv reads two full blocks and a remainder at the
+    shipped BLOCK_SEGMENTS."""
     value_col = draw(st.sampled_from([0, 1]))
+    segment_len = draw(st.integers(-1, 5))
     numbers = st.one_of(
         st.floats(-1e6, 1e6, allow_nan=False).map(repr),
         st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: f"{v:.6e}"),
@@ -200,6 +222,10 @@ def _csv_files(draw):
     rows = [
         [draw(numbers), draw(numbers)] for _ in range(draw(st.integers(0, 40)))
     ]
+    if rows and draw(st.booleans()):
+        block = SHIPPED_BLOCK_SEGMENTS * max(segment_len, 1)
+        count = draw(st.integers(2 * block + 2, 3 * block))
+        rows = [rows[i % len(rows)] for i in range(count)]
     for _ in range(draw(st.integers(0, 3))):
         if not rows:
             break
@@ -224,11 +250,11 @@ def _csv_files(draw):
         rows.insert(0, ["t", "ecg"] if value_col == 1 else ["ecg", "t"])
         if header == "name":
             column = "ecg"
-    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows), max_size=len(rows)))
-    text = "".join(",".join(row) + end for row, end in zip(rows, endings))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=40))
+    text = "".join(",".join(row) + end for row, end in zip(rows, itertools.cycle(endings)))
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no newline after the last row
-    return text, column, draw(st.integers(-1, 5))
+    return text, column, segment_len
 
 
 class TestIngestMatchesRowReader:
@@ -242,24 +268,28 @@ class TestIngestMatchesRowReader:
 
     @pytest.mark.parametrize("at", range(1, 14))
     def test_multiline_field_across_block_boundary(self, tmp_path, at):
-        # Blocks after the first data row hold BLOCK_SEGMENTS * 3 lines; a
-        # quoted field that opens at row `at` spans the next three lines,
-        # each of which would read as a number without the quote.
-        rows = [f"{i},{i * 0.5!r}" for i in range(40)]
-        rows[at] = f'"{at},1\n2,3\n4,5\n6",{at * 0.5!r}'
-        path = tmp_path / "data.csv"
-        path.write_text("t,ecg\n" + "\n".join(rows) + "\n")
-        segs, err = _assert_same_as_reference(path, "ecg", 3)
-        assert err is None and len(segs) == 13
+        # Blocks after the first data row hold size * 3 lines. For each
+        # size, a quoted field that opens `at` - 6 rows from the end of the
+        # second block spans the next three lines, each of which would read
+        # as a number without the quote.
+        for size in BLOCK_SIZES:
+            block = size * 3
+            rows = [f"{i},{i * 0.5!r}" for i in range(2 * block + 40)]
+            rows[2 * block - 6 + at] = f'"{at},1\n2,3\n4,5\n6",{at * 0.5!r}'
+            path = tmp_path / f"data{size}.csv"
+            path.write_text("t,ecg\n" + "\n".join(rows) + "\n")
+            segs, err = _assert_same_as_reference(path, "ecg", 3)
+            assert err is None and len(segs) == len(rows) // 3
 
     def test_error_line_number_after_blocks(self, tmp_path):
-        rows = [repr(i * 0.25) for i in range(1000)]
-        rows[700] = "oops"
+        # past two full blocks of the shipped size
+        rows = [repr(i * 0.25) for i in range(21000)]
+        rows[20000] = "oops"
         path = tmp_path / "data.csv"
         path.write_text("ecg\r\n" + "\r\n".join(rows) + "\r\n")
         segs, err = _assert_same_as_reference(path, 0, 300)
-        assert len(segs) == 2
-        assert err == (IngestionError, "line 702: non-numeric value 'oops'", 702)
+        assert len(segs) == 66
+        assert err == (IngestionError, "line 20002: non-numeric value 'oops'", 20002)
 
     def test_block_reader_in_use(self, tmp_path, monkeypatch):
         calls = []
@@ -271,13 +301,19 @@ class TestIngestMatchesRowReader:
 
         monkeypatch.setattr(pipeline, "_parse_block", counting)
         path = tmp_path / "data.csv"
-        path.write_text("ecg\n" + "".join(f"{i * 0.5!r}\n" for i in range(901)))
-        segs = list(ingest_csv(path, "ecg", 500.0, 300))
-        assert [s.samples[0] for s in segs] == [0.0, 150.0, 300.0]
-        # every row after the first data row, in full blocks, then the
-        # short block and the empty read at the end of the file
-        block = pipeline.BLOCK_SEGMENTS * 300
-        assert calls == [block] * (900 // block) + [900 % block] * (900 % block > 0) + [0]
+        # the first data row, then two full blocks of the shipped size and
+        # a remainder
+        rest = 2 * SHIPPED_BLOCK_SEGMENTS * 300 + 900
+        path.write_text("ecg\n" + "".join(f"{i * 0.5!r}\n" for i in range(rest + 1)))
+        for size in BLOCK_SIZES:
+            calls.clear()
+            with _block_segments(size):
+                segs = list(ingest_csv(path, "ecg", 500.0, 300))
+            assert [s.samples[0] for s in segs] == [150.0 * k for k in range((rest + 1) // 300)]
+            # every row after the first data row, in full blocks, then the
+            # short block and the empty read at the end of the file
+            block = size * 300
+            assert calls == [block] * (rest // block) + [rest % block] * (rest % block > 0) + [0]
 
 
 def _reference_count_peaks(segment, threshold_frac=0.6):
@@ -433,6 +469,32 @@ class TestFileStore:
         with pytest.raises(StoreError, match="no key"):
             store.get_key("s0", _key_id(1))
 
+    def _torn_store(self, root):
+        """A one-row keys.txt cut 6 characters short, as a write that stopped
+        mid-x0 leaves it; returns the path and the torn row."""
+        FileStore(root).put_key("s0", _key_id(0), ChaoticParams(3.7123456789012345, 0.45678901234567890))
+        path = root / "s0" / "keys.txt"
+        torn = path.read_text()[:-6]
+        path.write_text(torn)
+        return path, torn
+
+    def test_torn_row_is_not_a_key(self, tmp_path):
+        _, torn = self._torn_store(tmp_path / "store")
+        assert torn.split()[2] == "0.456789012345"  # still three fields
+        with pytest.raises(StoreError, match="no key"):
+            FileStore(tmp_path / "store").get_key("s0", _key_id(0))
+
+    def test_put_key_after_torn_row(self, tmp_path):
+        path, torn = self._torn_store(tmp_path / "store")
+        store = FileStore(tmp_path / "store")
+        store.put_key("s0", _key_id(1), _params(1))
+        assert store.get_key("s0", _key_id(1)) == _params(1)
+        # the new row starts on a line of its own, and a fresh store reads it
+        assert path.read_text() == f"{torn}\n{_key_id(1).hex()} {_params(1).r:.17g} {_params(1).x0:.17g}\n"
+        assert FileStore(tmp_path / "store").get_key("s0", _key_id(1)) == _params(1)
+        with pytest.raises(StoreError, match="no key"):
+            store.get_key("s0", _key_id(0))
+
 
 class TestRunPipeline:
     def test_ten_segments_direct(self, tmp_path):
@@ -582,53 +644,88 @@ class TestRunPipeline:
 
 
 class TestSourceErrors:
-    """A source that raises ends the run with its own error, in bounded time."""
+    """A source that raises ends the run with its own error, in bounded time,
+    at every size in BLOCK_SIZES. The bad row of bad_csv is at line 20002,
+    in segment 66."""
 
     def test_malformed_row_ends_the_run(self, tmp_path, bounded, bad_csv):
         path, wave = bad_csv("oops")
-        store = FileStore(tmp_path / "s")
-        with pytest.raises(IngestionError) as err:
-            bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
-        assert err.value.line_number == 702
-        # the segments before the bad row stay stored and decrypt
-        assert store.record_indices("stream0") == [0, 1]
-        for i in (0, 1):
-            record = store.get_record("stream0", i)
-            back = decrypt(record, store.get_key("stream0", record.key_id))
-            plain = wave[i * 300 : (i + 1) * 300]
-            half_step = (plain.max() - plain.min()) / 510
-            assert np.max(np.abs(back.samples - plain)) <= half_step * (1 + 1e-9)
+        for size in BLOCK_SIZES:
+            store = FileStore(tmp_path / f"s{size}")
+            with _block_segments(size), pytest.raises(IngestionError) as err:
+                bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+            assert err.value.line_number == 20002
+            # the segments before the bad row stay stored and decrypt
+            assert store.record_indices("stream0") == list(range(66))
+            for i in range(66):
+                record = store.get_record("stream0", i)
+                back = decrypt(record, store.get_key("stream0", record.key_id))
+                plain = wave[i * 300 : (i + 1) * 300]
+                half_step = (plain.max() - plain.min()) / 510
+                assert np.max(np.abs(back.samples - plain)) <= half_step * (1 + 1e-9)
 
     def test_nan_row_ends_the_run(self, tmp_path, bounded, bad_csv):
         path, _ = bad_csv("nan")
-        store = FileStore(tmp_path / "s")
-        with pytest.raises(IngestionError) as err:
-            bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
-        assert err.value.line_number == 702
-        assert store.record_indices("stream0") == [0, 1]
+        for size in BLOCK_SIZES:
+            store = FileStore(tmp_path / f"s{size}")
+            with _block_segments(size), pytest.raises(IngestionError) as err:
+                bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+            assert err.value.line_number == 20002
+            assert store.record_indices("stream0") == list(range(66))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_row_names_its_line(self, bad_csv, bad):
         # the block reader refuses the block that holds the row, and the
         # row reader rejects the row itself
         path, _ = bad_csv(bad)
-        segments = ingest_csv(path, "ecg")
-        assert len([next(segments), next(segments)]) == 2
-        with pytest.raises(IngestionError) as err:
-            next(segments)
-        assert str(err.value) == f"line 702: non-finite value {bad!r}"
+        for size in BLOCK_SIZES:
+            with _block_segments(size):
+                segments = ingest_csv(path, "ecg")
+                assert len(list(itertools.islice(segments, 66))) == 66
+                with pytest.raises(IngestionError) as err:
+                    next(segments)
+            assert str(err.value) == f"line 20002: non-finite value {bad!r}"
 
     def test_source_not_read_past_the_count(self, tmp_path, bounded, bad_csv):
+        # At the shipped size the bad row lies in the block that also holds
+        # the rows of the last segment taken, so that block is read; the
+        # row stays unreported because its segment is never taken.
+        block = SHIPPED_BLOCK_SEGMENTS * 300
+        assert (20002 - 3) // block == (65 * 300 + 2 - 3) // block
         path, _ = bad_csv("oops")
-        store = FileStore(tmp_path / "s")
-        metrics = bounded(
-            lambda: run_pipeline(
-                SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store, segment_count=2
-            )
-        )
-        assert metrics.segments_processed == 2
-        assert not metrics.errors
-        assert store.record_indices("stream0") == [0, 1]
+        for size in BLOCK_SIZES:
+            store = FileStore(tmp_path / f"s{size}")
+            with _block_segments(size):
+                metrics = bounded(
+                    lambda: run_pipeline(
+                        SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store, segment_count=66
+                    )
+                )
+            assert metrics.segments_processed == 66
+            assert not metrics.errors
+            assert store.record_indices("stream0") == list(range(66))
+
+
+class TestBlockSizeOracle:
+    def test_same_records_keys_and_labels(self, tmp_path, trained_model):
+        # one seeded 70-segment CSV through the stream path at every size
+        model, _ = trained_model
+        wave = synthetic_ecg_wave(42.0, seed=71)
+        path = tmp_path / "data.csv"
+        path.write_text("ecg\n" + "".join(f"{v:.17g}\n" for v in wave))
+        outputs = []
+        for size in BLOCK_SIZES:
+            store = FileStore(tmp_path / f"s{size}")
+            with _block_segments(size):
+                metrics = run_pipeline(
+                    SegmentSource.from_csv(path, "ecg"), Mode.ML_PREDICTED, store, model=model
+                )
+            assert metrics.segments_processed == 70 and not metrics.errors
+            files = sorted((store.root / "stream0").iterdir())
+            assert len(files) == 71  # 70 records and keys.txt
+            outputs.append(([(f.name, f.read_bytes()) for f in files], metrics.labels))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestClassifier:
