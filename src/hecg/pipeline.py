@@ -169,6 +169,10 @@ def ingest_csv(
 #   seed 131: p50 0.93 / 0.52 / 0.53 / 0.53 ms, p90 1.07 / 0.69 / 0.67 /
 #     0.65 ms, p99 1.7 / 4.4 / 8.0 / 12.9 ms, peak RSS 62.4 / 62.4 / 62.8 /
 #     63.7 MB, 1073 / 1401 / 1353 / 1365 segments/s
+# Ten alternating pairs of 16 against 32 (seeds 301-310): p90 was lower at
+# 32 in 9 of 10, median 0.712 -> 0.688 ms, a gap under the 0.051 ms
+# quartile spread of the runs at 16; p99 was 4.5 -> 8.0 ms, higher in 10 of
+# 10. So 32 over 16 is not settled on p90, and 32 doubles the tail.
 BLOCK_SEGMENTS = 32
 # Characters after which np.loadtxt and the row reader can disagree: a
 # quote starts a CSV quoted field; the ASCII separators \x1c-\x1f count
@@ -289,21 +293,21 @@ class FileStore:
     stream: key_id hex -> (r, x0) text from one read of keys.txt, where
     the first row of a key_id wins and lines without three fields are
     skipped. A row counts only once its newline is written: a final line
-    without one is a torn write, so it is skipped, and put_key starts its
-    own row on a new line after it. Each lookup stats keys.txt and
-    re-reads it only when its (inode, size, mtime) signature changed, so
-    keys appended by another FileStore or process are found. put_key
-    refuses a key_id the stream already holds, so a stale row can never
-    shadow a new one; writers store the key before the record, so a
-    refused write leaves the stream's records as they were. Reads never
-    create directories.
+    without one is a torn write, so it is skipped, and put_key cuts it off
+    before appending, so that no later row completes it into a key. Each
+    lookup stats keys.txt and re-reads it only when its (inode, size,
+    mtime) signature changed, so keys appended by another FileStore or
+    process are found. put_key refuses a key_id the stream already
+    holds, so a stale row can never shadow a new one; writers store the
+    key before the record, so a refused write leaves the stream's records
+    as they were. Reads never create directories.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # (stream_id, keys.txt signature, {key_id hex: (r text, x0 text)},
-        #  whether keys.txt ends in a torn row)
+        #  bytes of the torn row keys.txt ends in, 0 if none)
         self._index = None
 
     def _stream_dir(self, stream_id: str) -> Path:
@@ -328,14 +332,15 @@ class FileStore:
             return None
         if self._index is not None and self._index[:2] == (stream_id, signature):
             return self._index[2]
-        with open(path) as fh:
-            *rows, torn = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        end = data.rfind(b"\n") + 1
         keys = {}
-        for row in rows:
+        for row in data[:end].decode().split("\n"):
             parts = row.split()
             if len(parts) == 3:
                 keys.setdefault(parts[0], (parts[1], parts[2]))
-        self._index = (stream_id, signature, keys, bool(torn))
+        self._index = (stream_id, signature, keys, len(data) - end)
         return keys
 
     def put_record(self, stream_id: str, index: int, record: EncryptedRecord):
@@ -379,19 +384,21 @@ class FileStore:
         elif want in keys:
             raise StoreError(f"key {want} already stored in stream {stream_id}")
         r, x0 = f"{params.r:.17g}", f"{params.x0:.17g}"
-        line = f"{want} {r} {x0}\n"
-        if keys is not None and self._index[3]:
-            line = "\n" + line
-        with open(self._keys_path(stream_id), "a") as fh:
+        line = f"{want} {r} {x0}\n".encode()
+        with open(self._keys_path(stream_id), "ab") as fh:
             before = _signature(os.fstat(fh.fileno()))
+            unchanged = keys is not None and self._index[1] == before
+            size = before[1] - self._index[3] if unchanged else before[1]
+            if size < before[1]:
+                os.ftruncate(fh.fileno(), size)
             fh.write(line)
             fh.flush()
             after = _signature(os.fstat(fh.fileno()))
         # Extend the index in place only if nobody else wrote to keys.txt
         # since it was read; otherwise the next lookup re-reads the file.
-        if keys is not None and self._index[1] == before and after[1] == before[1] + len(line):
+        if unchanged and after[1] == size + len(line):
             keys[want] = (r, x0)
-            self._index = (stream_id, after, keys, False)
+            self._index = (stream_id, after, keys, 0)
 
     def get_key(self, stream_id: str, key_id: bytes) -> ChaoticParams:
         keys = self._key_index(stream_id)

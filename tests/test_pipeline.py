@@ -485,15 +485,19 @@ class TestFileStore:
             FileStore(tmp_path / "store").get_key("s0", _key_id(0))
 
     def test_put_key_after_torn_row(self, tmp_path):
-        path, torn = self._torn_store(tmp_path / "store")
+        path, _ = self._torn_store(tmp_path / "store")
         store = FileStore(tmp_path / "store")
         store.put_key("s0", _key_id(1), _params(1))
         assert store.get_key("s0", _key_id(1)) == _params(1)
-        # the new row starts on a line of its own, and a fresh store reads it
-        assert path.read_text() == f"{torn}\n{_key_id(1).hex()} {_params(1).r:.17g} {_params(1).x0:.17g}\n"
-        assert FileStore(tmp_path / "store").get_key("s0", _key_id(1)) == _params(1)
-        with pytest.raises(StoreError, match="no key"):
-            store.get_key("s0", _key_id(0))
+        # the torn row is cut off, so no store reads it as a key later
+        assert path.read_text() == f"{_key_id(1).hex()} {_params(1).r:.17g} {_params(1).x0:.17g}\n"
+        for reader in (store, FileStore(tmp_path / "store")):
+            assert reader.get_key("s0", _key_id(1)) == _params(1)
+            with pytest.raises(StoreError, match="no key"):
+                reader.get_key("s0", _key_id(0))
+        # a rerun that draws the torn row's key_id again stores its own key
+        store.put_key("s0", _key_id(0), _params(2))
+        assert FileStore(tmp_path / "store").get_key("s0", _key_id(0)) == _params(2)
 
 
 class TestRunPipeline:
