@@ -9,7 +9,6 @@ stored (r, x0) pair.
 
 from .chaos import (
     ChaoticParams,
-    ChaoticSequence,
     KeySalt,
     SegmentStats,
     apply_salt,
@@ -51,7 +50,6 @@ __all__ = [
     "HAVE_COMPILED",
     "backend_name",
     "ChaoticParams",
-    "ChaoticSequence",
     "KeySalt",
     "SegmentStats",
     "apply_salt",

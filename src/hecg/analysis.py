@@ -13,13 +13,12 @@ their own (looser) summaries.
 
 import json
 import math
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .chaos import ChaoticParams
-from .cipher import SignalSegment, batch_slices, decrypt, decrypt_bytes, encrypt, quantize
+from .cipher import SignalSegment, batch_slices, decrypt_bytes, encrypt, quantize
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -28,7 +27,8 @@ from .errors import (
     UndefinedStatisticError,
 )
 
-LOG2E = math.log2(math.e)
+# Largest autocorrelation lag the corpus battery reports.
+MAX_LAG = 50
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,7 @@ class Histogram256:
 
 def shannon_entropy(data) -> float:
     """Empirical Shannon entropy in bits over the 256-bin byte histogram."""
-    h = Histogram256.from_bytes(data)
-    p = h.frequencies()
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return _entropy_of_freqs(Histogram256.from_bytes(data).frequencies())
 
 
 def _entropy_of_freqs(p: np.ndarray) -> float:
@@ -218,9 +215,9 @@ def pearson_correlation(a, b) -> float:
 def autocorrelation(data, max_lag: int) -> np.ndarray:
     """Normalized autocorrelation of the mean-removed sequence.
 
-    Returns lags 0..max_lag with the lag-0 value fixed at 1.0. The raw
-    (unnormalized) lag-0 autocovariance is available separately via
-    raw_autocovariance_lag0 since reported conventions differ.
+    Returns lags 0..max_lag with the lag-0 value fixed at 1.0. Reported
+    conventions differ, so the corpus report also gives the raw
+    (unnormalized) lag-0 autocovariance, the variance of the values.
 
     The products do not use numpy.dot: OpenBLAS splits a dot of more than
     10 000 elements over its thread pool, which changes the last bits of
@@ -243,12 +240,6 @@ def autocorrelation(data, max_lag: int) -> np.ndarray:
     for k in range(1, max_lag + 1):
         out[k] = _dot(d[:-k], d[k:]) / denom
     return out
-
-
-def raw_autocovariance_lag0(data) -> float:
-    """Unnormalized lag-0 autocovariance (the variance of the values)."""
-    x = np.asarray(data, dtype=np.float64)
-    return float(np.var(x))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +347,9 @@ def quality_metrics(original: SignalSegment, decrypted: SignalSegment) -> dict:
     return {"mse": mse, "psnr_db": psnr, "mae": mae}
 
 
-def normalize_unit(samples: np.ndarray, lo: float | None = None, hi: float | None = None):
-    """Affine map of samples onto [0, 1]; pass lo/hi to share a reference frame."""
+def normalize_unit(samples: np.ndarray, lo: float, hi: float):
+    """Affine map of samples onto [0, 1] in the reference frame [lo, hi]."""
     x = np.asarray(samples, dtype=np.float64)
-    lo = float(np.min(x)) if lo is None else lo
-    hi = float(np.max(x)) if hi is None else hi
     if hi == lo:
         return np.zeros_like(x)
     return (x - lo) / (hi - lo)
@@ -536,13 +525,8 @@ class AnalysisReport:
         return cls(**json.loads(text))
 
 
-def corpus_report(
-    plaintexts: list,
-    blocks: list,
-    recovered: list,
-    reference: list | None = None,
-    max_lag: int = 50,
-    timing: dict | None = None,
+def analyze_corpus(
+    plaintexts: list, blocks: list, recovered: list, reference: list | None = None
 ) -> AnalysisReport:
     """Run the battery on per-segment byte blocks.
 
@@ -550,7 +534,7 @@ def corpus_report(
     blocks: one uint8 array per segment; recovered: the SignalSegment a
     reader gets back from each block. quality is fidelity(reference,
     recovered) when a reference is given, else empty: nothing was
-    measured. timing defaults to zero encrypt and decrypt times.
+    measured. timing is zero, for the caller to fill in.
     """
     if not plaintexts or not (len(plaintexts) == len(blocks) == len(recovered)):
         raise ShapeError("need one block and one recovered segment per segment")
@@ -567,63 +551,22 @@ def corpus_report(
             monobit_passes += 1
 
     n_seg = len(plaintexts)
+    hist = histogram_stats(all_bytes)
     report = AnalysisReport(
         shannon_entropy_bits=shannon_entropy(all_bytes),
         monobit_p_value=monobit_test(all_bytes),
         pearson_correlation=float(np.mean(correlations)),
-        autocorrelation=[float(v) for v in autocorrelation(all_bytes, max_lag)],
-        histogram_stats=histogram_stats(all_bytes),
+        autocorrelation=[float(v) for v in autocorrelation(all_bytes, MAX_LAG)],
+        histogram_stats=hist,
         spectral_flatness=float(np.mean(flatnesses)),
         min_entropy_bits=min_entropy_mcv(all_bytes),
         quality={} if reference is None else fidelity(reference, recovered),
-        timing=timing or {"encrypt_seconds": 0.0, "decrypt_seconds": 0.0},
+        timing={"encrypt_seconds": 0.0, "decrypt_seconds": 0.0},
         segment_count=n_seg,
         per_segment_entropy_mean=float(np.mean(seg_entropies)),
         monobit_pass_fraction=monobit_passes / n_seg,
-        autocorr_raw_lag0=raw_autocovariance_lag0(all_bytes),
+        autocorr_raw_lag0=hist["variance"],
         min_entropy_block2_bits=min_entropy_mcv_blocks(all_bytes),
     )
     report.validate()
     return report
-
-
-def analyze_corpus(
-    originals: list,
-    params_list: list,
-    burn_in: int = 0,
-    max_lag: int = 50,
-    reference: list | None = None,
-    records: list | None = None,
-) -> AnalysisReport:
-    """Run the battery on a corpus's ciphertext.
-
-    originals: SignalSegments; params_list: matching (post-salt) params.
-    Without records, each original is encrypted with its params and
-    decrypted back, and timing holds the median time of each. records
-    are the stored records the originals were decrypted from: their
-    ciphertext is analyzed as it is, nothing is encrypted or decrypted,
-    and timing is zero. quality is measured against `reference` segments
-    when given (e.g. clean signals for a noisy corpus); without records
-    it defaults to the originals, and with records and no reference it
-    is left empty, since the originals are what was decrypted.
-    """
-    if len(originals) != len(params_list) or not originals:
-        raise ShapeError("need one params entry per segment")
-    if records is not None:
-        blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
-        return corpus_report(originals, blocks, originals, reference, max_lag)
-
-    blocks, recovered, enc_times, dec_times = [], [], [], []
-    for seg, params in zip(originals, params_list):
-        t0 = time.perf_counter()
-        record, _ = encrypt(seg, params, burn_in=burn_in)
-        enc_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        recovered.append(decrypt(record, params, sample_rate=seg.sample_rate, burn_in=burn_in))
-        dec_times.append(time.perf_counter() - t0)
-        blocks.append(np.frombuffer(record.ciphertext, dtype=np.uint8))
-    timing = {
-        "encrypt_seconds": float(np.median(enc_times)),
-        "decrypt_seconds": float(np.median(dec_times)),
-    }
-    return corpus_report(originals, blocks, recovered, reference or originals, max_lag, timing)

@@ -7,6 +7,7 @@ plaintext positions were hit; with a chaotic permutation a contiguous
 ciphertext hole scatters across the whole segment.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,8 +56,8 @@ class AttackConfig:
         if self.kind is AttackKind.OCCLUSION:
             if not (0.0 <= self.intensity <= 1.0):
                 raise ValueError(f"occlusion fraction must be in [0,1], got {self.intensity}")
-        elif self.intensity < 0:
-            raise ValueError(f"noise amplitude must be >= 0, got {self.intensity}")
+        elif not 0 <= self.intensity < math.inf:
+            raise ValueError(f"noise amplitude must be finite and >= 0, got {self.intensity}")
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,11 @@ def clean_reference(original) -> tuple[float, float, np.ndarray]:
 
 
 def _damage(
-    original, attacked: np.ndarray, km: KeyMaterial, reference: tuple | None
-) -> tuple[float, float]:
+    original, attacked: np.ndarray, km: KeyMaterial, reference: tuple | None, corrupted
+) -> AttackResult:
     """MAE and MSE of the attacked ciphertext decrypted with the record's own
-    key material, against the original on [0,1]-normalized samples.
+    key material, against the original on [0,1]-normalized samples, and
+    the sorted plaintext positions corrupted with their dispersion.
     reference is clean_reference(original), or None to compute it."""
     lo, hi, clean = reference or clean_reference(original)
     q_bytes = remove_keystream(attacked, km.permutation, km.mask)
@@ -87,7 +89,12 @@ def _damage(
     diff = clean - got
     # np.mean's own steps: the pairwise sum, then one division
     n = diff.size
-    return float(np.abs(diff).sum() / n), float((diff * diff).sum() / n)
+    return AttackResult(
+        mae=float(np.abs(diff).sum() / n),
+        mse=float((diff * diff).sum() / n),
+        corrupted_sample_indices=tuple(corrupted.tolist()),
+        dispersion=_dispersion(corrupted, n),
+    )
 
 
 def _key_material(record, params, burn_in: int, km: KeyMaterial | None) -> KeyMaterial:
@@ -155,13 +162,7 @@ def noise_attack(
     km = _key_material(record, params, burn_in, key_material)
     corrupted = km.permutation[changed]
     corrupted.sort()
-    mae, mse = _damage(original, noisy, km, reference)
-    return AttackResult(
-        mae=mae,
-        mse=mse,
-        corrupted_sample_indices=tuple(corrupted.tolist()),
-        dispersion=_dispersion(corrupted, record.segment_len),
-    )
+    return _damage(original, noisy, km, reference, corrupted)
 
 
 def occlusion_attack(
@@ -201,13 +202,7 @@ def occlusion_attack(
     ct[start:end] = 0
     km = _key_material(record, params, burn_in, key_material)
     corrupted = np.sort(km.permutation[start:end])
-    mae, mse = _damage(original, ct, km, reference)
-    return AttackResult(
-        mae=mae,
-        mse=mse,
-        corrupted_sample_indices=tuple(corrupted.tolist()),
-        dispersion=_dispersion(corrupted, n),
-    )
+    return _damage(original, ct, km, reference, corrupted)
 
 
 def attack_sweep(

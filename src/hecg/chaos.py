@@ -96,18 +96,6 @@ class KeySalt:
         return (d >> 32) / 2.0**32, (d & 0xFFFFFFFF) / 2.0**32
 
 
-@dataclass(frozen=True, eq=False)
-class ChaoticSequence:
-    """n logistic iterates, all strictly inside (0, 1)."""
-
-    values: np.ndarray
-    params: ChaoticParams
-    burn_in: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _wrap_mod(value: float, modulus: float) -> float:
     """Non-negative remainder in the open interval (0, modulus).
 
@@ -191,8 +179,9 @@ def logistic_fill(r: float, x0: float, burn_in: int, out: np.ndarray) -> int:
     return n
 
 
-def iterate_logistic(params: ChaoticParams, n: int, burn_in: int = 0) -> ChaoticSequence:
-    """Generate n logistic iterates after discarding burn_in transients.
+def iterate_logistic(params: ChaoticParams, n: int, burn_in: int = 0) -> np.ndarray:
+    """Generate n logistic iterates, all strictly inside (0, 1), after
+    discarding burn_in transients.
 
     The first emitted value is the image of x0 (x1), not x0 itself.
     Raises DegenerateOrbitError if any iterate lands exactly on 0.0 or
@@ -206,12 +195,12 @@ def iterate_logistic(params: ChaoticParams, n: int, burn_in: int = 0) -> Chaotic
     stop = logistic_fill(params.r, params.x0, burn_in, out)
     if stop != n:
         raise DegenerateOrbitError(stop)
-    return ChaoticSequence(values=out, params=params, burn_in=burn_in)
+    return out
 
 
 def iterate_logistic_batch(params_list: list, n: int, burn_in: int = 0) -> np.ndarray:
     """iterate_logistic for many params at once: row i of the (rows, n)
-    result is iterate_logistic(params_list[i], n, burn_in).values.
+    result is iterate_logistic(params_list[i], n, burn_in).
 
     x = R*x*(1-x) runs over the vector of rows; each ufunc rounds once, as
     the scalar loop does, so every row is bit-identical. Burn-in iterates

@@ -87,10 +87,6 @@ class QuantizationRange:
         if not math.isfinite(self.max - self.min):
             raise InvalidSignalError("quantization range span overflows")
 
-    @property
-    def span(self) -> float:
-        return self.max - self.min
-
 
 @dataclass(frozen=True, eq=False)
 class QuantizedSegment:
@@ -248,7 +244,7 @@ def derive_key_material(
     """
     if n < 2:
         raise InvalidSignalError(f"segment length must be >= 2, got {n}")
-    mask, perm = _mask_and_permutation(iterate_logistic(params, n, burn_in).values)
+    mask, perm = _mask_and_permutation(iterate_logistic(params, n, burn_in))
     return KeyMaterial(permutation=perm, mask=mask, range=rng, params=params)
 
 
@@ -299,27 +295,28 @@ def derive_key_material_batch(
     return out
 
 
-def apply_keystream(quantized: np.ndarray, perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Permute then XOR one quantized segment. Exposed for direct testing."""
-    q = np.ascontiguousarray(quantized, dtype=np.uint8)
+def _keystream_operands(data: np.ndarray, perm: np.ndarray, mask: np.ndarray):
+    """data, perm and mask as contiguous uint8, intp and uint8 arrays,
+    checked to be of one length."""
+    d = np.ascontiguousarray(data, dtype=np.uint8)
     p = np.ascontiguousarray(perm, dtype=np.intp)
     m = np.ascontiguousarray(mask, dtype=np.uint8)
-    if not (len(q) == len(p) == len(m)):
+    if not (len(d) == len(p) == len(m)):
         raise CorruptRecordError(
-            f"keystream length mismatch: data {len(q)}, perm {len(p)}, mask {len(m)}"
+            f"keystream length mismatch: data {len(d)}, perm {len(p)}, mask {len(m)}"
         )
+    return d, p, m
+
+
+def apply_keystream(quantized: np.ndarray, perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Permute then XOR one quantized segment. Exposed for direct testing."""
+    q, p, m = _keystream_operands(quantized, perm, mask)
     return np.bitwise_xor(q[p], m)
 
 
 def remove_keystream(ciphertext: np.ndarray, perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Invert apply_keystream exactly."""
-    c = np.ascontiguousarray(ciphertext, dtype=np.uint8)
-    p = np.ascontiguousarray(perm, dtype=np.intp)
-    m = np.ascontiguousarray(mask, dtype=np.uint8)
-    if not (len(c) == len(p) == len(m)):
-        raise CorruptRecordError(
-            f"keystream length mismatch: data {len(c)}, perm {len(p)}, mask {len(m)}"
-        )
+    c, p, m = _keystream_operands(ciphertext, perm, mask)
     out = np.empty_like(c)
     out[p] = np.bitwise_xor(c, m)
     return out
@@ -364,8 +361,8 @@ def decrypt(
     record itself does not carry the sample rate, so the caller supplies
     it (default 500 Hz).
     """
-    q_bytes = decrypt_bytes(record, params, burn_in)
-    return dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
+    km = derive_key_material(params, record.segment_len, record.range, burn_in)
+    return decrypt_with_key_material(record, km, sample_rate)
 
 
 def decrypt_batch(
@@ -400,10 +397,6 @@ def decrypt_with_key_material(
 def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams, burn_in: int = 0) -> np.ndarray:
     """Byte-domain decryption (dequantization skipped); exact inverse."""
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-    if len(ct) != record.segment_len:
-        raise CorruptRecordError(
-            f"ciphertext length {len(ct)} != segment_len {record.segment_len}"
-        )
     km = derive_key_material(params, record.segment_len, record.range, burn_in)
     return remove_keystream(ct, km.permutation, km.mask)
 

@@ -93,6 +93,21 @@ def _column(args):
         return args.column
 
 
+def _layer_widths(text: str) -> tuple:
+    """--hidden's positive layer widths; argparse reports a ValueError."""
+    widths = tuple(int(h) for h in text.split(","))
+    if min(widths) < 1:
+        raise ValueError(text)
+    return widths
+
+
+def _device_id(text: str) -> bytes:
+    """--salt-device-id as the bytes of a KeySalt, at most 255."""
+    if len(text.encode()) > 255:
+        raise argparse.ArgumentTypeError("longer than the 255 bytes a salt holds")
+    return text.encode()
+
+
 def _base_timestamp(args) -> int:
     """Salt timestamp of segment 0; segment i is salted with this plus i."""
     return 1_700_000_000_000 + args.seed * 1_000_000
@@ -113,14 +128,13 @@ def cmd_encrypt(args) -> int:
     model = KeyPredictor.load(args.model) if args.mode == "ml" else None
     store = FileStore(args.store)
     store.refuse_stored(args.stream)
-    device = args.salt_device_id.encode()
     mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
     base_timestamp = _base_timestamp(args)
     times = []
     for i, seg in enumerate(segments):
         t0 = time.perf_counter()
         record, salted, _ = pipeline.seal_segment(
-            seg, i, mode, model, device, base_timestamp, args.burn_in
+            seg, i, mode, model, args.salt_device_id, base_timestamp, args.burn_in
         )
         times.append(time.perf_counter() - t0)
         store.put_key(args.stream, record.key_id, salted)
@@ -190,18 +204,16 @@ def _emit_series(prefix: Path, name: str, header: str, rows):
 
 def cmd_analyze(args) -> int:
     if args.store:
-        records, params_list, segments, decrypt_s = _load_store(args)
+        records, _, segments, decrypt_s = _load_store(args)
         if not records:
             print("store holds no records", file=sys.stderr)
             return 1
         reference = None
         if args.input:
             reference = _load_segments(args)[: len(segments)]
-        report = analysis.analyze_corpus(
-            segments, params_list, burn_in=args.burn_in, reference=reference, records=records
-        )
-        report.timing["decrypt_seconds"] = decrypt_s
         blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
+        report = analysis.analyze_corpus(segments, blocks, segments, reference)
+        report.timing["decrypt_seconds"] = decrypt_s
     else:
         if not args.input and not args.synthetic:
             print("analyze needs --store or --input/--synthetic", file=sys.stderr)
@@ -210,7 +222,7 @@ def cmd_analyze(args) -> int:
         blocks = [quantize(s).bytes for s in segments]
         # The un-encrypted baseline: the blocks are the plain quantized
         # segments, and a reader gets the segments themselves back.
-        report = analysis.corpus_report(segments, blocks, segments)
+        report = analysis.analyze_corpus(segments, blocks, segments)
     all_bytes = np.concatenate(blocks)
     summary = analysis.MinEntropySummary.from_segments(blocks)
 
@@ -264,12 +276,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    kind = attacks.AttackKind(args.kind)
+    try:  # every intensity in its kind's domain before the store is read
+        intensities = [float(v) for v in args.sweep.split(",")]
+        for intensity in intensities:
+            attacks.AttackConfig(kind, intensity)
+    except ValueError as exc:
+        print(f"error: --sweep {args.sweep}: {exc}", file=sys.stderr)
+        return 1
     records, params_list = _read_store(args)
     if not records:
         print("store holds no records", file=sys.stderr)
         return 1
-    kind = attacks.AttackKind(args.kind)
-    intensities = [float(v) for v in args.sweep.split(",")]
     rows = attacks.attack_sweep(
         records, params_list, None, kind, intensities, seed=args.seed, burn_in=args.burn_in
     )
@@ -292,7 +310,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     config = TrainConfig(
-        hidden=tuple(int(h) for h in args.hidden.split(",")),
+        hidden=args.hidden,
         learning_rate=args.learning_rate,
         lr_decay=args.lr_decay,
         epochs=args.epochs,
@@ -317,7 +335,7 @@ def _run_stream(args, mode: Mode, model, store: FileStore) -> pipeline.PipelineM
         segment_count=args.segments,
         model=model,
         stream_id=args.stream,
-        device_id=args.salt_device_id.encode(),
+        device_id=args.salt_device_id,
         base_timestamp=_base_timestamp(args),
         burn_in=args.burn_in,
     )
@@ -477,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default="stream0")
     p.add_argument("--mode", choices=["direct", "ml"], default="direct")
     p.add_argument("--model", default=_env("MODEL", None))
-    p.add_argument("--salt-device-id", default="desk01")
+    p.add_argument("--salt-device-id", type=_device_id, default="desk01")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a record store back to CSV")
@@ -516,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _input_flags(p, synthetic_default=500)
     p.add_argument("--output", required=True, help="model file path")
-    p.add_argument("--hidden", default="32,16")
+    p.add_argument("--hidden", type=_layer_widths, default="32,16")
     p.add_argument("--learning-rate", type=float, default=0.2)
     p.add_argument("--lr-decay", type=float, default=0.999)
     p.add_argument("--epochs", type=int, default=500)
@@ -534,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=_env("MODEL", None))
     p.add_argument("--segments", type=int, default=10)
     p.add_argument("--pacing", choices=[v.value for v in Pacing], default=Pacing.UNPACED.value)
-    p.add_argument("--salt-device-id", default="desk01")
+    p.add_argument("--salt-device-id", type=_device_id, default="desk01")
     p.add_argument("--compare-modes", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stream)

@@ -94,10 +94,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    def __iter__(self):
-        for row, (r, x0) in zip(self.features, self.labels):
-            yield row, ChaoticParams(float(r), float(x0))
-
 
 def build_dataset(
     segments: list,

@@ -300,12 +300,12 @@ class FileStore:
     process are found. put_key refuses a key_id the stream already
     holds, so a stale row can never shadow a new one; writers store the
     key before the record, so a refused write leaves the stream's records
-    as they were. Reads never create directories.
+    as they were. Reads never create directories, not even the root: a
+    store comes into being with its first write.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         # (stream_id, keys.txt signature, {key_id hex: (r text, x0 text)},
         #  bytes of the torn row keys.txt ends in, 0 if none)
         self._index = None
@@ -410,14 +410,9 @@ class FileStore:
         r, x0 = keys[want]
         return ChaoticParams(r=float(r), x0=float(x0))
 
-    def delete_keys(self, stream_id: str):
-        self._index = None
-        try:
-            os.remove(self._keys_path(stream_id))
-        except FileNotFoundError:
-            pass
-
     def streams(self) -> list:
+        if not self.root.is_dir():
+            return []
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
 

@@ -34,7 +34,7 @@ from hecg.analysis import (
     spectral_flatness,
 )
 from hecg.chaos import ChaoticParams
-from hecg.cipher import SignalSegment, params_for_segment
+from hecg.cipher import SignalSegment, decrypt, params_for_segment
 from hecg.errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -539,8 +539,11 @@ class TestSensitivity:
 
 class TestAnalysisReport:
     def test_corpus_report_roundtrip(self, encrypted_corpus):
-        segments, _, _, params_list = encrypted_corpus
-        report = analysis.analyze_corpus(segments[:30], params_list[:30])
+        segments, _, records, params_list = encrypted_corpus
+        segments, records = segments[:30], records[:30]
+        blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
+        recovered = [decrypt(r, p) for r, p in zip(records, params_list)]
+        report = analysis.analyze_corpus(segments, blocks, recovered, reference=segments)
         report.validate()
         parsed = AnalysisReport.from_json(report.to_json())
         assert parsed == report

@@ -35,32 +35,32 @@ class TestIterateLogistic:
     def test_first_iterates_by_hand(self):
         seq = iterate_logistic(ChaoticParams(3.8, 0.2), 2)
         # sequence starts at the image of x0
-        assert seq.values[0] == 3.8 * 0.2 * (1.0 - 0.2)
-        assert seq.values[0] == pytest.approx(0.608)
-        assert seq.values[1] == pytest.approx(0.9056768)
+        assert seq[0] == 3.8 * 0.2 * (1.0 - 0.2)
+        assert seq[0] == pytest.approx(0.608)
+        assert seq[1] == pytest.approx(0.9056768)
 
     def test_matches_reference_loop(self):
         params = ChaoticParams(3.91, 0.456)
         seq = iterate_logistic(params, 500, burn_in=37)
-        assert np.array_equal(seq.values, reference_logistic(3.91, 0.456, 500, 37))
+        assert np.array_equal(seq, reference_logistic(3.91, 0.456, 500, 37))
 
     def test_golden_vector(self):
         # frozen from the reference loop: (r=3.99, x0=0.123), n=300, burn_in=100
         seq = iterate_logistic(ChaoticParams(3.99, 0.123), 300, burn_in=100)
         ref = reference_logistic(3.99, 0.123, 300, 100)
-        assert np.array_equal(seq.values, ref)
+        assert np.array_equal(seq, ref)
         # first two iterates frozen from the reference loop
-        assert seq.values[0] == 0.25522287793752263
-        assert seq.values[1] == 0.7584358004540962
-        mean = float(np.mean(seq.values))
+        assert seq[0] == 0.25522287793752263
+        assert seq[1] == 0.7584358004540962
+        mean = float(np.mean(seq))
         assert mean == pytest.approx(0.5368496016968286)
         assert 0.4 < mean < 0.7
         # leading-digit quantization inherits the skewed invariant density
         # (computed once: 6.9911 bits); the deep-byte form the cipher uses
         # clears 7 bits comfortably
-        leading = np.floor(seq.values * 255.0).astype(np.uint8)
+        leading = np.floor(seq * 255.0).astype(np.uint8)
         assert analysis.shannon_entropy(leading) == pytest.approx(6.991116742587012)
-        deep = (np.floor(seq.values * 16777216.0).astype(np.int64) & 0xFF).astype(np.uint8)
+        deep = (np.floor(seq * 16777216.0).astype(np.int64) & 0xFF).astype(np.uint8)
         assert analysis.shannon_entropy(deep) > 7.0
 
     def test_boundary_params_rejected(self):
@@ -81,13 +81,13 @@ class TestIterateLogistic:
 
     def test_range_containment_large_n(self):
         seq = iterate_logistic(ChaoticParams(3.9999, 0.3), 1_000_000)
-        assert np.all(seq.values > 0.0)
-        assert np.all(seq.values < 1.0)
+        assert np.all(seq > 0.0)
+        assert np.all(seq < 1.0)
 
     def test_determinism(self):
         a = iterate_logistic(ChaoticParams(3.77, 0.42), 1000, 10)
         b = iterate_logistic(ChaoticParams(3.77, 0.42), 1000, 10)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_degenerate_orbit_reports_index(self):
         # r=4 is outside the parameter domain, but logistic_fill takes raw
@@ -129,8 +129,8 @@ class TestIterateLogistic:
                 continue
             drawn += 1
             n = 1000
-            a = iterate_logistic(ChaoticParams(r, x0), n).values
-            b = iterate_logistic(ChaoticParams(r + 1e-10, x0), n).values
+            a = iterate_logistic(ChaoticParams(r, x0), n)
+            b = iterate_logistic(ChaoticParams(r + 1e-10, x0), n)
             tail_diff = np.abs(a[50:] - b[50:])
             assert np.mean(tail_diff > 1e-3) >= 0.9, f"divergence too weak at r={r}"
 

@@ -160,7 +160,7 @@ class TestKeyMaterial:
     @pytest.mark.parametrize("params", [ChaoticParams(3.99, 0.123), ChaoticParams(3.61, 0.87)])
     def test_derived_mask_matches_reference(self, params):
         km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0), burn_in=5)
-        orbit = iterate_logistic(params, 300, 5).values
+        orbit = iterate_logistic(params, 300, 5)
         assert km.mask.tobytes() == reference_mask(orbit).tobytes()
 
     def test_bijective_permutation(self):

@@ -275,6 +275,48 @@ def test_stream_refuses_synthetic(tmp_path, capsys):
     assert not store.exists()
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [("decrypt", ["--output", "back.csv"]), ("analyze", []), ("attack", [])],
+)
+def test_read_commands_leave_a_missing_store_missing(tmp_path, monkeypatch, command, args, capsys):
+    monkeypatch.chdir(tmp_path)
+    store = tmp_path / "typo" / "store"
+    assert main([command, "--store", str(store), *args]) == 1
+    assert "no records" in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+    assert not (tmp_path / "back.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["attack", "--sweep", "x"], 1),
+        (["attack", "--sweep=-1"], 1),
+        (["attack", "--sweep", "1,inf"], 1),
+        (["attack", "--kind", "occlusion", "--sweep", "2"], 1),
+        (["train", "--hidden", "a"], 2),
+        (["train", "--hidden", "32,0"], 2),
+        (["encrypt", "--synthetic", "2", "--salt-device-id", "d" * 256], 2),
+        (["stream", "--segments", "2", "--salt-device-id", "\u00e9" * 128], 2),
+    ],
+)
+def test_bad_arguments_end_in_an_error_line(tmp_path, argv, code, capsys):
+    store = tmp_path / "store"
+    main(["encrypt", "--synthetic", "3", "--store", str(store), "--stream", "s"])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    extra = ["--output", str(out)] if argv[0] == "train" else ["--store", str(store)]
+    try:
+        got = main([*argv, *extra])
+    except SystemExit as exc:  # argparse rejects its arguments this way
+        got = exc.code
+    assert got == code
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+    assert FileStore(store).streams() == ["s"]
+
+
 def test_train_determinism_and_model_file(tmp_path, capsys):
     model_a = tmp_path / "a.hmlp"
     model_b = tmp_path / "b.hmlp"

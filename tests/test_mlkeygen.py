@@ -58,10 +58,10 @@ class TestBuildDataset:
     def test_labels_match_direct_derivation(self):
         segs = small_segments()
         ds = build_dataset(segs)
-        for seg, (_, params) in zip(segs, ds):
+        for seg, (r, x0) in zip(segs, ds.labels):
             want = params_for_segment(seg)
-            assert params.r == pytest.approx(want.r, abs=1e-12)
-            assert params.x0 == pytest.approx(want.x0, abs=1e-12)
+            assert r == pytest.approx(want.r, abs=1e-12)
+            assert x0 == pytest.approx(want.x0, abs=1e-12)
 
     def test_constant_segment_label(self):
         segs = small_segments(11)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import time
 import warnings
 
@@ -450,7 +451,7 @@ class TestFileStore:
         store = FileStore(tmp_path / "store")
         store.put_key("s0", _key_id(0), _params(0))
         assert store.get_key("s0", _key_id(0)) == _params(0)
-        store.delete_keys("s0")
+        os.remove(store.root / "s0" / "keys.txt")  # behind the index's back
         store.put_key("s0", _key_id(1), _params(1))
         with pytest.raises(StoreError, match="no key"):
             store.get_key("s0", _key_id(0))
@@ -458,7 +459,7 @@ class TestFileStore:
 
     def test_hand_written_rows(self, tmp_path):
         store = FileStore(tmp_path / "store")
-        (store.root / "s0").mkdir()
+        (store.root / "s0").mkdir(parents=True)  # the store makes no root
         (store.root / "s0" / "keys.txt").write_text(
             f"{_key_id(0).hex()} 3.91 0.25\n"
             "not a key row at all\n"
@@ -539,7 +540,7 @@ class TestRunPipeline:
         source = SegmentSource.synthetic(5.0, seed=24)
         store = FileStore(tmp_path / "s")
         run_pipeline(source, Mode.DIRECT, store, segment_count=5)
-        store.delete_keys("stream0")
+        os.remove(store.root / "stream0" / "keys.txt")
         record = store.get_record("stream0", 0)
         with pytest.raises(StoreError):
             store.get_key("stream0", record.key_id)
