@@ -330,23 +330,6 @@ def empirical_key_space_bits(observed, step: float) -> float:
 # fidelity
 
 
-def quality_metrics(original: SignalSegment, decrypted: SignalSegment) -> dict:
-    """MSE, PSNR (dB, peak 1) and MAE between [0,1]-normalized signals.
-
-    Callers normalize both inputs to [0, 1] first (see normalize_unit);
-    identical signals report psnr_db = inf.
-    """
-    a = original.samples
-    b = decrypted.samples
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    mse = float(np.mean(diff * diff))
-    mae = float(np.mean(np.abs(diff)))
-    psnr = math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
-    return {"mse": mse, "psnr_db": psnr, "mae": mae}
-
-
 def normalize_unit(samples: np.ndarray, lo: float, hi: float):
     """Affine map of samples onto [0, 1] in the reference frame [lo, hi]."""
     x = np.asarray(samples, dtype=np.float64)
@@ -355,13 +338,34 @@ def normalize_unit(samples: np.ndarray, lo: float, hi: float):
     return (x - lo) / (hi - lo)
 
 
+def clean_reference(original) -> tuple[float, float, np.ndarray]:
+    """The original's min, max and samples normalized to [0,1] on them: the
+    frame every recovered or attacked copy of it is measured in."""
+    lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
+    return lo, hi, normalize_unit(original.samples, lo, hi)
+
+
+def normalized_errors(clean: np.ndarray, got: np.ndarray) -> tuple[float, float]:
+    """MSE and MAE of got against clean, both [0,1]-normalized samples.
+
+    Raises ShapeError unless both hold the same number of samples.
+    """
+    if clean.shape != got.shape:
+        raise ShapeError(f"length mismatch {clean.shape} vs {got.shape}")
+    diff = clean - got
+    # np.mean's pairwise sum and one division, without its per-call overhead
+    n = diff.size
+    return float((diff * diff).sum() / n), float(np.abs(diff).sum() / n)
+
+
 def fidelity(reference: list, recovered: list) -> dict:
     """Reconstruction fidelity of recovered segments against reference ones.
 
-    Each pair is normalized by its reference segment's range, then MSE
-    and MAE are averaged over segments and PSNR (dB, peak 1) is taken
-    from the mean MSE. Raises ShapeError unless both lists hold the same
-    number of segments, at least one.
+    Each pair is measured by normalized_errors in its reference segment's
+    clean_reference frame, then MSE and MAE are averaged over segments and
+    PSNR (dB, peak 1) is taken from the mean MSE; it is inf when every
+    pair matches. Raises ShapeError unless both lists hold the same number
+    of segments, at least one, and each pair the same number of samples.
     """
     if not reference or len(reference) != len(recovered):
         raise ShapeError(
@@ -369,13 +373,10 @@ def fidelity(reference: list, recovered: list) -> dict:
         )
     mse = mae = 0.0
     for ref, back in zip(reference, recovered):
-        lo, hi = float(np.min(ref.samples)), float(np.max(ref.samples))
-        qm = quality_metrics(
-            SignalSegment(normalize_unit(ref.samples, lo, hi), ref.sample_rate),
-            SignalSegment(normalize_unit(back.samples, lo, hi), ref.sample_rate),
-        )
-        mse += qm["mse"]
-        mae += qm["mae"]
+        lo, hi, clean = clean_reference(ref)
+        pair_mse, pair_mae = normalized_errors(clean, normalize_unit(back.samples, lo, hi))
+        mse += pair_mse
+        mae += pair_mae
     mse /= len(reference)
     return {
         "mse": mse,

@@ -1,8 +1,10 @@
 """Noise and occlusion attacks on stored ciphertext records.
 
-Attacks perturb the ciphertext bytes (the stored/transmitted artifact),
-decrypt with the correct key, and measure the damage against the clean
-signal on [0,1]-normalized samples. Occlusion also tracks exactly which
+Both attacks take (record, km, config, reference): they perturb the
+record's ciphertext bytes (the stored/transmitted artifact), decrypt with
+km, the record's own KeyMaterial, and measure the damage as fidelity does,
+by normalized_errors against reference, clean_reference(original) of the
+segment the record was encrypted from. Occlusion also tracks exactly which
 plaintext positions were hit; with a chaotic permutation a contiguous
 ciphertext hole scatters across the whole segment.
 """
@@ -13,15 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import normalize_unit
-from .chaos import ChaoticParams
+from .analysis import clean_reference, normalize_unit, normalized_errors
 from .cipher import (
     EncryptedRecord,
     KeyMaterial,
     _dequantized_samples,
     batch_slices,
     decrypt_with_key_material,
-    derive_key_material,
     derive_key_material_batch,
     remove_keystream,
 )
@@ -36,23 +36,13 @@ class AttackKind(Enum):
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """kind plus intensity: byte amplitude for noise, fraction for occlusion.
-
-    region, when given, is the [start, end) ciphertext range occlusion
-    zeroes in place of a seeded placement; it needs 0 <= start <= end
-    here, and end <= segment_len in occlusion_attack.
-    """
+    """kind plus intensity: byte amplitude for noise, fraction for occlusion."""
 
     kind: AttackKind
     intensity: float
-    region: tuple[int, int] | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.region is not None:
-            start, end = self.region
-            if start < 0 or end < start:
-                raise ValueError(f"region must satisfy 0 <= start <= end, got {self.region}")
         if self.kind is AttackKind.OCCLUSION:
             if not (0.0 <= self.intensity <= 1.0):
                 raise ValueError(f"occlusion fraction must be in [0,1], got {self.intensity}")
@@ -68,47 +58,22 @@ class AttackResult:
     dispersion: float
 
 
-def clean_reference(original) -> tuple[float, float, np.ndarray]:
-    """The original's min, max and samples normalized to [0,1] on them: what
-    every attack on its record compares against."""
-    lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
-    return lo, hi, normalize_unit(original.samples, lo, hi)
-
-
 def _damage(
-    original, attacked: np.ndarray, km: KeyMaterial, reference: tuple | None, corrupted
+    attacked: np.ndarray, hit: np.ndarray, km: KeyMaterial, reference: tuple
 ) -> AttackResult:
-    """MAE and MSE of the attacked ciphertext decrypted with the record's own
-    key material, against the original on [0,1]-normalized samples, and
-    the sorted plaintext positions corrupted with their dispersion.
-    reference is clean_reference(original), or None to compute it."""
-    lo, hi, clean = reference or clean_reference(original)
+    """MAE and MSE of the attacked ciphertext decrypted with km against
+    reference, and the sorted plaintext positions that the changed
+    ciphertext positions hit, with their dispersion. remove_keystream
+    rejects key material of another length (CorruptRecordError) before
+    hit indexes its permutation."""
+    lo, hi, clean = reference
     q_bytes = remove_keystream(attacked, km.permutation, km.mask)
     # the recovered bytes are finite samples by construction: no SignalSegment
     got = normalize_unit(_dequantized_samples(q_bytes, km.range), lo, hi)
-    diff = clean - got
-    # np.mean's own steps: the pairwise sum, then one division
-    n = diff.size
-    return AttackResult(
-        mae=float(np.abs(diff).sum() / n),
-        mse=float((diff * diff).sum() / n),
-        corrupted_sample_indices=tuple(corrupted.tolist()),
-        dispersion=_dispersion(corrupted, n),
-    )
-
-
-def _key_material(record, params, burn_in: int, km: KeyMaterial | None) -> KeyMaterial:
-    """The record's key material: km when given and made for this record,
-    else derived from params."""
-    if km is None:
-        return derive_key_material(params, record.segment_len, record.range, burn_in)
-    if km.params != params or km.range != record.range or len(km.permutation) != record.segment_len:
-        raise ShapeError(
-            f"key material for params {km.params}, range {km.range} and "
-            f"{len(km.permutation)} samples does not belong to a record of "
-            f"{record.segment_len} samples with params {params}, range {record.range}"
-        )
-    return km
+    mse, mae = normalized_errors(clean, got)
+    corrupted = km.permutation[hit]
+    corrupted.sort()
+    return AttackResult(mae, mse, tuple(corrupted.tolist()), _dispersion(corrupted, q_bytes.size))
 
 
 def _dispersion(idx: np.ndarray, n: int) -> float:
@@ -125,28 +90,14 @@ def _dispersion(idx: np.ndarray, n: int) -> float:
 
 
 def noise_attack(
-    record: EncryptedRecord,
-    params: ChaoticParams,
-    config: AttackConfig,
-    original=None,
-    burn_in: int = 0,
-    *,
-    key_material: KeyMaterial | None = None,
-    reference: tuple | None = None,
+    record: EncryptedRecord, km: KeyMaterial, config: AttackConfig, reference: tuple
 ) -> AttackResult:
     """Add seeded noise to the ciphertext bytes, clamp to [0,255], decrypt.
 
-    original: the clean SignalSegment the record was produced from (the
-    comparison target). Uniform noise draws integers in [-a, a]; Gaussian
-    draws round(N(0, a)). key_material, when given, must have been derived
-    for this record and params (ShapeError otherwise) and saves deriving it;
-    reference, when given, must be clean_reference(original) and saves
-    recomputing it.
+    Uniform noise draws integers in [-a, a]; Gaussian draws round(N(0, a)).
     """
     if config.kind not in (AttackKind.NOISE_UNIFORM, AttackKind.NOISE_GAUSSIAN):
         raise ValueError(f"noise_attack got config kind {config.kind}")
-    if original is None:
-        raise ShapeError("noise_attack needs the original segment for damage metrics")
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
     rng = np.random.default_rng(config.seed)
     a = config.intensity
@@ -158,51 +109,24 @@ def noise_attack(
     np.maximum(noisy, 0, out=noisy)
     np.minimum(noisy, 255, out=noisy)
     noisy = noisy.astype(np.uint8)
-    changed = (noisy != ct).nonzero()[0]
-    km = _key_material(record, params, burn_in, key_material)
-    corrupted = km.permutation[changed]
-    corrupted.sort()
-    return _damage(original, noisy, km, reference, corrupted)
+    return _damage(noisy, (noisy != ct).nonzero()[0], km, reference)
 
 
 def occlusion_attack(
-    record: EncryptedRecord,
-    params: ChaoticParams,
-    config: AttackConfig,
-    original=None,
-    burn_in: int = 0,
-    *,
-    key_material: KeyMaterial | None = None,
-    reference: tuple | None = None,
+    record: EncryptedRecord, km: KeyMaterial, config: AttackConfig, reference: tuple
 ) -> AttackResult:
-    """Zero a contiguous ciphertext range of the configured fraction.
-
-    The region defaults to a seeded random placement. Corrupted plaintext
-    positions are exactly the permutation images of the occluded range,
-    so their count is ceil(fraction * n) while their locations scatter.
-    key_material and reference are taken as in noise_attack.
-    """
+    """Zero a contiguous ciphertext range of the configured fraction at a
+    seeded placement. Corrupted plaintext positions are exactly the
+    permutation images of the occluded range, so their count is
+    ceil(fraction * n) while their locations scatter."""
     if config.kind is not AttackKind.OCCLUSION:
         raise ValueError(f"occlusion_attack got config kind {config.kind}")
-    if original is None:
-        raise ShapeError("occlusion_attack needs the original segment for damage metrics")
     n = record.segment_len
     length = int(np.ceil(config.intensity * n))
-    if config.region is not None:
-        start, end = config.region
-        if end > n:
-            raise ShapeError(f"region {config.region} runs past the record's {n} samples")
-    elif length > 0:
-        rng = np.random.default_rng(config.seed)
-        start = int(rng.integers(0, n - length + 1))
-        end = start + length
-    else:
-        start = end = 0
+    start = int(np.random.default_rng(config.seed).integers(0, n - length + 1)) if length else 0
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
-    ct[start:end] = 0
-    km = _key_material(record, params, burn_in, key_material)
-    corrupted = np.sort(km.permutation[start:end])
-    return _damage(original, ct, km, reference, corrupted)
+    ct[start : start + length] = 0
+    return _damage(ct, np.arange(start, start + length), km, reference)
 
 
 def attack_sweep(
@@ -242,13 +166,10 @@ def attack_sweep(
         else:
             origs = originals[s]
         refs = [clean_reference(orig) for orig in origs]
-        chunk = zip(range(s.start, s.stop), records[s], params_list[s], origs, kms, refs)
-        for i, rec, params, orig, km, ref in chunk:
+        for i, rec, km, ref in zip(range(s.start, s.stop), records[s], kms, refs):
             for level, intensity in enumerate(intensities):
                 cfg = AttackConfig(kind=kind, intensity=intensity, seed=seed + 7919 * level + i)
-                res = run(
-                    rec, params, cfg, original=orig, burn_in=burn_in, key_material=km, reference=ref
-                )
+                res = run(rec, km, cfg, ref)
                 maes, mses, disps = damage[level]
                 maes.append(res.mae)
                 mses.append(res.mse)

@@ -8,6 +8,7 @@ HECG_STORE, HECG_MODEL); explicit flags win.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,17 +34,37 @@ from .pipeline import FileStore, Pacing, SegmentSource, ingest_csv, synthetic_ec
 
 
 def _env(name: str, default):
-    raw = os.environ.get(f"HECG_{name}")
-    if raw is None:
-        return default
-    return type(default)(raw) if default is not None else raw
+    """HECG_<name> as given, else default. argparse converts a string
+    default with the flag's own type, so a bad value exits 2 like a bad flag."""
+    return os.environ.get(f"HECG_{name}", default)
+
+
+def _int_at_least(low: int):
+    """The argparse type of an integer flag that must be >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+def _sample_rate(text: str) -> float:
+    """--sample-rate: a finite rate above 0; argparse reports a ValueError."""
+    rate = float(text)
+    if not 0 < rate < math.inf:
+        raise ValueError(text)
+    return rate
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=_env("SEED", 0))
-    p.add_argument("--segment-len", type=int, default=_env("SEGMENT_LEN", 300))
-    p.add_argument("--sample-rate", type=float, default=_env("SAMPLE_RATE", 500.0))
-    p.add_argument("--burn-in", type=int, default=_env("BURN_IN", 0))
+    p.add_argument("--seed", type=_int_at_least(0), default=_env("SEED", 0))
+    p.add_argument("--segment-len", type=_int_at_least(1), default=_env("SEGMENT_LEN", 300))
+    p.add_argument("--sample-rate", type=_sample_rate, default=_env("SAMPLE_RATE", 500.0))
+    p.add_argument("--burn-in", type=_int_at_least(0), default=_env("BURN_IN", 0))
 
 
 def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSource:
@@ -79,7 +100,7 @@ def _input_flags(p, synthetic_default: int | None = 0):
     p.add_argument("--column", default=0, help="CSV column index or header name")
     if synthetic_default is not None:
         p.add_argument(
-            "--synthetic", type=int, default=synthetic_default, help="synthetic segment count"
+            "--synthetic", type=_int_at_least(0), default=synthetic_default, help="synthetic segment count"
         )
     p.add_argument("--heart-rate", type=float, default=72.0)
     p.add_argument("--noise-amplitude", type=float, default=0.012)
@@ -445,8 +466,7 @@ def cmd_benchmark(args) -> int:
     # and of the attack sweep's per-record noise_attack
     model, _ = train(build_dataset(segments), TrainConfig(epochs=1, seed=args.seed))
     noise = attacks.AttackConfig(attacks.AttackKind.NOISE_UNIFORM, 4.0, seed=args.seed)
-    references = [attacks.clean_reference(s) for s in segments]
-    attacked = list(zip(segments, params_list, sealed, references))
+    attacked = [(rec, km, analysis.clean_reference(s)) for s, (rec, km) in zip(segments, sealed)]
     for layer, note, fn in (
         (
             "predict_params",
@@ -457,10 +477,7 @@ def cmd_benchmark(args) -> int:
         (
             "noise_attack",
             ", amplitude 4, given key material",
-            lambda: [
-                attacks.noise_attack(rec, p, noise, s, key_material=km, reference=ref)
-                for s, p, (rec, km), ref in attacked
-            ],
+            lambda: [attacks.noise_attack(rec, km, noise, ref) for rec, km, ref in attacked],
         ),
     ):
         us = _best_of(3, fn) / n_seg * 1e6
@@ -537,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=_layer_widths, default="32,16")
     p.add_argument("--learning-rate", type=float, default=0.2)
     p.add_argument("--lr-decay", type=float, default=0.999)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=_int_at_least(1), default=500)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=32)
     p.add_argument("--augment-noise", type=int, default=0)
     p.add_argument("--augment-snr-db", type=float, default=20.0)
     p.set_defaults(func=cmd_train)
@@ -550,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default="stream0")
     p.add_argument("--mode", choices=["direct", "ml"], default="direct")
     p.add_argument("--model", default=_env("MODEL", None))
-    p.add_argument("--segments", type=int, default=10)
+    p.add_argument("--segments", type=_int_at_least(1), default=10)
     p.add_argument("--pacing", choices=[v.value for v in Pacing], default=Pacing.UNPACED.value)
     p.add_argument("--salt-device-id", type=_device_id, default="desk01")
     p.add_argument("--compare-modes", action="store_true")

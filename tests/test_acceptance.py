@@ -58,12 +58,7 @@ def test_criterion_1_roundtrip_fidelity(encrypted_corpus):
     assert len(segments) >= 100
     mses, maes, psnrs = [], [], []
     for seg, rec, params in zip(segments, records, params_list):
-        back = decrypt(rec, params, seg.sample_rate)
-        lo, hi = float(seg.samples.min()), float(seg.samples.max())
-        qm = analysis.quality_metrics(
-            SignalSegment(analysis.normalize_unit(seg.samples, lo, hi), 500.0),
-            SignalSegment(analysis.normalize_unit(back.samples, lo, hi), 500.0),
-        )
+        qm = analysis.fidelity([seg], [decrypt(rec, params, seg.sample_rate)])
         assert qm["mse"] <= 1e-5
         assert qm["psnr_db"] >= 50.0
         assert qm["mae"] <= 0.003
@@ -188,12 +183,14 @@ def test_criterion_6_attacks(encrypted_corpus):
     segs = segments[subset]
     recs = records[subset]
     pars = params_list[subset]
+    inputs = [
+        (rec, derive_key_material(p, rec.segment_len, rec.range), analysis.clean_reference(seg))
+        for seg, rec, p in zip(segs, recs, pars)
+    ]
 
     maes = [
-        noise_attack(
-            rec, p, AttackConfig(AttackKind.NOISE_UNIFORM, 1.0, seed=500 + i), original=seg
-        ).mae
-        for i, (seg, rec, p) in enumerate(zip(segs, recs, pars))
+        noise_attack(rec, km, AttackConfig(AttackKind.NOISE_UNIFORM, 1.0, seed=500 + i), ref).mae
+        for i, (rec, km, ref) in enumerate(inputs)
     ]
     noise_mae = float(np.mean(maes))
     assert 0.001 <= noise_mae <= 0.05
@@ -205,11 +202,11 @@ def test_criterion_6_attacks(encrypted_corpus):
     disp_means = {}
     for fraction in (0.05, 0.1, 0.25):
         dispersions = []
-        for i, (seg, rec, p) in enumerate(zip(segs, recs, pars)):
+        for i, (rec, km, ref) in enumerate(inputs):
             res = occlusion_attack(
-                rec, p, AttackConfig(AttackKind.OCCLUSION, fraction, seed=800 + i), original=seg
+                rec, km, AttackConfig(AttackKind.OCCLUSION, fraction, seed=800 + i), ref
             )
-            assert len(res.corrupted_sample_indices) == math.ceil(fraction * len(seg))
+            assert len(res.corrupted_sample_indices) == math.ceil(fraction * rec.segment_len)
             dispersions.append(res.dispersion)
         disp_means[fraction] = float(np.mean(dispersions))
         assert disp_means[fraction] > 0.5

@@ -24,11 +24,10 @@ from hecg.analysis import (
     key_sensitivity_test,
     min_entropy_mcv,
     monobit_test,
-    normalize_unit,
+    normalized_errors,
     pearson_correlation,
     plaintext_sensitivity_test,
     power_spectrum,
-    quality_metrics,
     segment_flatness,
     shannon_entropy,
     spectral_flatness,
@@ -461,24 +460,28 @@ class TestKeySpace:
 class TestQualityMetrics:
     def test_identical(self):
         seg = SignalSegment(np.linspace(0, 1, 50), 500.0)
-        qm = quality_metrics(seg, seg)
+        qm = fidelity([seg], [seg])
         assert qm["mse"] == 0.0
         assert math.isinf(qm["psnr_db"])
         assert qm["mae"] == 0.0
 
     def test_psnr_identity(self):
         # mse 5e-6 must report ~53.01 dB
-        a = SignalSegment(np.zeros(4), 500.0)
-        b = SignalSegment(np.full(4, math.sqrt(5e-6)), 500.0)
-        qm = quality_metrics(a, b)
+        mse, mae = normalized_errors(np.zeros(4), np.full(4, math.sqrt(5e-6)))
+        assert mse == pytest.approx(5e-6)
+        assert mae == pytest.approx(math.sqrt(5e-6))
+        # an mse of 5e-6 through fidelity, in the frame of a reference on [0, 1]
+        ref = SignalSegment(np.array([0.0, 0.0, 0.0, 1.0]), 500.0)
+        back = SignalSegment(ref.samples + math.sqrt(2e-5) * np.array([1, 0, 0, 0]), 500.0)
+        qm = fidelity([ref], [back])
         assert qm["mse"] == pytest.approx(5e-6)
         assert qm["psnr_db"] == pytest.approx(10 * math.log10(2e5), abs=1e-6)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            quality_metrics(
-                SignalSegment(np.zeros(4), 500.0), SignalSegment(np.zeros(5), 500.0)
-            )
+            normalized_errors(np.zeros(4), np.zeros(5))
+        with pytest.raises(ShapeError):
+            fidelity([SignalSegment(np.arange(4.0), 500.0)], [SignalSegment(np.arange(5.0), 500.0)])
 
     def test_roundtrip_quality(self, encrypted_corpus):
         from hecg.cipher import decrypt
@@ -487,11 +490,7 @@ class TestQualityMetrics:
         mses, maes, backs = [], [], []
         for seg, rec, params in zip(segments[:50], records[:50], params_list[:50]):
             back = decrypt(rec, params, seg.sample_rate)
-            lo, hi = float(seg.samples.min()), float(seg.samples.max())
-            qm = quality_metrics(
-                SignalSegment(normalize_unit(seg.samples, lo, hi), 500.0),
-                SignalSegment(normalize_unit(back.samples, lo, hi), 500.0),
-            )
+            qm = fidelity([seg], [back])
             mses.append(qm["mse"])
             maes.append(qm["mae"])
             backs.append(back)

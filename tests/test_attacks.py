@@ -15,7 +15,6 @@ from hecg.attacks import (
     occlusion_attack,
     sweep_table,
 )
-from hecg.chaos import ChaoticParams
 from hecg.cipher import (
     BATCH_ROWS,
     QuantizedSegment,
@@ -27,7 +26,7 @@ from hecg.cipher import (
     params_for_segment,
     remove_keystream,
 )
-from hecg.errors import ShapeError
+from hecg.errors import CorruptRecordError, ShapeError
 from hecg.pipeline import synthetic_ecg
 
 
@@ -73,9 +72,7 @@ def reference_noise_attack(record, params, config, original):
 def reference_occlusion_attack(record, params, config, original):
     n = record.segment_len
     length = int(np.ceil(config.intensity * n))
-    if config.region is not None:
-        start, end = config.region
-    elif length > 0:
+    if length > 0:
         start = int(np.random.default_rng(config.seed).integers(0, n - length + 1))
         end = start + length
     else:
@@ -106,26 +103,28 @@ def attack_corpus(corpus):
     return segments, records, params_list
 
 
+@pytest.fixture(scope="module")
+def attack_inputs(attack_corpus):
+    """Per attack_corpus segment, the (record, key material, clean
+    reference) an attack takes."""
+    return [
+        (rec, derive_key_material(p, rec.segment_len, rec.range), clean_reference(seg))
+        for seg, rec, p in zip(*attack_corpus)
+    ]
+
+
 class TestNoiseAttack:
-    def test_zero_amplitude_is_clean_roundtrip(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        res = noise_attack(
-            records[0],
-            params_list[0],
-            AttackConfig(AttackKind.NOISE_UNIFORM, 0.0, seed=1),
-            original=segments[0],
-        )
+    def test_zero_amplitude_is_clean_roundtrip(self, attack_inputs):
+        rec, km, ref = attack_inputs[0]
+        res = noise_attack(rec, km, AttackConfig(AttackKind.NOISE_UNIFORM, 0.0, seed=1), ref)
         assert res.mae <= 0.003
         assert res.corrupted_sample_indices == ()
 
-    def test_unit_noise_mae_band(self, attack_corpus):
-        segments, records, params_list = attack_corpus
+    def test_unit_noise_mae_band(self, attack_inputs):
         maes = []
-        for i, (seg, rec, p) in enumerate(zip(segments, records, params_list)):
-            res = noise_attack(
-                rec, p, AttackConfig(AttackKind.NOISE_UNIFORM, 1.0, seed=100 + i), original=seg
-            )
-            maes.append(res.mae)
+        for i, (rec, km, ref) in enumerate(attack_inputs):
+            cfg = AttackConfig(AttackKind.NOISE_UNIFORM, 1.0, seed=100 + i)
+            maes.append(noise_attack(rec, km, cfg, ref).mae)
         assert 0.001 <= np.mean(maes) <= 0.05
 
     def test_sweep_monotone(self, attack_corpus):
@@ -136,67 +135,45 @@ class TestNoiseAttack:
         maes = [r["mae"] for r in rows]
         assert maes == sorted(maes)
 
-    def test_gaussian_kind(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        res = noise_attack(
-            records[2],
-            params_list[2],
-            AttackConfig(AttackKind.NOISE_GAUSSIAN, 2.0, seed=3),
-            original=segments[2],
-        )
+    def test_gaussian_kind(self, attack_inputs):
+        rec, km, ref = attack_inputs[2]
+        res = noise_attack(rec, km, AttackConfig(AttackKind.NOISE_GAUSSIAN, 2.0, seed=3), ref)
         assert res.mae > 0.0
 
-    def test_seeded_reproducibility(self, attack_corpus):
-        segments, records, params_list = attack_corpus
+    def test_seeded_reproducibility(self, attack_inputs):
+        rec, km, ref = attack_inputs[1]
         cfg = AttackConfig(AttackKind.NOISE_UNIFORM, 4.0, seed=99)
-        a = noise_attack(records[1], params_list[1], cfg, original=segments[1])
-        b = noise_attack(records[1], params_list[1], cfg, original=segments[1])
-        assert a == b
+        assert noise_attack(rec, km, cfg, ref) == noise_attack(rec, km, cfg, ref)
 
-    def test_kind_mismatch_rejected(self, attack_corpus):
-        segments, records, params_list = attack_corpus
+    def test_kind_mismatch_rejected(self, attack_inputs):
+        rec, km, ref = attack_inputs[0]
         with pytest.raises(ValueError):
-            noise_attack(
-                records[0],
-                params_list[0],
-                AttackConfig(AttackKind.OCCLUSION, 0.1, seed=1),
-                original=segments[0],
-            )
+            noise_attack(rec, km, AttackConfig(AttackKind.OCCLUSION, 0.1, seed=1), ref)
 
 
 class TestOcclusionAttack:
-    def test_zero_fraction(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        res = occlusion_attack(
-            records[0],
-            params_list[0],
-            AttackConfig(AttackKind.OCCLUSION, 0.0, seed=1),
-            original=segments[0],
-        )
+    def test_zero_fraction(self, attack_inputs):
+        rec, km, ref = attack_inputs[0]
+        res = occlusion_attack(rec, km, AttackConfig(AttackKind.OCCLUSION, 0.0, seed=1), ref)
         assert res.corrupted_sample_indices == ()
         assert res.dispersion == 0.0
 
-    def test_exact_count_and_dispersion(self, attack_corpus):
+    def test_exact_count_and_dispersion(self, attack_inputs):
         # the corrupted count is exact for every segment; dispersion is a
         # corpus property (an orbit can visit the occluded value band in
         # one temporal burst for the odd segment)
-        segments, records, params_list = attack_corpus
         dispersions = []
-        for i, (seg, rec, p) in enumerate(zip(segments, records, params_list)):
-            res = occlusion_attack(
-                rec, p, AttackConfig(AttackKind.OCCLUSION, 0.1, seed=200 + i), original=seg
-            )
-            assert len(res.corrupted_sample_indices) == math.ceil(0.1 * len(seg))
+        for i, (rec, km, ref) in enumerate(attack_inputs):
+            res = occlusion_attack(rec, km, AttackConfig(AttackKind.OCCLUSION, 0.1, seed=200 + i), ref)
+            assert len(res.corrupted_sample_indices) == math.ceil(0.1 * rec.segment_len)
             dispersions.append(res.dispersion)
         assert np.mean(dispersions) > 0.5
         assert np.mean(np.asarray(dispersions) > 0.5) >= 0.9
 
-    def test_full_occlusion(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        seg, rec, p = segments[0], records[0], params_list[0]
-        res = occlusion_attack(
-            rec, p, AttackConfig(AttackKind.OCCLUSION, 1.0, seed=5), original=seg
-        )
+    def test_full_occlusion(self, attack_corpus, attack_inputs):
+        segments, _, params_list = attack_corpus
+        seg, p, (rec, km, ref) = segments[0], params_list[0], attack_inputs[0]
+        res = occlusion_attack(rec, km, AttackConfig(AttackKind.OCCLUSION, 1.0, seed=5), ref)
         assert len(res.corrupted_sample_indices) == len(seg)
         # damage equals decrypting an all-zero ciphertext
         from hecg.analysis import normalize_unit
@@ -212,16 +189,6 @@ class TestOcclusionAttack:
         )
         assert res.mse == pytest.approx(want_mse)
 
-    def test_explicit_region(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        res = occlusion_attack(
-            records[3],
-            params_list[3],
-            AttackConfig(AttackKind.OCCLUSION, 0.0, region=(10, 40), seed=0),
-            original=segments[3],
-        )
-        assert len(res.corrupted_sample_indices) == 30
-
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             AttackConfig(AttackKind.OCCLUSION, 1.5)
@@ -229,52 +196,28 @@ class TestOcclusionAttack:
             AttackConfig(AttackKind.NOISE_UNIFORM, -1.0)
 
 
-    @pytest.mark.parametrize("region", [(-10, 5), (50, 20)])
-    def test_bad_region_rejected(self, region):
-        with pytest.raises(ValueError, match="region"):
-            AttackConfig(AttackKind.OCCLUSION, 0.0, region=region)
-
-    def test_region_past_record_rejected(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        with pytest.raises(ShapeError, match="300 samples"):
-            occlusion_attack(
-                records[0],
-                params_list[0],
-                AttackConfig(AttackKind.OCCLUSION, 0.0, region=(290, 400)),
-                original=segments[0],
-            )
-
-
 class TestMatchesReference:
     """Every field of each attack's result equals the version before the
-    per-call costs were cut, with and without sweep-supplied key material."""
+    per-call costs were cut, which derived its own key material."""
 
     @pytest.mark.parametrize("kind", [AttackKind.NOISE_UNIFORM, AttackKind.NOISE_GAUSSIAN])
     @pytest.mark.parametrize("intensity", [0.0, 16.0])
-    def test_noise(self, attack_corpus, kind, intensity):
+    def test_noise(self, attack_corpus, attack_inputs, kind, intensity):
         segments, records, params_list = attack_corpus
         for i in range(0, 40, 5):
-            seg, rec, p = segments[i], records[i], params_list[i]
             cfg = AttackConfig(kind, intensity, seed=31 + i)
-            want = result_bits(reference_noise_attack(rec, p, cfg, seg))
-            assert result_bits(noise_attack(rec, p, cfg, original=seg)) == want
-            km = derive_key_material(p, rec.segment_len, rec.range)
-            got = noise_attack(rec, p, cfg, seg, key_material=km, reference=clean_reference(seg))
-            assert result_bits(got) == want
+            want = reference_noise_attack(records[i], params_list[i], cfg, segments[i])
+            rec, km, ref = attack_inputs[i]
+            assert result_bits(noise_attack(rec, km, cfg, ref)) == result_bits(want)
 
-    @pytest.mark.parametrize(
-        "intensity, region", [(0.0, (10, 40)), (0.0, (0, 300)), (0.0, (120, 120)), (0.1, None)]
-    )
-    def test_occlusion(self, attack_corpus, intensity, region):
+    @pytest.mark.parametrize("intensity", [0.0, 0.1, 0.5, 1.0])
+    def test_occlusion(self, attack_corpus, attack_inputs, intensity):
         segments, records, params_list = attack_corpus
         for i in range(0, 40, 5):
-            seg, rec, p = segments[i], records[i], params_list[i]
-            cfg = AttackConfig(AttackKind.OCCLUSION, intensity, region=region, seed=17 + i)
-            want = result_bits(reference_occlusion_attack(rec, p, cfg, seg))
-            assert result_bits(occlusion_attack(rec, p, cfg, original=seg)) == want
-            km = derive_key_material(p, rec.segment_len, rec.range)
-            got = occlusion_attack(rec, p, cfg, seg, key_material=km, reference=clean_reference(seg))
-            assert result_bits(got) == want
+            cfg = AttackConfig(AttackKind.OCCLUSION, intensity, seed=17 + i)
+            want = reference_occlusion_attack(records[i], params_list[i], cfg, segments[i])
+            rec, km, ref = attack_inputs[i]
+            assert result_bits(occlusion_attack(rec, km, cfg, ref)) == result_bits(want)
 
 
 class TestDispersionStatistic:
@@ -288,15 +231,12 @@ class TestDispersionStatistic:
 
         assert _dispersion(np.arange(0, 300, 10), 300) > 0.8
 
-    def test_uniform_scatter_gap(self, attack_corpus):
+    def test_uniform_scatter_gap(self, attack_inputs):
         # mean nearest-neighbor gap of corrupted indices approaches
         # n/ceil(f*n) within a factor of 2 (uniform-scatter behavior)
-        segments, records, params_list = attack_corpus
         gaps = []
-        for i, (seg, rec, p) in enumerate(zip(segments, records, params_list)):
-            res = occlusion_attack(
-                rec, p, AttackConfig(AttackKind.OCCLUSION, 0.1, seed=300 + i), original=seg
-            )
+        for i, (rec, km, ref) in enumerate(attack_inputs):
+            res = occlusion_attack(rec, km, AttackConfig(AttackKind.OCCLUSION, 0.1, seed=300 + i), ref)
             idx = np.sort(np.asarray(res.corrupted_sample_indices))
             gaps.append(float(np.mean(np.diff(idx))))
         expected = 300 / math.ceil(0.1 * 300)
@@ -326,20 +266,13 @@ def test_sweep_table_format(attack_corpus):
     ],
 )
 def test_given_key_material(attack_corpus, attack, config):
+    # key material of another length is refused before its permutation
+    # indexes anything
     segments, records, params_list = attack_corpus
-    rec, p, seg = records[3], params_list[3], segments[3]
-    km = derive_key_material(p, rec.segment_len, rec.range)
-    assert attack(rec, p, config, original=seg, key_material=km) == attack(
-        rec, p, config, original=seg
-    )
-    # key material of another record, of other params, or of another length
-    for wrong in (
-        derive_key_material(params_list[4], rec.segment_len, records[4].range),
-        derive_key_material(ChaoticParams(p.r, 1.0 - p.x0), rec.segment_len, rec.range),
-        derive_key_material(p, rec.segment_len - 1, rec.range),
-    ):
-        with pytest.raises(ShapeError):
-            attack(rec, p, config, original=seg, key_material=wrong)
+    rec, p, ref = records[3], params_list[3], clean_reference(segments[3])
+    wrong = derive_key_material(p, rec.segment_len - 1, rec.range)
+    with pytest.raises(CorruptRecordError, match="keystream length mismatch"):
+        attack(rec, wrong, config, ref)
 
 
 def _sweep_bits(rows):

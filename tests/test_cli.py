@@ -244,8 +244,9 @@ def test_attack_derives_each_record_once_and_never_batch_decrypts(tmp_path, monk
     store = tmp_path / "store"
     main(["encrypt", "--synthetic", "70", "--store", str(store), "--seed", "6"])
     capsys.readouterr()
-    rows, decrypts = [], []
+    rows, decrypts, attacked = [], [], []
     derive, decrypt_all = cipher.derive_key_material_batch, cipher.decrypt_batch
+    noise = attacks.noise_attack
 
     def counting(params_list, *args, **kwargs):
         rows.append(len(params_list))
@@ -255,14 +256,21 @@ def test_attack_derives_each_record_once_and_never_batch_decrypts(tmp_path, monk
         decrypts.append(len(records))
         return decrypt_all(records, *args, **kwargs)
 
+    def ticked(*args):
+        attacked.append(args[0])
+        return noise(*args)
+
     for module in (cipher, attacks, cli):
         monkeypatch.setattr(module, "derive_key_material_batch", counting)
     for module in (cipher, cli):
         monkeypatch.setattr(module, "decrypt_batch", recorded)
+    # the benchmark's audit ticks at each call of the module-level noise_attack
+    monkeypatch.setattr(attacks, "noise_attack", ticked)
     assert main(["attack", "--store", str(store), "--sweep", "0,4"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert sum(rows) == 70
     assert decrypts == []
+    assert len(attacked) == 70 * 2
 
 
 def test_stream_refuses_synthetic(tmp_path, capsys):
@@ -299,6 +307,13 @@ def test_read_commands_leave_a_missing_store_missing(tmp_path, monkeypatch, comm
         (["train", "--hidden", "32,0"], 2),
         (["encrypt", "--synthetic", "2", "--salt-device-id", "d" * 256], 2),
         (["stream", "--segments", "2", "--salt-device-id", "\u00e9" * 128], 2),
+        (["train", "--batch-size", "0"], 2),
+        (["train", "--epochs", "-1"], 2),
+        (["encrypt", "--seed", "-2000000"], 2),
+        (["encrypt", "--burn-in", "-1"], 2),
+        (["encrypt", "--synthetic", "-3"], 2),
+        (["encrypt", "--sample-rate", "0"], 2),
+        (["stream", "--segments", "-1"], 2),
     ],
 )
 def test_bad_arguments_end_in_an_error_line(tmp_path, argv, code, capsys):
@@ -446,6 +461,16 @@ def test_env_var_default_seed(tmp_path, monkeypatch, capsys):
     a = (store_a / "stream0" / "seg_000000.rec").read_bytes()
     b = (store_b / "stream0" / "seg_000000.rec").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("value", ["abc", "-2"])
+def test_env_var_default_is_parsed_as_the_flag(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HECG_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--output", str(tmp_path / "m.hmlp")])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "m.hmlp").exists()
 
 
 def test_encrypt_and_stream_write_the_same_store(tmp_path, capsys):
