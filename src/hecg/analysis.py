@@ -136,7 +136,12 @@ def min_entropy_mcv(data) -> float:
     n = arr.size
     if n < 256:
         raise InsufficientDataError(f"MCV estimator needs >= 256 bytes, got {n}")
-    counts = np.bincount(arr, minlength=256)
+    return _mcv_bits(np.bincount(arr, minlength=256), n)
+
+
+def _mcv_bits(counts: np.ndarray, n: int) -> float:
+    """-log2 of the 99% upper bound on the most common of n symbols'
+    probability, p_hat = max(counts) / n."""
     p_hat = float(np.max(counts)) / n
     p_u = min(1.0, p_hat + 2.576 * math.sqrt(p_hat * (1.0 - p_hat) / (n - 1)))
     return -math.log2(p_u)
@@ -159,9 +164,7 @@ def min_entropy_mcv_blocks(data, block: int = 2) -> float:
     for j in range(block):
         symbols = symbols * 256 + trimmed[:, j]
     _, counts = np.unique(symbols, return_counts=True)
-    p_hat = float(np.max(counts)) / nblocks
-    p_u = min(1.0, p_hat + 2.576 * math.sqrt(p_hat * (1.0 - p_hat) / (nblocks - 1)))
-    return -math.log2(p_u) / block
+    return _mcv_bits(counts, nblocks) / block
 
 
 @dataclass(frozen=True)
@@ -397,7 +400,7 @@ def _perturb_inward(value: float, delta: float, lo: float, hi: float) -> float:
 
 
 def key_sensitivity_test(
-    segment: SignalSegment, params: ChaoticParams, delta: float = 1e-10, burn_in: int = 0
+    segment: SignalSegment, params: ChaoticParams, delta: float = 1e-10
 ) -> dict:
     """Decrypt with params perturbed by delta in r and in x0 separately.
 
@@ -407,7 +410,7 @@ def key_sensitivity_test(
     """
     if delta <= 0:
         raise ParameterDomainError(f"delta must be positive, got {delta}")
-    record, _ = encrypt(segment, params, burn_in=burn_in)
+    record, _ = encrypt(segment, params)
     reference = quantize(segment).bytes.astype(np.int16)
     worst_diff = 0
     worst_corr = 0.0
@@ -415,7 +418,7 @@ def key_sensitivity_test(
         ChaoticParams(_perturb_inward(params.r, delta, 3.6, 4.0), params.x0),
         ChaoticParams(params.r, _perturb_inward(params.x0, delta, 0.1, 0.9)),
     ):
-        got = decrypt_bytes(record, wrong, burn_in=burn_in).astype(np.int16)
+        got = decrypt_bytes(record, wrong).astype(np.int16)
         worst_diff = max(worst_diff, int(np.max(np.abs(got - reference))))
         try:
             c = pearson_correlation(reference, got)
@@ -431,7 +434,6 @@ def plaintext_sensitivity_test(
     params: ChaoticParams,
     flip_index: int,
     flip_amount: float,
-    burn_in: int = 0,
 ) -> dict:
     """Re-encrypt after changing one sample; keys refresh per segment.
 
@@ -442,11 +444,11 @@ def plaintext_sensitivity_test(
         raise ShapeError(f"flip_index {flip_index} outside segment of {len(segment)}")
     from .cipher import params_for_segment
 
-    record, _ = encrypt(segment, params, burn_in=burn_in)
+    record, _ = encrypt(segment, params)
     modified_samples = segment.samples.copy()
     modified_samples[flip_index] += flip_amount
     modified = SignalSegment(samples=modified_samples, sample_rate=segment.sample_rate)
-    record2, _ = encrypt(modified, params_for_segment(modified), burn_in=burn_in)
+    record2, _ = encrypt(modified, params_for_segment(modified))
     c1 = np.frombuffer(record.ciphertext, dtype=np.uint8).astype(np.int16)
     c2 = np.frombuffer(record2.ciphertext, dtype=np.uint8).astype(np.int16)
     return {

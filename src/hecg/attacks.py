@@ -136,7 +136,6 @@ def attack_sweep(
     kind: AttackKind,
     intensities: list,
     seed: int = 0,
-    burn_in: int = 0,
 ) -> list:
     """Corpus sweep: one row per intensity with corpus-mean MAE/MSE.
 
@@ -159,7 +158,7 @@ def attack_sweep(
     damage = [([], [], []) for _ in intensities]
     for s in batch_slices([r.segment_len for r in records]):
         kms = derive_key_material_batch(
-            params_list[s], records[s.start].segment_len, [r.range for r in records[s]], burn_in
+            params_list[s], records[s.start].segment_len, [r.range for r in records[s]]
         )
         if originals is None:
             origs = [decrypt_with_key_material(rec, km) for rec, km in zip(records[s], kms)]

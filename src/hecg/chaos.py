@@ -158,30 +158,23 @@ def apply_salt(params: ChaoticParams, salt: KeySalt) -> ChaoticParams:
 # A plain Python loop on Python floats: filling a list instead of out[i]
 # took 50 us against 52 us per 300 steps, and a batch-of-one numpy orbit
 # 1447 us. Callers with many segments use iterate_logistic_batch.
-def logistic_fill(r: float, x0: float, burn_in: int, out: np.ndarray) -> int:
-    """Iterate x <- r*x*(1-x) from x0, discard burn_in values, fill out.
+def logistic_fill(r: float, x0: float, out: np.ndarray) -> int:
+    """Iterate x <- r*x*(1-x) from x0 and fill out with the iterates.
 
-    Returns len(out) on success. On a degenerate iterate (exactly 0.0 or
-    1.0) returns its position: negative positions are burn-in iterates
-    (position - burn_in), 0..n-1 are emission slots.
+    Returns len(out) on success, or the position of the first degenerate
+    iterate (exactly 0.0 or 1.0).
     """
-    n = out.shape[0]
     x = x0
-    for i in range(burn_in):
-        x = r * x * (1.0 - x)
-        if x <= 0.0 or x >= 1.0:
-            return i - burn_in
-    for i in range(n):
+    for i in range(out.shape[0]):
         x = r * x * (1.0 - x)
         if x <= 0.0 or x >= 1.0:
             return i
         out[i] = x
-    return n
+    return out.shape[0]
 
 
-def iterate_logistic(params: ChaoticParams, n: int, burn_in: int = 0) -> np.ndarray:
-    """Generate n logistic iterates, all strictly inside (0, 1), after
-    discarding burn_in transients.
+def iterate_logistic(params: ChaoticParams, n: int) -> np.ndarray:
+    """Generate n logistic iterates, all strictly inside (0, 1).
 
     The first emitted value is the image of x0 (x1), not x0 itself.
     Raises DegenerateOrbitError if any iterate lands exactly on 0.0 or
@@ -189,51 +182,35 @@ def iterate_logistic(params: ChaoticParams, n: int, burn_in: int = 0) -> np.ndar
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     out = np.empty(n, dtype=np.float64)
-    stop = logistic_fill(params.r, params.x0, burn_in, out)
+    stop = logistic_fill(params.r, params.x0, out)
     if stop != n:
         raise DegenerateOrbitError(stop)
     return out
 
 
-def iterate_logistic_batch(params_list: list, n: int, burn_in: int = 0) -> np.ndarray:
+def iterate_logistic_batch(params_list: list, n: int) -> np.ndarray:
     """iterate_logistic for many params at once: row i of the (rows, n)
-    result is iterate_logistic(params_list[i], n, burn_in).
+    result is iterate_logistic(params_list[i], n).
 
     x = R*x*(1-x) runs over the vector of rows; each ufunc rounds once, as
-    the scalar loop does, so every row is bit-identical. Burn-in iterates
-    pass through the same n-row buffer, so memory does not grow with
-    burn_in. The first row (in order) whose orbit degenerates raises
-    DegenerateOrbitError with the index iterate_logistic gives for it; a
-    degenerate orbit stays on 0.0, so later steps cannot hide it.
+    the scalar loop does, so every row is bit-identical. The first row (in
+    order) whose orbit degenerates raises DegenerateOrbitError with the
+    index iterate_logistic gives for it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     r = np.array([p.r for p in params_list], dtype=np.float64)
     x = np.array([p.x0 for p in params_list], dtype=np.float64)
     tmp = np.empty_like(x)
     orbit = np.empty((n, len(x)))
-    total = burn_in + n
-    # step of each row's first degenerate iterate, total if none
-    first_bad = np.full(len(x), total)
-    step = 0
-    while step < total:
-        block = orbit[: min(n, burn_in - step)] if step < burn_in else orbit
-        for row in block:
-            np.subtract(1.0, x, out=tmp)
-            np.multiply(r, x, out=row)
-            np.multiply(row, tmp, out=row)
-            x = row
-        x = x.copy()
-        bad = (block <= 0.0) | (block >= 1.0)
-        hit = bad.any(axis=0) & (first_bad == total)
-        first_bad[hit] = step + np.argmax(bad[:, hit], axis=0)
-        step += len(block)
-    degenerate = np.flatnonzero(first_bad < total)
+    for row in orbit:
+        np.subtract(1.0, x, out=tmp)
+        np.multiply(r, x, out=row)
+        np.multiply(row, tmp, out=row)
+        x = row
+    bad = (orbit <= 0.0) | (orbit >= 1.0)
+    degenerate = np.flatnonzero(bad.any(axis=0))
     if degenerate.size:
-        raise DegenerateOrbitError(int(first_bad[degenerate[0]]) - burn_in)
+        raise DegenerateOrbitError(int(np.argmax(bad[:, degenerate[0]])))
     return np.ascontiguousarray(orbit.T)

@@ -226,9 +226,7 @@ def _dequantized_samples(q_bytes: np.ndarray, rng: QuantizationRange) -> np.ndar
     return lo + q_bytes.astype(np.float64) / 255.0 * (hi - lo)
 
 
-def derive_key_material(
-    params: ChaoticParams, n: int, rng: QuantizationRange, burn_in: int = 0
-) -> KeyMaterial:
+def derive_key_material(params: ChaoticParams, n: int, rng: QuantizationRange) -> KeyMaterial:
     """Generate per-segment mask and permutation from the chaotic sequence.
 
     mask[i] = floor(X[i] * 2^24) mod 256, the third byte of each
@@ -244,7 +242,7 @@ def derive_key_material(
     """
     if n < 2:
         raise InvalidSignalError(f"segment length must be >= 2, got {n}")
-    mask, perm = _mask_and_permutation(iterate_logistic(params, n, burn_in))
+    mask, perm = _mask_and_permutation(iterate_logistic(params, n))
     return KeyMaterial(permutation=perm, mask=mask, range=rng, params=params)
 
 
@@ -271,9 +269,7 @@ def batch_slices(lengths: list) -> list:
     return slices
 
 
-def derive_key_material_batch(
-    params_list: list, n: int, ranges: list, burn_in: int = 0
-) -> list:
+def derive_key_material_batch(params_list: list, n: int, ranges: list) -> list:
     """derive_key_material for many segments of length n, row for row.
 
     Iterates the logistic map over a vector of BATCH_ROWS segments at a
@@ -287,7 +283,7 @@ def derive_key_material_batch(
     out = []
     for start in range(0, len(params_list), BATCH_ROWS):
         chunk = params_list[start : start + BATCH_ROWS]
-        mask, perm = _mask_and_permutation(iterate_logistic_batch(chunk, n, burn_in))
+        mask, perm = _mask_and_permutation(iterate_logistic_batch(chunk, n))
         out.extend(
             KeyMaterial(permutation=perm[i], mask=mask[i], range=rng, params=params)
             for i, (params, rng) in enumerate(zip(chunk, ranges[start : start + BATCH_ROWS]))
@@ -328,7 +324,6 @@ def encrypt(
     salt: KeySalt = KeySalt(0),
     mode_tag: Mode = Mode.DIRECT,
     counter: int = 0,
-    burn_in: int = 0,
 ) -> tuple[EncryptedRecord, KeyMaterial]:
     """Encrypt one segment with already-final params (salting is the caller's).
 
@@ -336,7 +331,7 @@ def encrypt(
     and testing; the key material must never travel with the record.
     """
     q = quantize(segment)
-    km = derive_key_material(params, len(segment), q.range, burn_in)
+    km = derive_key_material(params, len(segment), q.range)
     ct = apply_keystream(q.bytes, km.permutation, km.mask)
     record = EncryptedRecord(
         ciphertext=ct.tobytes(),
@@ -350,10 +345,7 @@ def encrypt(
 
 
 def decrypt(
-    record: EncryptedRecord,
-    params: ChaoticParams,
-    sample_rate: float = 500.0,
-    burn_in: int = 0,
+    record: EncryptedRecord, params: ChaoticParams, sample_rate: float = 500.0
 ) -> SignalSegment:
     """Regenerate the keystream from params and invert the cipher.
 
@@ -361,16 +353,11 @@ def decrypt(
     record itself does not carry the sample rate, so the caller supplies
     it (default 500 Hz).
     """
-    km = derive_key_material(params, record.segment_len, record.range, burn_in)
+    km = derive_key_material(params, record.segment_len, record.range)
     return decrypt_with_key_material(record, km, sample_rate)
 
 
-def decrypt_batch(
-    records: list,
-    params_list: list,
-    sample_rate: float = 500.0,
-    burn_in: int = 0,
-) -> list:
+def decrypt_batch(records: list, params_list: list, sample_rate: float = 500.0) -> list:
     """decrypt for many records, sample for sample, with the key material
     of BATCH_ROWS records derived at a time."""
     if len(records) != len(params_list):
@@ -379,7 +366,7 @@ def decrypt_batch(
     for s in batch_slices([r.segment_len for r in records]):
         chunk = records[s]
         kms = derive_key_material_batch(
-            params_list[s], chunk[0].segment_len, [r.range for r in chunk], burn_in
+            params_list[s], chunk[0].segment_len, [r.range for r in chunk]
         )
         segments.extend(decrypt_with_key_material(r, km, sample_rate) for r, km in zip(chunk, kms))
     return segments
@@ -394,10 +381,10 @@ def decrypt_with_key_material(
     return dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
 
 
-def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams, burn_in: int = 0) -> np.ndarray:
+def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams) -> np.ndarray:
     """Byte-domain decryption (dequantization skipped); exact inverse."""
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-    km = derive_key_material(params, record.segment_len, record.range, burn_in)
+    km = derive_key_material(params, record.segment_len, record.range)
     return remove_keystream(ct, km.permutation, km.mask)
 
 

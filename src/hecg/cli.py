@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic under a fixed --seed (wall-clock timing
 lines aside). Global flags may also come from the environment with the
-HECG_ prefix (HECG_SEED, HECG_SEGMENT_LEN, HECG_SAMPLE_RATE, HECG_BURN_IN,
-HECG_STORE, HECG_MODEL); explicit flags win.
+HECG_ prefix (HECG_SEED, HECG_SEGMENT_LEN, HECG_SAMPLE_RATE, HECG_STORE,
+HECG_MODEL); explicit flags win.
 """
 
 import argparse
@@ -39,13 +39,16 @@ def _env(name: str, default):
     return os.environ.get(f"HECG_{name}", default)
 
 
-def _int_at_least(low: int):
-    """The argparse type of an integer flag that must be >= low."""
+def _int_at_least(low: int, high: int | None = None):
+    """The argparse type of an integer flag that must be >= low and, if
+    high is given, <= high."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type when int() fails
@@ -61,10 +64,9 @@ def _sample_rate(text: str) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=_int_at_least(0), default=_env("SEED", 0))
+    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=_env("SEED", 0))
     p.add_argument("--segment-len", type=_int_at_least(1), default=_env("SEGMENT_LEN", 300))
     p.add_argument("--sample-rate", type=_sample_rate, default=_env("SAMPLE_RATE", 500.0))
-    p.add_argument("--burn-in", type=_int_at_least(0), default=_env("BURN_IN", 0))
 
 
 def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSource:
@@ -134,6 +136,11 @@ def _base_timestamp(args) -> int:
     return 1_700_000_000_000 + args.seed * 1_000_000
 
 
+# The largest --seed whose salt timestamps fit the 64 bits of a KeySalt
+# for segments 0 to 999_999 of a stream.
+_MAX_SEED = (2**64 - 1_700_000_000_000) // 1_000_000 - 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -155,7 +162,7 @@ def cmd_encrypt(args) -> int:
     for i, seg in enumerate(segments):
         t0 = time.perf_counter()
         record, salted, _ = pipeline.seal_segment(
-            seg, i, mode, model, args.salt_device_id, base_timestamp, args.burn_in
+            seg, i, mode, model, args.salt_device_id, base_timestamp
         )
         times.append(time.perf_counter() - t0)
         store.put_key(args.stream, record.key_id, salted)
@@ -209,7 +216,7 @@ def _load_store(args):
     decrypt_batch and the batch decrypt time per record."""
     records, params_list = _read_store(args)
     t0 = time.perf_counter()
-    segments = decrypt_batch(records, params_list, burn_in=args.burn_in)
+    segments = decrypt_batch(records, params_list)
     decrypt_s = (time.perf_counter() - t0) / max(1, len(records))
     return records, params_list, segments, decrypt_s
 
@@ -309,9 +316,7 @@ def cmd_attack(args) -> int:
     if not records:
         print("store holds no records", file=sys.stderr)
         return 1
-    rows = attacks.attack_sweep(
-        records, params_list, None, kind, intensities, seed=args.seed, burn_in=args.burn_in
-    )
+    rows = attacks.attack_sweep(records, params_list, None, kind, intensities, seed=args.seed)
     table = attacks.sweep_table(rows)
     if args.output:
         Path(args.output).write_text(table)
@@ -358,7 +363,6 @@ def _run_stream(args, mode: Mode, model, store: FileStore) -> pipeline.PipelineM
         stream_id=args.stream,
         device_id=args.salt_device_id,
         base_timestamp=_base_timestamp(args),
-        burn_in=args.burn_in,
     )
 
 
@@ -404,7 +408,7 @@ def cmd_benchmark(args) -> int:
     for n in (300, 3000, 100_000):
         out = np.empty(n)
         reps = max(3, 30000 // n)
-        ms = _best_of(reps, lambda: logistic_fill(3.99, 0.123, 100, out)) * 1e3
+        ms = _best_of(reps, lambda: logistic_fill(3.99, 0.123, out)) * 1e3
         print(f"logistic_fill    {n:<8d} {ms:.4f}")
     # end-to-end encrypt on the default segment size
     seg = next(synthetic_ecg(2.0, seed=args.seed))
@@ -582,7 +586,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # records carry no iterate count to discard, so ones made under a nonzero
+    # HECG_BURN_IN would decrypt to garbage with exit 0
+    leftover = os.environ.get("HECG_BURN_IN", "0")
+    if leftover != "0":
+        parser.error(
+            f"HECG_BURN_IN={leftover}: the keystream no longer discards iterates, so records"
+            " encrypted with this setting do not decrypt; unset HECG_BURN_IN"
+        )
     try:
         return args.func(args)
     except HecgError as exc:

@@ -524,7 +524,6 @@ def seal_segment(
     model: KeyPredictor | None,
     device_id: bytes,
     base_timestamp: int,
-    burn_in: int,
 ) -> tuple[EncryptedRecord, ChaoticParams, ChaoticParams]:
     """Encrypt segment number index of a stream, ready to persist.
 
@@ -539,7 +538,7 @@ def seal_segment(
         params = params_for_segment(segment)
     salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
     salted = apply_salt(params, salt)
-    record, _ = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index, burn_in=burn_in)
+    record, _ = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index)
     return record, salted, params
 
 
@@ -553,7 +552,6 @@ def run_pipeline(
     device_id: bytes = b"desk01",
     base_timestamp: int = 1_700_000_000_000,
     classifier=default_classifier,
-    burn_in: int = 0,
 ) -> PipelineMetrics:
     """Process segments end to end until the source ends or the count is hit.
 
@@ -596,7 +594,7 @@ def run_pipeline(
         try:
             t0 = time.perf_counter()
             record, salted, params = seal_segment(
-                segment, index, mode, model, device_id, base_timestamp, burn_in
+                segment, index, mode, model, device_id, base_timestamp
             )
             encrypt_elapsed = time.perf_counter() - t0
             biometric_seen.add((params.r, params.x0))
@@ -610,7 +608,7 @@ def run_pipeline(
             fetched = store.get_record(stream_id, index)
             key = store.get_key(stream_id, fetched.key_id)
             t0 = time.perf_counter()
-            decrypted = decrypt(fetched, key, source.sample_rate, burn_in)
+            decrypted = decrypt(fetched, key, source.sample_rate)
             decrypt_elapsed = time.perf_counter() - t0
 
             if classifier is not None:

@@ -283,19 +283,15 @@ def _sweep_bits(rows):
 def chunked_store():
     """2 x BATCH_ROWS + 7 records of 300 samples with a run of five
     200-sample records among them, so that batch_slices cuts a chunk
-    short, encrypted at burn-in 0 and at burn-in 3."""
+    short: (records, params_list)."""
     long = list(synthetic_ecg(2 * BATCH_ROWS * 0.6 + 5.0, seed=41))[: 2 * BATCH_ROWS + 7]
     short = list(synthetic_ecg(3.0, seed=42, segment_len=200))[:5]
     segments = long[:70] + short + long[70:]
-    stores = {}
-    for burn_in in (0, 3):
-        params_list = [params_for_segment(seg) for seg in segments]
-        records = [
-            encrypt(seg, p, counter=i, burn_in=burn_in)[0]
-            for i, (seg, p) in enumerate(zip(segments, params_list))
-        ]
-        stores[burn_in] = (records, params_list)
-    return stores
+    params_list = [params_for_segment(seg) for seg in segments]
+    records = [
+        encrypt(seg, p, counter=i)[0] for i, (seg, p) in enumerate(zip(segments, params_list))
+    ]
+    return records, params_list
 
 
 class TestSweepDecryptsItsOwnOriginals:
@@ -304,12 +300,11 @@ class TestSweepDecryptsItsOwnOriginals:
     decrypt_batch originals give."""
 
     def test_store_cuts_chunks_short(self, chunked_store):
-        records, _ = chunked_store[0]
+        records, _ = chunked_store
         assert len(records) == 2 * BATCH_ROWS + 7 + 5
         cuts = [(s.start, s.stop) for s in batch_slices([r.segment_len for r in records])]
         assert cuts == [(0, 64), (64, 70), (70, 75), (75, 139), (139, 140)]
 
-    @pytest.mark.parametrize("burn_in", [0, 3])
     @pytest.mark.parametrize(
         "kind, intensities",
         [
@@ -318,15 +313,15 @@ class TestSweepDecryptsItsOwnOriginals:
             (AttackKind.OCCLUSION, [0.0, 0.1, 0.5]),
         ],
     )
-    def test_rows_equal_decrypt_batch_originals(self, chunked_store, kind, intensities, burn_in):
-        records, params_list = chunked_store[burn_in]
-        originals = decrypt_batch(records, params_list, burn_in=burn_in)
-        want = attack_sweep(records, params_list, originals, kind, intensities, 5, burn_in)
-        got = attack_sweep(records, params_list, None, kind, intensities, 5, burn_in)
+    def test_rows_equal_decrypt_batch_originals(self, chunked_store, kind, intensities):
+        records, params_list = chunked_store
+        originals = decrypt_batch(records, params_list)
+        want = attack_sweep(records, params_list, originals, kind, intensities, 5)
+        got = attack_sweep(records, params_list, None, kind, intensities, 5)
         assert _sweep_bits(got) == _sweep_bits(want)
 
     def test_length_mismatch_rejected(self, chunked_store):
-        records, params_list = chunked_store[0]
+        records, params_list = chunked_store
         with pytest.raises(ShapeError, match="no originals"):
             attack_sweep(records, params_list[:-1], None, AttackKind.OCCLUSION, [0.1])
         with pytest.raises(ShapeError, match="139 originals"):

@@ -19,12 +19,10 @@ from hecg.chaos import (
 from hecg.errors import DegenerateOrbitError, InvalidStatisticsError, ParameterDomainError
 
 
-def reference_logistic(r, x0, n, burn_in):
+def reference_logistic(r, x0, n):
     """Independent oracle: the bare recurrence, no library code."""
     x = x0
     out = []
-    for _ in range(burn_in):
-        x = r * x * (1.0 - x)
     for _ in range(n):
         x = r * x * (1.0 - x)
         out.append(x)
@@ -41,13 +39,13 @@ class TestIterateLogistic:
 
     def test_matches_reference_loop(self):
         params = ChaoticParams(3.91, 0.456)
-        seq = iterate_logistic(params, 500, burn_in=37)
-        assert np.array_equal(seq, reference_logistic(3.91, 0.456, 500, 37))
+        seq = iterate_logistic(params, 500)
+        assert np.array_equal(seq, reference_logistic(3.91, 0.456, 500))
 
     def test_golden_vector(self):
-        # frozen from the reference loop: (r=3.99, x0=0.123), n=300, burn_in=100
-        seq = iterate_logistic(ChaoticParams(3.99, 0.123), 300, burn_in=100)
-        ref = reference_logistic(3.99, 0.123, 300, 100)
+        # frozen from the reference loop: (r=3.99, x0=0.123), iterates 100 to 399
+        seq = iterate_logistic(ChaoticParams(3.99, 0.123), 400)[100:]
+        ref = reference_logistic(3.99, 0.123, 400)[100:]
         assert np.array_equal(seq, ref)
         # first two iterates frozen from the reference loop
         assert seq[0] == 0.25522287793752263
@@ -76,8 +74,6 @@ class TestIterateLogistic:
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             iterate_logistic(ChaoticParams(3.8, 0.2), 0)
-        with pytest.raises(ValueError):
-            iterate_logistic(ChaoticParams(3.8, 0.2), 5, burn_in=-1)
 
     def test_range_containment_large_n(self):
         seq = iterate_logistic(ChaoticParams(3.9999, 0.3), 1_000_000)
@@ -85,32 +81,30 @@ class TestIterateLogistic:
         assert np.all(seq < 1.0)
 
     def test_determinism(self):
-        a = iterate_logistic(ChaoticParams(3.77, 0.42), 1000, 10)
-        b = iterate_logistic(ChaoticParams(3.77, 0.42), 1000, 10)
+        a = iterate_logistic(ChaoticParams(3.77, 0.42), 1000)
+        b = iterate_logistic(ChaoticParams(3.77, 0.42), 1000)
         assert np.array_equal(a, b)
 
     def test_degenerate_orbit_reports_index(self):
         # r=4 is outside the parameter domain, but logistic_fill takes raw
-        # floats: from x=0.5 the first iterate is exactly 1.0. A degenerate
-        # burn-in iterate is reported as position - burn_in; a healthy
+        # floats: from x=0.5 the first iterate is exactly 1.0, and a healthy
         # orbit fills every slot.
-        for r, x0, burn_in, want in ((4.0, 0.5, 0, 0), (4.0, 0.5, 2, -2), (3.99, 0.123, 0, 4)):
+        for r, x0, want in ((4.0, 0.5, 0), (3.99, 0.123, 4)):
             out = np.empty(4)
-            assert logistic_fill(r, x0, burn_in, out) == want, (r, x0, burn_in)
+            assert logistic_fill(r, x0, out) == want, (r, x0)
 
-    @pytest.mark.parametrize("n, burn_in", [(1, 0), (5, 23), (300, 3), (7, 7)])
-    def test_batch_rows_match_reference(self, n, burn_in):
-        # burn-in longer than n runs through the n-row buffer several times
-        rng = np.random.default_rng(n + burn_in)
+    @pytest.mark.parametrize("n", [1, 5, 300, 7])
+    def test_batch_rows_match_reference(self, n):
+        rng = np.random.default_rng(n)
         draws = rng.uniform(0.01, 0.99, (9, 2))
         params = [ChaoticParams(3.6 + 0.4 * u, 0.1 + 0.8 * v) for u, v in draws]
-        got = iterate_logistic_batch(params, n, burn_in)
+        got = iterate_logistic_batch(params, n)
         assert got.shape == (9, n) and got.flags.c_contiguous
         for row, p in zip(got, params):
-            assert row.tolist() == reference_logistic(p.r, p.x0, n, burn_in)
-        assert iterate_logistic_batch([], n, burn_in).shape == (0, n)
+            assert row.tolist() == reference_logistic(p.r, p.x0, n)
+        assert iterate_logistic_batch([], n).shape == (0, n)
         with pytest.raises(ValueError):
-            iterate_logistic_batch(params, 0, burn_in)
+            iterate_logistic_batch(params, 0)
 
     # principal periodic windows inside (3.6, 4.0): orbits there converge
     # to the same attracting cycle for both keys, so sensitive dependence

@@ -159,8 +159,8 @@ class TestKeyMaterial:
 
     @pytest.mark.parametrize("params", [ChaoticParams(3.99, 0.123), ChaoticParams(3.61, 0.87)])
     def test_derived_mask_matches_reference(self, params):
-        km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0), burn_in=5)
-        orbit = iterate_logistic(params, 300, 5)
+        km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0))
+        orbit = iterate_logistic(params, 300)
         assert km.mask.tobytes() == reference_mask(orbit).tobytes()
 
     def test_bijective_permutation(self):
@@ -186,38 +186,35 @@ def _batch_params(count: int, seed: int = 11) -> list:
 class TestBatch:
     """The batched read path against the one-segment-at-a-time oracle."""
 
-    @pytest.mark.parametrize("burn_in", [0, 3])
-    def test_key_material_matches_serial(self, burn_in):
+    def test_key_material_matches_serial(self):
         params_list = _batch_params(2 * BATCH_ROWS + 7)
         ranges = [QuantizationRange(-float(i), float(i)) for i in range(len(params_list))]
-        got = derive_key_material_batch(params_list, 300, ranges, burn_in)
+        got = derive_key_material_batch(params_list, 300, ranges)
         assert len(got) == len(params_list)
         for km, params, rng in zip(got, params_list, ranges):
-            want = derive_key_material(params, 300, rng, burn_in)
+            want = derive_key_material(params, 300, rng)
             assert np.array_equal(km.permutation, want.permutation)
             assert km.permutation.dtype == want.permutation.dtype
             assert np.array_equal(km.mask, want.mask)
             assert km.params == params and km.range == rng
 
-    @pytest.mark.parametrize("burn_in", [0, 3])
-    def test_decrypt_matches_serial(self, encrypted_corpus, burn_in):
+    def test_decrypt_matches_serial(self, encrypted_corpus):
         segments, _, _, params_list = encrypted_corpus
         # a run of shorter segments in the middle splits the chunks
         lengths = [300] * 70 + [100] * 5 + [300] * 50
         records, keys = [], []
         for i, n in enumerate(lengths):
             seg = SignalSegment(segments[i % len(segments)].samples[:n], 500.0)
-            records.append(encrypt(seg, params_list[i % len(params_list)], burn_in=burn_in)[0])
+            records.append(encrypt(seg, params_list[i % len(params_list)])[0])
             keys.append(params_list[i % len(params_list)])
-        got = decrypt_batch(records, keys, 250.0, burn_in)
+        got = decrypt_batch(records, keys, 250.0)
         assert len(got) == len(records)
         for seg, record, params in zip(got, records, keys):
-            want = decrypt(record, params, 250.0, burn_in)
+            want = decrypt(record, params, 250.0)
             assert np.array_equal(seg.samples, want.samples)
             assert seg.sample_rate == want.sample_rate
 
-    @pytest.mark.parametrize("burn_in", [0, 1, 3])
-    def test_first_degenerate_row_raises_like_scalar(self, burn_in):
+    def test_first_degenerate_row_raises_like_scalar(self):
         params_list = _batch_params(2 * BATCH_ROWS + 7)
         ranges = [QuantizationRange(0.0, 1.0)] * len(params_list)
 
@@ -225,20 +222,20 @@ class TestBatch:
             object.__setattr__(params, "r", 4.0)
             object.__setattr__(params, "x0", x0)
             with pytest.raises(DegenerateOrbitError) as scalar:
-                iterate_logistic(params, 300, burn_in)
+                iterate_logistic(params, 300)
             return scalar.value.index
 
         # r = 4 maps x0 = 0.5 to exactly 1.0 on iterate 0
-        assert force(params_list[BATCH_ROWS + 5], 0.5) == -burn_in
+        assert force(params_list[BATCH_ROWS + 5], 0.5) == 0
         with pytest.raises(DegenerateOrbitError) as batch:
-            derive_key_material_batch(params_list, 300, ranges, burn_in)
-        assert batch.value.index == -burn_in
+            derive_key_material_batch(params_list, 300, ranges)
+        assert batch.value.index == 0
         # an earlier row that degenerates one iterate later wins: it maps
         # to 0.5 on iterate 0 and to 1.0 on iterate 1
-        assert force(params_list[BATCH_ROWS + 3], 0.14644660940672624) == 1 - burn_in
+        assert force(params_list[BATCH_ROWS + 3], 0.14644660940672624) == 1
         with pytest.raises(DegenerateOrbitError) as batch:
-            derive_key_material_batch(params_list, 300, ranges, burn_in)
-        assert batch.value.index == 1 - burn_in
+            derive_key_material_batch(params_list, 300, ranges)
+        assert batch.value.index == 1
 
     def test_empty_and_mismatched(self):
         rng = QuantizationRange(0.0, 1.0)
@@ -326,15 +323,6 @@ class TestEncryptDecrypt:
             rates.append(np.mean(c1 != c2))
         assert min(rates) > 0.95
         assert np.mean(rates) > 0.99
-
-    def test_burn_in_changes_keystream(self):
-        rng = np.random.default_rng(8)
-        seg = SignalSegment(rng.normal(0.0, 0.4, 300), 500.0)
-        params = params_for_segment(seg)
-        r0, _ = encrypt(seg, params, burn_in=0)
-        r1, _ = encrypt(seg, params, burn_in=64)
-        assert r0.ciphertext != r1.ciphertext
-        assert np.array_equal(decrypt_bytes(r1, params, burn_in=64), quantize(seg).bytes)
 
     def test_length_mismatch_corrupt(self):
         rng = np.random.default_rng(9)

@@ -310,16 +310,24 @@ def test_read_commands_leave_a_missing_store_missing(tmp_path, monkeypatch, comm
         (["train", "--batch-size", "0"], 2),
         (["train", "--epochs", "-1"], 2),
         (["encrypt", "--seed", "-2000000"], 2),
-        (["encrypt", "--burn-in", "-1"], 2),
+        (["encrypt", "--burn-in", "3"], 2),
         (["encrypt", "--synthetic", "-3"], 2),
         (["encrypt", "--sample-rate", "0"], 2),
         (["stream", "--segments", "-1"], 2),
+        (["encrypt", "--synthetic", "2", "--seed", "18446742373709"], 2),
+        (["stream", "--segments", "2", "--seed", "99999999999999"], 2),
+        (["HECG_BURN_IN=3", "encrypt", "--synthetic", "2"], 2),
+        (["HECG_BURN_IN=3", "attack", "--stream", "s"], 2),
     ],
 )
-def test_bad_arguments_end_in_an_error_line(tmp_path, argv, code, capsys):
+def test_bad_arguments_end_in_an_error_line(tmp_path, monkeypatch, argv, code, capsys):
     store = tmp_path / "store"
     main(["encrypt", "--synthetic", "3", "--store", str(store), "--stream", "s"])
     capsys.readouterr()
+    # leading NAME=value words set the environment, as in a shell
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("="))
+        argv = argv[1:]
     out = tmp_path / "out"
     extra = ["--output", str(out)] if argv[0] == "train" else ["--store", str(store)]
     try:
@@ -461,6 +469,19 @@ def test_env_var_default_seed(tmp_path, monkeypatch, capsys):
     a = (store_a / "stream0" / "seg_000000.rec").read_bytes()
     b = (store_b / "stream0" / "seg_000000.rec").read_bytes()
     assert a == b
+
+
+def test_largest_seed_salts_a_million_segments_in_64_bits(tmp_path, monkeypatch):
+    # segment 0 is salted at 1_700_000_000_000 + seed * 10^6; the next seed
+    # leaves less than 10^6 indices below 2^64
+    seed = 18446742373708
+    assert 1_700_000_000_000 + seed * 1_000_000 + 999_999 < 2**64 <= (
+        1_700_000_000_000 + (seed + 1) * 1_000_000 + 999_999
+    )
+    monkeypatch.setenv("HECG_BURN_IN", "0")  # the one keystream there is
+    for command in (["encrypt", "--synthetic", "2"], ["stream", "--segments", "2"]):
+        store = tmp_path / command[0]
+        assert main([*command, "--store", str(store), "--seed", str(seed)]) == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "-2"])

@@ -27,9 +27,9 @@ from hecg.pipeline import synthetic_ecg_wave
 DIGESTS = {
     "encrypt-direct": "bdc4a8634240378d4901ed83141b7887282796486ad069236459d84ed63b9344",
     "encrypt-ml": "43b80655eaf0b653382083c52a4031e306e4e47860a7fb0dbb2c17ee6fc58506",
-    "stream-direct": "56a0a412c075b29bb36e51d58e220e08b6dce7f7fd8dcdeb22f8d67198eca5c2",
+    "stream-direct": "eab7e317b4344bbac03ad885314927d5c5165f6cba469d342c37c0d482bdf49b",
     "analyze-store": "c497cdb278a9a651e85efe070ffc7b85f5fa9cb8a9457141b4eee916fdc0482c",
-    "analyze-store-burn-in": "f1fe7f13dc63d2a83eaa258a756b63867374bf636d94d4e18ef9fdce793308e5",
+    "analyze-stream-store": "d4b1183b73ffd1e71751d7a20a3b323c488813fdc1d499e0f81e4b088342eec1",
     "analyze-store-reference": "1f80450ceceb52fdc5ce4eb37826b5864ac5783009f32e3435bf2b5d08f0a969",
     "analyze-plain": "118b73a041cedcf35e5d977cc3bb55e309e78543277466fbbc27be988fb7a8b6",
     "attack-noise-uniform": "c9dd462537bccfc3c5dbf5da0452d735af5700573b14cd7044b36196d8895e76",
@@ -40,9 +40,8 @@ DIGESTS = {
 # two chunks of a batched decrypt or key derivation.
 LARGE_DIGESTS = {
     "analyze-large": "fdb6336a08d090e0ae2555948875a52aa519f0bf3fe411620358dd183691f923",
-    "analyze-large-burn-in": "a39a1323298e430449ef75cb8c4e75db029770e6aded17a96a486e9880987082",
     "attack-large-noise-uniform": "3797909817b1b64764ada1bb0cf2bf0674196b756fdbc7d9ca5ebcb48a91659f",
-    "attack-large-occlusion-burn-in": "03294344876473d34e7bfa560b78d372b364820c4400e9c73a2863ec9729e51d",
+    "attack-large-occlusion": "e85250db8139b420eaedd920f6c659e486c7dfdaf129945129657fd40f0ba55e",
 }
 
 
@@ -88,7 +87,7 @@ def digests(tmp_path_factory):
     _run("encrypt", "--synthetic", 10, "--store", ml_store, "--mode", "ml", "--model", model,
          "--seed", 2)
     stream_store = tmp / "stream"
-    _run("stream", "--store", stream_store, "--segments", 10, "--seed", 5, "--burn-in", 3)
+    _run("stream", "--store", stream_store, "--segments", 10, "--seed", 5)
 
     out = {
         "encrypt-direct": _tree_digest(store),
@@ -97,7 +96,7 @@ def digests(tmp_path_factory):
     }
     for name, argv in (
         ("analyze-store", ["--store", store]),
-        ("analyze-store-burn-in", ["--store", stream_store, "--burn-in", 3]),
+        ("analyze-stream-store", ["--store", stream_store]),
         ("analyze-store-reference",
          ["--store", store, "--stream", "stream0", "--input", csv, "--column", "ecg"]),
         ("analyze-plain", ["--input", csv, "--column", "ecg"]),
@@ -121,23 +120,20 @@ def test_output_is_byte_identical(digests, name):
 @pytest.fixture(scope="module")
 def large_digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden-large")
-    stores = {0: tmp / "large", 3: tmp / "large-burn-in"}
-    for burn_in, store in stores.items():
-        for k in range(3):
-            _run("encrypt", "--synthetic", 50, "--store", store, "--stream", f"dev{k}",
-                 "--salt-device-id", f"dev{k}", "--seed", 20 + k, "--burn-in", burn_in)
-    out = {}
-    for name, burn_in in (("analyze-large", 0), ("analyze-large-burn-in", 3)):
-        prefix = tmp / name / "out"
-        _run("analyze", "--store", stores[burn_in], "--burn-in", burn_in, "--output", prefix)
-        out[name] = _analysis_digest(prefix)
-    for name, kind, sweep, burn_in in (
-        ("attack-large-noise-uniform", "noise-uniform", "0,1,4,16", 0),
-        ("attack-large-occlusion-burn-in", "occlusion", "0.05,0.25", 3),
+    store = tmp / "large"
+    for k in range(3):
+        _run("encrypt", "--synthetic", 50, "--store", store, "--stream", f"dev{k}",
+             "--salt-device-id", f"dev{k}", "--seed", 20 + k)
+    prefix = tmp / "analyze-large" / "out"
+    _run("analyze", "--store", store, "--output", prefix)
+    out = {"analyze-large": _analysis_digest(prefix)}
+    for name, kind, sweep in (
+        ("attack-large-noise-uniform", "noise-uniform", "0,1,4,16"),
+        ("attack-large-occlusion", "occlusion", "0.05,0.25"),
     ):
         table = tmp / f"{name}.tsv"
-        _run("attack", "--store", stores[burn_in], "--kind", kind, "--sweep", sweep,
-             "--seed", 9, "--burn-in", burn_in, "--output", table)
+        _run("attack", "--store", store, "--kind", kind, "--sweep", sweep,
+             "--seed", 9, "--output", table)
         out[name] = hashlib.sha256(table.read_bytes()).hexdigest()
     return out
 
@@ -149,12 +145,9 @@ def test_large_store_output_is_byte_identical(large_digests, name):
 
 # decrypt of one 70-record stream, more records than two chunks of a
 # batched decrypt, with its --report lines (the line naming the output path
-# left out). A store decrypted at its own burn-in gives the same plaintext
-# at 0 and 3; at the wrong burn-in it gives pinned garbage.
+# left out).
 DECRYPT_DIGESTS = {
     "decrypt-70": "43ff1f1604488ba0069f63dc57d0e82edc782f15766f7573486a0a9278a90c4a",
-    "decrypt-70-burn-in": "43ff1f1604488ba0069f63dc57d0e82edc782f15766f7573486a0a9278a90c4a",
-    "decrypt-70-wrong-burn-in": "08ad2c22ff720ec21d801a022631a1ca577f24dd1d41a0a3efc0f0dd3075b83b",
 }
 
 
@@ -164,27 +157,18 @@ def decrypt_digests(tmp_path_factory):
     wave = synthetic_ecg_wave(70 * 300 / 500.0, 500.0, 66.0, 0.015, seed=43)
     csv = tmp / "ecg.csv"
     csv.write_text("ecg\n" + "".join(f"{v!r}\n" for v in wave.tolist()))
-    stores = {burn_in: tmp / f"store-{burn_in}" for burn_in in (0, 3)}
-    for burn_in, store in stores.items():
-        _run("encrypt", "--input", csv, "--column", "ecg", "--store", store, "--seed", 6,
-             "--burn-in", burn_in)
-    out = {}
-    for name, store_burn_in, burn_in in (
-        ("decrypt-70", 0, 0),
-        ("decrypt-70-burn-in", 3, 3),
-        ("decrypt-70-wrong-burn-in", 3, 0),
-    ):
-        plain = tmp / f"{name}.csv"
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            _run("decrypt", "--store", stores[store_burn_in], "--output", plain,
-                 "--burn-in", burn_in, "--report", "--input", csv, "--column", "ecg")
-        report = [l for l in stdout.getvalue().splitlines(True) if not l.startswith("decrypted ")]
-        assert [l.split()[0] for l in report] == ["mse", "psnr_db", "mae"]
-        sha = hashlib.sha256(plain.read_bytes())
-        sha.update("".join(report).encode())
-        out[name] = sha.hexdigest()
-    return out
+    store = tmp / "store"
+    _run("encrypt", "--input", csv, "--column", "ecg", "--store", store, "--seed", 6)
+    plain = tmp / "decrypt-70.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _run("decrypt", "--store", store, "--output", plain,
+             "--report", "--input", csv, "--column", "ecg")
+    report = [l for l in stdout.getvalue().splitlines(True) if not l.startswith("decrypted ")]
+    assert [l.split()[0] for l in report] == ["mse", "psnr_db", "mae"]
+    sha = hashlib.sha256(plain.read_bytes())
+    sha.update("".join(report).encode())
+    return {"decrypt-70": sha.hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(DECRYPT_DIGESTS))

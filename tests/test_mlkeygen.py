@@ -321,7 +321,7 @@ class TestPredictParams:
 def _seal_ml(segment, model, index=0):
     """Encrypt as the ML stream path does: (record, stored params)."""
     record, salted, _ = seal_segment(
-        segment, index, Mode.ML_PREDICTED, model, b"desk01", 1_700_000_000_000, 0
+        segment, index, Mode.ML_PREDICTED, model, b"desk01", 1_700_000_000_000
     )
     return record, salted
 
