@@ -11,26 +11,16 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, mlkey, pipeline
-from .chaos import logistic_fill
-from .cipher import (
-    Mode,
-    decrypt_batch,
-    derive_key_material,
-    derive_key_material_batch,
-    encrypt,
-    params_for_segment,
-    quantize,
-)
+from . import analysis, attacks, pipeline
+from .cipher import Mode, decrypt_batch, quantize
 from .errors import HecgError
 from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
-from .pipeline import FileStore, Pacing, SegmentSource, ingest_csv, synthetic_ecg
+from .pipeline import FileStore, Pacing, SegmentSource
 
 
 def _env(name: str, default):
@@ -55,18 +45,25 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-def _sample_rate(text: str) -> float:
-    """--sample-rate: a finite rate above 0; argparse reports a ValueError."""
-    rate = float(text)
-    if not 0 < rate < math.inf:
-        raise ValueError(text)
-    return rate
+def _float_in(low: float, high: float = math.inf, low_closed: bool = False):
+    """The argparse type of a float flag that must be finite, > low (>= low
+    if low_closed) and <= high."""
+    bounds = f"{'>=' if low_closed else '>'} {low:g}" + (f" and <= {high:g}" if high < math.inf else "")
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (low <= value if low_closed else low < value) and value <= high):
+            raise argparse.ArgumentTypeError(f"must be finite, {bounds}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type when float() fails
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=_env("SEED", 0))
     p.add_argument("--segment-len", type=_int_at_least(1), default=_env("SEGMENT_LEN", 300))
-    p.add_argument("--sample-rate", type=_sample_rate, default=_env("SAMPLE_RATE", 500.0))
+    p.add_argument("--sample-rate", type=_float_in(0), default=_env("SAMPLE_RATE", 500.0))
 
 
 def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSource:
@@ -104,8 +101,8 @@ def _input_flags(p, synthetic_default: int | None = 0):
         p.add_argument(
             "--synthetic", type=_int_at_least(0), default=synthetic_default, help="synthetic segment count"
         )
-    p.add_argument("--heart-rate", type=float, default=72.0)
-    p.add_argument("--noise-amplitude", type=float, default=0.012)
+    p.add_argument("--heart-rate", type=_float_in(0, 600), default=72.0, help="bpm")
+    p.add_argument("--noise-amplitude", type=_float_in(0, low_closed=True), default=0.012)
 
 
 def _column(args):
@@ -403,102 +400,6 @@ def _store_cipher_entropy(store: FileStore, stream: str) -> float:
     return float(np.mean(ents)) if ents else 0.0
 
 
-def cmd_benchmark(args) -> int:
-    print("kernel           n        ms")
-    for n in (300, 3000, 100_000):
-        out = np.empty(n)
-        reps = max(3, 30000 // n)
-        ms = _best_of(reps, lambda: logistic_fill(3.99, 0.123, out)) * 1e3
-        print(f"logistic_fill    {n:<8d} {ms:.4f}")
-    # end-to-end encrypt on the default segment size
-    seg = next(synthetic_ecg(2.0, seed=args.seed))
-    params = params_for_segment(seg)
-    reps = 200
-    best = _best_of(reps, lambda: encrypt(seg, params))
-    print(f"encrypt (300-sample segment): {best * 1e3:.4f} ms best-of-{reps}")
-    # key lookup: per-lookup cost should not grow with the keys a stream holds
-    reps = 5
-    for n in (1000, 10_000):
-        with tempfile.TemporaryDirectory() as tmp:
-            store = FileStore(tmp)
-            key_ids = [i.to_bytes(16, "big") for i in range(n)]
-            for key_id in key_ids:
-                store.put_key("s0", key_id, params)
-            best = _best_of(reps, lambda: [store.get_key("s0", key_id) for key_id in key_ids]) / n
-        print(f"get_key ({n} keys in one stream): {best * 1e3:.4f} ms per lookup, best-of-{reps}")
-    # per-segment cost of the batched read path against one segment at a time
-    n_seg = 1000
-    segments = list(synthetic_ecg((n_seg + 1) * 300 / 500.0, seed=args.seed))[:n_seg]
-    params_list = [params_for_segment(s) for s in segments]
-    ranges = [quantize(s).range for s in segments]
-    sealed = [encrypt(s, p) for s, p in zip(segments, params_list)]
-    blocks = [np.frombuffer(record.ciphertext, dtype=np.uint8) for record, _ in sealed]
-    all_bytes = np.concatenate(blocks)
-    lengths = [len(b) for b in blocks]
-    for layer, serial, batched in (
-        (
-            "key material",
-            lambda: [derive_key_material(p, 300, r) for p, r in zip(params_list, ranges)],
-            lambda: derive_key_material_batch(params_list, 300, ranges),
-        ),
-        (
-            "spectral flatness",
-            lambda: [analysis.spectral_flatness(b) for b in blocks],
-            lambda: analysis.segment_flatness(all_bytes, lengths),
-        ),
-    ):
-        serial_us, batched_us = (_best_of(3, fn) / n_seg * 1e6 for fn in (serial, batched))
-        print(
-            f"{layer} ({n_seg} seeded 300-sample segments): serial {serial_us:.2f} us, "
-            f"batched {batched_us:.2f} us per segment, best-of-3"
-        )
-    # the analyze battery's corpus autocorrelation, over as many bytes as
-    # the audit workload's 24 x 50 segments
-    corpus = np.random.default_rng(args.seed).integers(0, 256, 1200 * 300, dtype=np.uint8)
-    ms = _best_of(3, lambda: analysis.autocorrelation(corpus, 50)) * 1e3
-    print(f"autocorrelation (1200 x 300 seeded bytes, lag 50): {ms:.3f} ms, best-of-3")
-    # the stream's per-segment CSV parse and classifier peak count
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "ecg.csv"
-        samples = np.concatenate([s.samples for s in segments]).tolist()
-        path.write_text("ecg\n" + "".join(f"{v!r}\n" for v in samples))
-        ingest_us = _best_of(3, lambda: list(ingest_csv(path, "ecg"))) / n_seg * 1e6
-    print(f"ingest_csv ({n_seg}-segment seeded CSV): {ingest_us:.2f} us per 300-sample segment, best-of-3")
-    peaks_us = _best_of(3, lambda: [pipeline.count_peaks(s) for s in segments]) / n_seg * 1e6
-    print(f"count_peaks ({n_seg} seeded 300-sample segments): {peaks_us:.2f} us per segment, best-of-3")
-    # the fixed per-call costs of the stream's key prediction and quantize,
-    # and of the attack sweep's per-record noise_attack
-    model, _ = train(build_dataset(segments), TrainConfig(epochs=1, seed=args.seed))
-    noise = attacks.AttackConfig(attacks.AttackKind.NOISE_UNIFORM, 4.0, seed=args.seed)
-    attacked = [(rec, km, analysis.clean_reference(s)) for s, (rec, km) in zip(segments, sealed)]
-    for layer, note, fn in (
-        (
-            "predict_params",
-            ", one-epoch model",
-            lambda: [mlkey.predict_params(model, s) for s in segments],
-        ),
-        ("quantize", "", lambda: [quantize(s) for s in segments]),
-        (
-            "noise_attack",
-            ", amplitude 4, given key material",
-            lambda: [attacks.noise_attack(rec, km, noise, ref) for rec, km, ref in attacked],
-        ),
-    ):
-        us = _best_of(3, fn) / n_seg * 1e6
-        print(f"{layer} ({n_seg} seeded 300-sample segments{note}): {us:.2f} us per segment, best-of-3")
-    return 0
-
-
-def _best_of(reps: int, fn) -> float:
-    """Shortest wall time of reps calls of fn, in seconds."""
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -560,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay", type=float, default=0.999)
     p.add_argument("--epochs", type=_int_at_least(1), default=500)
     p.add_argument("--batch-size", type=_int_at_least(1), default=32)
-    p.add_argument("--augment-noise", type=int, default=0)
-    p.add_argument("--augment-snr-db", type=float, default=20.0)
+    p.add_argument("--augment-noise", type=_int_at_least(0), default=0)
+    # below -6000 dB the noise scale 10 ** (-snr / 20) overflows a float
+    p.add_argument("--augment-snr-db", type=_float_in(-6000), default=20.0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("stream", help="run the end-to-end pipeline")
@@ -577,10 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-modes", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stream)
-
-    p = sub.add_parser("benchmark", help="per-layer timings on seeded segments")
-    _add_common(p)
-    p.set_defaults(func=cmd_benchmark)
 
     return parser
 

@@ -57,6 +57,9 @@ def synthetic_ecg_wave(
     jitters slightly (seeded) so consecutive segments differ, which keeps
     per-segment keys fresh. Amplitudes sit roughly in [-0.5, 1.5].
     """
+    if not 0 < heart_rate_bpm < math.inf:
+        # a beat period of 0 or below would never end the beat loop below
+        raise ValueError(f"heart_rate_bpm must be finite and > 0, got {heart_rate_bpm}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
@@ -366,7 +369,14 @@ class FileStore:
         d = self.root / stream_id
         if not d.exists():
             return []
-        return sorted(int(p.stem.split("_")[1]) for p in d.glob("seg_*.rec"))
+        indices = []
+        for p in d.glob("seg_*.rec"):
+            digits = p.name[4:-4]
+            # only the names _record_path writes: no sign, space or extra zeros
+            if not digits.isdecimal() or p.name != f"seg_{int(digits):06d}.rec":
+                raise StoreError(f"{p} is not a record file of stream {stream_id}")
+            indices.append(int(digits))
+        return sorted(indices)
 
     def refuse_stored(self, stream_id: str):
         """Raise StoreError if stream_id already holds records: writing a
@@ -408,7 +418,10 @@ class FileStore:
         if want not in keys:
             raise StoreError(f"no key {want} in stream {stream_id}")
         r, x0 = keys[want]
-        return ChaoticParams(r=float(r), x0=float(x0))
+        try:
+            return ChaoticParams(r=float(r), x0=float(x0))
+        except ValueError:
+            raise StoreError(f"key {want} in stream {stream_id} is not numeric: {r} {x0}") from None
 
     def streams(self) -> list:
         if not self.root.is_dir():

@@ -260,7 +260,7 @@ def test_attack_derives_each_record_once_and_never_batch_decrypts(tmp_path, monk
         attacked.append(args[0])
         return noise(*args)
 
-    for module in (cipher, attacks, cli):
+    for module in (cipher, attacks):
         monkeypatch.setattr(module, "derive_key_material_batch", counting)
     for module in (cipher, cli):
         monkeypatch.setattr(module, "decrypt_batch", recorded)
@@ -283,16 +283,41 @@ def test_stream_refuses_synthetic(tmp_path, capsys):
     assert not store.exists()
 
 
-@pytest.mark.parametrize(
-    "command, args",
-    [("decrypt", ["--output", "back.csv"]), ("analyze", []), ("attack", [])],
-)
+READ_COMMANDS = [("decrypt", ["--output", "back.csv"]), ("analyze", []), ("attack", [])]
+
+
+@pytest.mark.parametrize("command, args", READ_COMMANDS)
 def test_read_commands_leave_a_missing_store_missing(tmp_path, monkeypatch, command, args, capsys):
     monkeypatch.chdir(tmp_path)
     store = tmp_path / "typo" / "store"
     assert main([command, "--store", str(store), *args]) == 1
     assert "no records" in capsys.readouterr().err
     assert not (tmp_path / "typo").exists()
+    assert not (tmp_path / "back.csv").exists()
+
+
+def _stray_record_file(stream: Path) -> str:
+    (stream / "seg_.rec").touch()
+    return "error: store/stream0/seg_.rec is not a record file of stream stream0"
+
+
+def _non_numeric_key(stream: Path) -> str:
+    keys = stream / "keys.txt"
+    rows = keys.read_text().split("\n")
+    key_id, _, x0 = rows[1].split()
+    keys.write_text("\n".join([rows[0], f"{key_id} notnum {x0}", *rows[2:]]))
+    return f"error: key {key_id} in stream stream0 is not numeric: notnum {x0}"
+
+
+@pytest.mark.parametrize("fault", [_stray_record_file, _non_numeric_key])
+@pytest.mark.parametrize("command, args", READ_COMMANDS)
+def test_read_commands_report_a_store_fault(tmp_path, monkeypatch, command, args, fault, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--synthetic", "3", "--store", "store"]) == 0
+    expected = fault(tmp_path / "store" / "stream0")
+    capsys.readouterr()
+    assert main([command, "--store", "store", *args]) == 1
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "back.csv").exists()
 
 
@@ -313,6 +338,13 @@ def test_read_commands_leave_a_missing_store_missing(tmp_path, monkeypatch, comm
         (["encrypt", "--burn-in", "3"], 2),
         (["encrypt", "--synthetic", "-3"], 2),
         (["encrypt", "--sample-rate", "0"], 2),
+        (["encrypt", "--synthetic", "2", "--heart-rate", "inf"], 2),
+        (["encrypt", "--synthetic", "2", "--heart-rate", "1e9"], 2),
+        (["encrypt", "--synthetic", "2", "--heart-rate", "0"], 2),
+        (["encrypt", "--synthetic", "2", "--noise-amplitude", "nan"], 2),
+        (["train", "--synthetic", "20", "--epochs", "1", "--augment-noise", "1", "--augment-snr-db", "-10000"], 2),
+        (["train", "--synthetic", "20", "--epochs", "1", "--augment-noise", "1", "--augment-snr-db", "nan"], 2),
+        (["train", "--augment-noise", "-1"], 2),
         (["stream", "--segments", "-1"], 2),
         (["encrypt", "--synthetic", "2", "--seed", "18446742373709"], 2),
         (["stream", "--segments", "2", "--seed", "99999999999999"], 2),
@@ -428,22 +460,6 @@ def test_encrypt_mode_tag_bytes_differ(tmp_path, capsys):
     assert m_blob[5] == 1
 
 
-def test_benchmark_runs(capsys):
-    assert main(["benchmark"]) == 0
-    out = capsys.readouterr().out
-    assert "logistic_fill" in out
-    assert "encrypt (300-sample segment" in out
-    assert "get_key" in out
-    assert "key material (1000 seeded" in out
-    assert "spectral flatness (1000 seeded" in out
-    assert "autocorrelation (1200 x 300 seeded bytes, lag 50)" in out
-    assert "ingest_csv (1000-segment seeded CSV)" in out
-    assert "count_peaks (1000 seeded" in out
-    assert "predict_params (1000 seeded" in out
-    assert "quantize (1000 seeded" in out
-    assert "noise_attack (1000 seeded" in out
-
-
 def test_backend_is_pure_python():
     # perfbench records both in its run metadata
     assert backend_name() == "pure-python"
@@ -455,7 +471,12 @@ def test_console_entry_point():
         [sys.executable, "-m", "hecg.cli", "--help"], capture_output=True, text=True
     )
     assert out.returncode == 0
-    assert "encrypt" in out.stdout and "benchmark" in out.stdout
+    for command in ("encrypt", "decrypt", "analyze", "attack", "train", "stream"):
+        assert command in out.stdout
+    # perfbench/run.py --trace 1 times the layers; the package ships no timer
+    out = subprocess.run([sys.executable, "-m", "hecg.cli", "benchmark"], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "invalid choice: 'benchmark'" in out.stderr
 
 
 def test_env_var_default_seed(tmp_path, monkeypatch, capsys):

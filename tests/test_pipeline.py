@@ -59,6 +59,12 @@ class TestSyntheticEcg:
         assert len(segs) == 10
         assert all(len(s) == 300 for s in segs)
 
+    @pytest.mark.parametrize("rate", [0.0, -60.0, math.inf, math.nan])
+    def test_rate_that_never_advances_a_beat_is_refused(self, rate):
+        # a period of 60 / inf = 0 would spin the beat loop forever
+        with pytest.raises(ValueError, match="heart_rate_bpm"):
+            synthetic_ecg_wave(1.0, 500.0, rate)
+
 
 class TestIngestCsv:
     def _write(self, tmp_path, rows, header=None):
@@ -469,6 +475,20 @@ class TestFileStore:
         assert store.get_key("s0", _key_id(0)) == ChaoticParams(3.91, 0.25)
         with pytest.raises(StoreError, match="no key"):
             store.get_key("s0", _key_id(1))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["seg_.rec", "seg_12.rec", "seg_-00001.rec", "seg_0000001.rec", "seg_00000a.rec", "seg_\u0661\u0662\u0663\u0664\u0665\u0666.rec"],
+    )
+    def test_stray_record_name_is_a_store_error(self, tmp_path, name):
+        store = FileStore(tmp_path / "store")
+        (store.root / "s0").mkdir(parents=True)
+        for index in (0, 1_000_000):  # both as _record_path names them
+            (store.root / "s0" / f"seg_{index:06d}.rec").touch()
+        assert store.record_indices("s0") == [0, 1_000_000]
+        (store.root / "s0" / name).touch()
+        with pytest.raises(StoreError, match=name):
+            store.record_indices("s0")
 
     def _torn_store(self, root):
         """A one-row keys.txt cut 6 characters short, as a write that stopped
