@@ -537,7 +537,7 @@ def analyze_corpus(
     blocks: one uint8 array per segment; recovered: the SignalSegment a
     reader gets back from each block. quality is fidelity(reference,
     recovered) when a reference is given, else empty: nothing was
-    measured. timing is zero, for the caller to fill in.
+    measured. timing.decrypt_seconds is zero, for the caller to fill in.
     """
     if not plaintexts or not (len(plaintexts) == len(blocks) == len(recovered)):
         raise ShapeError("need one block and one recovered segment per segment")
@@ -564,7 +564,7 @@ def analyze_corpus(
         spectral_flatness=float(np.mean(flatnesses)),
         min_entropy_bits=min_entropy_mcv(all_bytes),
         quality={} if reference is None else fidelity(reference, recovered),
-        timing={"encrypt_seconds": 0.0, "decrypt_seconds": 0.0},
+        timing={"decrypt_seconds": 0.0},
         segment_count=n_seg,
         per_segment_entropy_mean=float(np.mean(seg_entropies)),
         monobit_pass_fraction=monobit_passes / n_seg,

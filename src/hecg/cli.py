@@ -1,9 +1,8 @@
 """Command-line front door: encrypt, decrypt, analyze, attack, train, stream.
 
 Every subcommand is deterministic under a fixed --seed (wall-clock timing
-lines aside). Global flags may also come from the environment with the
-HECG_ prefix (HECG_SEED, HECG_SEGMENT_LEN, HECG_SAMPLE_RATE, HECG_STORE,
-HECG_MODEL); explicit flags win.
+lines aside). Every value comes from a flag: no environment variable is
+read, and a set HECG_* variable is refused.
 """
 
 import argparse
@@ -21,12 +20,6 @@ from .cipher import Mode, decrypt_batch, quantize
 from .errors import HecgError
 from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
 from .pipeline import FileStore, Pacing, SegmentSource
-
-
-def _env(name: str, default):
-    """HECG_<name> as given, else default. argparse converts a string
-    default with the flag's own type, so a bad value exits 2 like a bad flag."""
-    return os.environ.get(f"HECG_{name}", default)
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -60,10 +53,12 @@ def _float_in(low: float, high: float = math.inf, low_closed: bool = False):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=_env("SEED", 0))
-    p.add_argument("--segment-len", type=_int_at_least(1), default=_env("SEGMENT_LEN", 300))
-    p.add_argument("--sample-rate", type=_float_in(0), default=_env("SAMPLE_RATE", 500.0))
+def _add_common(p: argparse.ArgumentParser, segmenting: bool = True):
+    """--seed and, unless segmenting is False, --segment-len and --sample-rate."""
+    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
+    if segmenting:
+        p.add_argument("--segment-len", type=_int_at_least(1), default=300)
+        p.add_argument("--sample-rate", type=_float_in(0), default=500.0)
 
 
 def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSource:
@@ -128,6 +123,16 @@ def _device_id(text: str) -> bytes:
     return text.encode()
 
 
+def _mode_and_model(args) -> tuple:
+    """--mode as a Mode, with the KeyPredictor that ML mode reads from
+    --model; direct mode reads no model file, even one that is named."""
+    if args.mode == "direct":
+        return Mode.DIRECT, None
+    if not args.model:
+        raise HecgError("--mode ml requires --model")
+    return Mode.ML_PREDICTED, KeyPredictor.load(args.model)
+
+
 def _base_timestamp(args) -> int:
     """Salt timestamp of segment 0; segment i is salted with this plus i."""
     return 1_700_000_000_000 + args.seed * 1_000_000
@@ -147,13 +152,9 @@ def cmd_encrypt(args) -> int:
     if not segments:
         print("no segments to encrypt", file=sys.stderr)
         return 1
-    if args.mode == "ml" and not args.model:
-        print("--mode ml requires --model", file=sys.stderr)
-        return 1
-    model = KeyPredictor.load(args.model) if args.mode == "ml" else None
+    mode, model = _mode_and_model(args)
     store = FileStore(args.store)
     store.refuse_stored(args.stream)
-    mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
     base_timestamp = _base_timestamp(args)
     times = []
     for i, seg in enumerate(segments):
@@ -171,26 +172,16 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    if args.report and not args.input:
-        print("--report needs --input with the reference CSV", file=sys.stderr)
-        return 1
     _, _, segments, _ = _load_store(args)
     if not segments:
         print(f"no records in {args.store}/{args.stream}", file=sys.stderr)
         return 1
-    if args.report:
-        # measured before --output is written, so a short reference leaves no CSV
-        qm = analysis.fidelity(_load_segments(args)[: len(segments)], segments)
     out = np.concatenate([s.samples for s in segments])
     with open(args.output, "w") as fh:
         fh.write("value\n")
         for v in out:
             fh.write(f"{v:.17g}\n")
     print(f"decrypted {len(segments)} segments -> {args.output}")
-    if args.report:
-        print(f"mse {qm['mse']:.17g}")
-        print(f"psnr_db {qm['psnr_db']:.17g}")
-        print(f"mae {qm['mae']:.17g}")
     return 0
 
 
@@ -350,54 +341,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_stream(args, mode: Mode, model, store: FileStore) -> pipeline.PipelineMetrics:
-    return pipeline.run_pipeline(
+def cmd_stream(args) -> int:
+    mode, model = _mode_and_model(args)
+    metrics = pipeline.run_pipeline(
         _source(args, args.segments, Pacing(args.pacing)),
         mode,
-        store,
+        FileStore(args.store),
         segment_count=args.segments,
         model=model,
         stream_id=args.stream,
         device_id=args.salt_device_id,
         base_timestamp=_base_timestamp(args),
     )
-
-
-def cmd_stream(args) -> int:
-    model = KeyPredictor.load(args.model) if args.model else None
-    if args.mode == "ml" and model is None:
-        print("--mode ml requires --model", file=sys.stderr)
-        return 1
-    if args.compare_modes:
-        if model is None:
-            print("--compare-modes requires --model", file=sys.stderr)
-            return 1
-        direct, ml = (FileStore(Path(args.store) / sub) for sub in ("direct", "ml"))
-        # both before either run writes, so a refusal leaves neither half-done
-        for store in (direct, ml):
-            store.refuse_stored(args.stream)
-        m_direct = _run_stream(args, Mode.DIRECT, None, direct)
-        m_ml = _run_stream(args, Mode.ML_PREDICTED, model, ml)
-        for label, metrics, store in (("direct", m_direct, direct), ("ml", m_ml, ml)):
-            print(f"--- mode {label} ---")
-            print(metrics.table())
-            ent = _store_cipher_entropy(store, args.stream)
-            print(f"mean ciphertext entropy {ent:.17g}")
-        return 0
-    mode = Mode.ML_PREDICTED if args.mode == "ml" else Mode.DIRECT
-    metrics = _run_stream(args, mode, model, FileStore(args.store))
     print(metrics.table())
     if args.json:
         print(json.dumps(metrics.summary(), indent=2))
     return 0 if not metrics.errors else 1
-
-
-def _store_cipher_entropy(store: FileStore, stream: str) -> float:
-    ents = []
-    for i in store.record_indices(stream):
-        ct = np.frombuffer(store.get_record(stream, i).ciphertext, dtype=np.uint8)
-        ents.append(analysis.shannon_entropy(ct))
-    return float(np.mean(ents)) if ents else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -416,31 +375,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--stream", default="stream0")
     p.add_argument("--mode", choices=["direct", "ml"], default="direct")
-    p.add_argument("--model", default=_env("MODEL", None))
+    p.add_argument("--model")
     p.add_argument("--salt-device-id", type=_device_id, default="desk01")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a record store back to CSV")
-    _add_common(p)
     p.add_argument("--store", required=True)
     p.add_argument("--stream", default="stream0")
     p.add_argument("--output", required=True)
-    p.add_argument("--report", action="store_true", help="print quality metrics vs --input")
-    p.add_argument("--input", help="reference CSV for --report")
-    p.add_argument("--column", default=0)
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("analyze", help="run the statistics battery on a store or plain corpus")
     _add_common(p)
     _input_flags(p)
-    p.add_argument("--store", default=_env("STORE", None))
+    p.add_argument("--store")
     p.add_argument("--stream", default=None)
     p.add_argument("--output", default=None, help="output path prefix")
     p.add_argument("--compare", help="second store for histogram indistinguishability")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("attack", help="noise/occlusion sweeps against a store")
-    _add_common(p)
+    _add_common(p, segmenting=False)
     p.add_argument("--store", required=True)
     p.add_argument("--stream", default=None)
     p.add_argument(
@@ -457,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flags(p, synthetic_default=500)
     p.add_argument("--output", required=True, help="model file path")
     p.add_argument("--hidden", type=_layer_widths, default="32,16")
-    p.add_argument("--learning-rate", type=float, default=0.2)
-    p.add_argument("--lr-decay", type=float, default=0.999)
+    p.add_argument("--learning-rate", type=_float_in(0), default=0.2)
+    p.add_argument("--lr-decay", type=_float_in(0, 1), default=0.999)
     p.add_argument("--epochs", type=_int_at_least(1), default=500)
     p.add_argument("--batch-size", type=_int_at_least(1), default=32)
     p.add_argument("--augment-noise", type=_int_at_least(0), default=0)
@@ -472,11 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--stream", default="stream0")
     p.add_argument("--mode", choices=["direct", "ml"], default="direct")
-    p.add_argument("--model", default=_env("MODEL", None))
+    p.add_argument("--model")
     p.add_argument("--segments", type=_int_at_least(1), default=10)
     p.add_argument("--pacing", choices=[v.value for v in Pacing], default=Pacing.UNPACED.value)
     p.add_argument("--salt-device-id", type=_device_id, default="desk01")
-    p.add_argument("--compare-modes", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stream)
 
@@ -486,17 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # records carry no iterate count to discard, so ones made under a nonzero
-    # HECG_BURN_IN would decrypt to garbage with exit 0
-    leftover = os.environ.get("HECG_BURN_IN", "0")
-    if leftover != "0":
+    # A leftover HECG_SEED or HECG_MODEL would look as if it still set its
+    # flag, and records made under an old HECG_BURN_IN do not decrypt.
+    leftover = sorted(name for name in os.environ if name.startswith("HECG_"))
+    if leftover:
         parser.error(
-            f"HECG_BURN_IN={leftover}: the keystream no longer discards iterates, so records"
-            " encrypted with this setting do not decrypt; unset HECG_BURN_IN"
+            f"{', '.join(leftover)} set: hecg reads no environment variables and takes"
+            " every value from its flags; unset them"
         )
     try:
         return args.func(args)
-    except HecgError as exc:
+    except (HecgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

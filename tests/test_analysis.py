@@ -562,7 +562,7 @@ class TestAnalysisReport:
             spectral_flatness=0.7,
             min_entropy_bits=7.0,
             quality={"mse": 1e-6, "psnr_db": 50.0, "mae": 1e-3},  # inconsistent psnr
-            timing={"encrypt_seconds": 1e-4, "decrypt_seconds": 1e-4},
+            timing={"decrypt_seconds": 1e-4},
         )
         with pytest.raises(ValueError):
             report.validate()

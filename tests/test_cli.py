@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -31,24 +32,12 @@ def test_encrypt_decrypt_roundtrip_csv(tmp_path, csv_file, capsys):
     assert "encrypted 13 segments" in out
 
     out_csv = tmp_path / "back.csv"
-    assert (
-        main(
-            [
-                "decrypt",
-                "--store",
-                str(store),
-                "--output",
-                str(out_csv),
-                "--report",
-                "--input",
-                str(csv_file),
-            ]
-        )
-        == 0
-    )
-    report = capsys.readouterr().out
-    mse = float([line for line in report.splitlines() if line.startswith("mse ")][0].split()[1])
-    assert mse <= 1e-5
+    assert main(["decrypt", "--store", str(store), "--output", str(out_csv)]) == 0
+    prefix = tmp_path / "ref"
+    assert main(["analyze", "--store", str(store), "--input", str(csv_file), "--output", str(prefix)]) == 0
+    capsys.readouterr()
+    report = json.loads(Path(f"{prefix}_report.json").read_text())
+    assert report["quality"]["mse"] <= 1e-5
 
     original = np.loadtxt(csv_file, skiprows=1)
     recovered = np.loadtxt(out_csv, skiprows=1)
@@ -66,27 +55,6 @@ def test_decrypt_missing_key_fails(tmp_path, csv_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _report_lines(text: str, names) -> dict:
-    return {k: v for k, v in (l.split(" ", 1) for l in text.splitlines() if " " in l) if k in names}
-
-
-def test_decrypt_report_matches_analyze_quality(tmp_path, csv_file, capsys):
-    store = tmp_path / "store"
-    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
-    assert main(["decrypt", "--store", str(store), "--output", str(tmp_path / "back.csv"),
-                 "--report", "--input", str(csv_file)]) == 0
-    decrypt_report = _report_lines(capsys.readouterr().out, ("mse", "psnr_db", "mae"))
-    prefix = tmp_path / "ref"
-    assert main(["analyze", "--store", str(store), "--stream", "stream0",
-                 "--input", str(csv_file), "--output", str(prefix)]) == 0
-    capsys.readouterr()
-    quality = _report_lines(
-        Path(f"{prefix}_report.txt").read_text(), ("quality.mse", "quality.psnr_db", "quality.mae")
-    )
-    assert len(decrypt_report) == 3
-    assert decrypt_report == {k.removeprefix("quality."): v for k, v in quality.items()}
-
-
 def test_analyze_without_reference_writes_no_quality(tmp_path, csv_file, capsys):
     store = tmp_path / "store"
     main(["encrypt", "--input", str(csv_file), "--store", str(store)])
@@ -100,28 +68,6 @@ def test_analyze_without_reference_writes_no_quality(tmp_path, csv_file, capsys)
         report = AnalysisReport.from_json(text)
         report.validate()
         assert report.to_json() == text
-
-
-def test_decrypt_report_short_reference_fails(tmp_path, csv_file, capsys):
-    store = tmp_path / "store"
-    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
-    short = tmp_path / "short.csv"
-    short.write_text("".join(csv_file.read_text().splitlines(True)[: 1 + 5 * 300]))
-    rc = main(["decrypt", "--store", str(store), "--output", str(tmp_path / "back.csv"),
-               "--report", "--input", str(short)])
-    assert rc == 1
-    assert "error: 13 recovered segments for 5 reference segments" in capsys.readouterr().err
-    assert not (tmp_path / "back.csv").exists()
-
-
-def test_decrypt_report_without_input_fails(tmp_path, csv_file, capsys):
-    store = tmp_path / "store"
-    main(["encrypt", "--input", str(csv_file), "--store", str(store)])
-    rc = main(["decrypt", "--store", str(store), "--output", str(tmp_path / "back.csv"),
-               "--report"])
-    assert rc == 1
-    assert "--report needs --input" in capsys.readouterr().err
-    assert not (tmp_path / "back.csv").exists()
 
 
 def test_analyze_short_reference_fails(tmp_path, csv_file, capsys):
@@ -350,6 +296,15 @@ def test_read_commands_report_a_store_fault(tmp_path, monkeypatch, command, args
         (["stream", "--segments", "2", "--seed", "99999999999999"], 2),
         (["HECG_BURN_IN=3", "encrypt", "--synthetic", "2"], 2),
         (["HECG_BURN_IN=3", "attack", "--stream", "s"], 2),
+        (["HECG_BURN_IN=0", "encrypt", "--synthetic", "2"], 2),
+        (["HECG_SEED=1", "attack", "--stream", "s"], 2),
+        (["encrypt", "--input", "/missing.csv"], 1),
+        (["analyze", "--input", "/missing.csv"], 1),
+        (["encrypt", "--synthetic", "2", "--mode", "ml", "--model", "/missing"], 1),
+        (["decrypt", "--stream", "s", "--output", "/missing/dir/x.csv"], 1),
+        (["train", "--synthetic", "20", "--epochs", "1", "--output", "/missing/dir/m.hmlp"], 1),
+        (["train", "--learning-rate", "-1"], 2),
+        (["train", "--lr-decay", "1.5"], 2),
     ],
 )
 def test_bad_arguments_end_in_an_error_line(tmp_path, monkeypatch, argv, code, capsys):
@@ -361,7 +316,10 @@ def test_bad_arguments_end_in_an_error_line(tmp_path, monkeypatch, argv, code, c
         monkeypatch.setenv(*argv[0].split("="))
         argv = argv[1:]
     out = tmp_path / "out"
-    extra = ["--output", str(out)] if argv[0] == "train" else ["--store", str(store)]
+    if argv[0] != "train":
+        extra = ["--store", str(store)]
+    else:
+        extra = [] if "--output" in argv else ["--output", str(out)]
     try:
         got = main([*argv, *extra])
     except SystemExit as exc:  # argparse rejects its arguments this way
@@ -409,31 +367,6 @@ def test_stream_direct_metrics(tmp_path, capsys):
     assert summary["encrypt_s"]["median"] < 0.01
 
 
-def test_stream_compare_modes(tmp_path, capsys):
-    model = tmp_path / "m.hmlp"
-    main(["train", "--output", str(model), "--synthetic", "60", "--epochs", "40", "--seed", "2"])
-    capsys.readouterr()
-    rc = main(
-        [
-            "stream",
-            "--store",
-            str(tmp_path / "store"),
-            "--segments",
-            "6",
-            "--model",
-            str(model),
-            "--compare-modes",
-            "--noise-amplitude",
-            "0.03",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "--- mode direct ---" in out
-    assert "--- mode ml ---" in out
-    assert out.count("mean ciphertext entropy") == 2
-
-
 def test_encrypt_mode_tag_bytes_differ(tmp_path, capsys):
     model = tmp_path / "m.hmlp"
     main(["train", "--output", str(model), "--synthetic", "60", "--epochs", "40", "--seed", "2"])
@@ -479,40 +412,68 @@ def test_console_entry_point():
     assert "invalid choice: 'benchmark'" in out.stderr
 
 
-def test_env_var_default_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HECG_SEED", "17")
-    store_a = tmp_path / "a"
-    assert main(["encrypt", "--synthetic", "3", "--store", str(store_a)]) == 0
-    monkeypatch.delenv("HECG_SEED")
-    store_b = tmp_path / "b"
-    assert main(["encrypt", "--synthetic", "3", "--store", str(store_b), "--seed", "17"]) == 0
+_SEGMENTING = ["--seed", "--segment-len", "--sample-rate"]
+_INPUT = ["--input", "--column", "--heart-rate", "--noise-amplitude"]
+FLAGS = {
+    "encrypt": [*_SEGMENTING, *_INPUT, "--synthetic", "--store", "--stream", "--mode", "--model",
+                "--salt-device-id"],
+    "decrypt": ["--store", "--stream", "--output"],
+    "analyze": [*_SEGMENTING, *_INPUT, "--synthetic", "--store", "--stream", "--output", "--compare"],
+    "attack": ["--seed", "--store", "--stream", "--kind", "--sweep", "--output"],
+    "train": [*_SEGMENTING, *_INPUT, "--synthetic", "--output", "--hidden", "--learning-rate",
+              "--lr-decay", "--epochs", "--batch-size", "--augment-noise", "--augment-snr-db"],
+    "stream": [*_SEGMENTING, *_INPUT, "--store", "--stream", "--mode", "--model", "--segments",
+               "--pacing", "--salt-device-id", "--json"],
+}
+
+
+def test_flag_surface(tmp_path, monkeypatch, capsys):
+    # each value has one way in: a flag that its command reads
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert surface == {name: sorted(flags) for name, flags in FLAGS.items()}
+    store = tmp_path / "store"
+    assert main(["encrypt", "--synthetic", "2", "--store", str(store)]) == 0
     capsys.readouterr()
-    a = (store_a / "stream0" / "seg_000000.rec").read_bytes()
-    b = (store_b / "stream0" / "seg_000000.rec").read_bytes()
-    assert a == b
+    for argv, named in (
+        (["decrypt", "--output", "x.csv", "--report"], "unrecognized arguments: --report"),
+        (["decrypt", "--output", "x.csv", "--input", "x"], "unrecognized arguments: --input x"),
+        (["decrypt", "--output", "x.csv", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["attack", "--sample-rate", "1"], "unrecognized arguments: --sample-rate 1"),
+        (["attack", "--segment-len", "7"], "unrecognized arguments: --segment-len 7"),
+        (["stream", "--compare-modes"], "unrecognized arguments: --compare-modes"),
+        (["HECG_SEED=1", "encrypt", "--synthetic", "2"], "error: HECG_SEED set"),
+    ):
+        with monkeypatch.context() as env:
+            if "=" in argv[0]:
+                env.setenv(*argv.pop(0).split("="))
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--store", str(store)])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    assert FileStore(store).streams() == ["stream0"]
 
 
-def test_largest_seed_salts_a_million_segments_in_64_bits(tmp_path, monkeypatch):
+def test_direct_mode_reads_no_model(tmp_path, capsys):
+    missing = tmp_path / "missing.hmlp"
+    for command in (["encrypt", "--synthetic", "2"], ["stream", "--segments", "2"]):
+        store = tmp_path / command[0]
+        assert main([*command, "--store", str(store), "--model", str(missing)]) == 0
+
+
+def test_largest_seed_salts_a_million_segments_in_64_bits(tmp_path):
     # segment 0 is salted at 1_700_000_000_000 + seed * 10^6; the next seed
     # leaves less than 10^6 indices below 2^64
     seed = 18446742373708
     assert 1_700_000_000_000 + seed * 1_000_000 + 999_999 < 2**64 <= (
         1_700_000_000_000 + (seed + 1) * 1_000_000 + 999_999
     )
-    monkeypatch.setenv("HECG_BURN_IN", "0")  # the one keystream there is
     for command in (["encrypt", "--synthetic", "2"], ["stream", "--segments", "2"]):
         store = tmp_path / command[0]
         assert main([*command, "--store", str(store), "--seed", str(seed)]) == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "-2"])
-def test_env_var_default_is_parsed_as_the_flag(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("HECG_SEED", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--output", str(tmp_path / "m.hmlp")])
-    assert exc.value.code == 2
-    assert "argument --seed" in capsys.readouterr().err
-    assert not (tmp_path / "m.hmlp").exists()
 
 
 def test_encrypt_and_stream_write_the_same_store(tmp_path, capsys):
@@ -555,20 +516,6 @@ def test_stream_rerun_with_other_seed_is_refused(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in stream.iterdir()} == before
     assert main(["stream", "--segments", "5", "--store", str(store), "--seed", "2",
                  "--stream", "stream1"]) == 0
-
-
-def test_stream_compare_modes_refuses_before_writing(tmp_path, capsys):
-    # The ml store already holds the stream: the direct run must not start.
-    model = tmp_path / "m.hmlp"
-    main(["train", "--output", str(model), "--synthetic", "20", "--epochs", "2", "--seed", "2"])
-    store = tmp_path / "store"
-    assert main(["stream", "--segments", "3", "--store", str(store / "ml")]) == 0
-    capsys.readouterr()
-    rc = main(["stream", "--segments", "3", "--store", str(store), "--model", str(model),
-               "--compare-modes"])
-    assert rc == 1
-    assert "3 records already stored in stream stream0" in capsys.readouterr().err
-    assert not list((store / "direct").rglob("*"))
 
 
 def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):

@@ -3,8 +3,9 @@
 Pins sha256 digests of what `encrypt`, `stream`, `analyze`, `attack` and
 `decrypt` write for a small seeded corpus: every store file (records and
 keys.txt), every analyze output except the wall-clock `timing` fields,
-the attack tables and the decrypted CSV with its quality report. A refactor that keeps these digests keeps ciphertext, key
-files and report values bit-identical.
+the attack tables and the decrypted CSV, whose quality lines against its
+reference are pinned as text. A refactor that keeps these digests keeps
+ciphertext, key files and report values bit-identical.
 
 The ML-mode store depends on a model trained here, whose weights go
 through BLAS matrix products; its digest holds on one machine and numpy
@@ -13,9 +14,7 @@ BLAS, and analyze takes its inner products with numpy's own loop
 (analysis._dot), so the analyze digests hold for any BLAS thread count.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -144,15 +143,21 @@ def test_large_store_output_is_byte_identical(large_digests, name):
 
 
 # decrypt of one 70-record stream, more records than two chunks of a
-# batched decrypt, with its --report lines (the line naming the output path
-# left out).
+# batched decrypt: the sha256 of the CSV it writes.
 DECRYPT_DIGESTS = {
-    "decrypt-70": "43ff1f1604488ba0069f63dc57d0e82edc782f15766f7573486a0a9278a90c4a",
+    "decrypt-70": "bb2fe87d4f50c045f5d6581c30cbb41185020c68ec82237b089635a775380538",
 }
+
+# analyze's fidelity lines for the same store against its CSV
+DECRYPT_QUALITY = [
+    "quality.mse 1.2845569674171745e-06",
+    "quality.psnr_db 58.912466309178207",
+    "quality.mae 0.00098049745842390332",
+]
 
 
 @pytest.fixture(scope="module")
-def decrypt_digests(tmp_path_factory):
+def decrypt_outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden-decrypt")
     wave = synthetic_ecg_wave(70 * 300 / 500.0, 500.0, 66.0, 0.015, seed=43)
     csv = tmp / "ecg.csv"
@@ -160,17 +165,17 @@ def decrypt_digests(tmp_path_factory):
     store = tmp / "store"
     _run("encrypt", "--input", csv, "--column", "ecg", "--store", store, "--seed", 6)
     plain = tmp / "decrypt-70.csv"
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        _run("decrypt", "--store", store, "--output", plain,
-             "--report", "--input", csv, "--column", "ecg")
-    report = [l for l in stdout.getvalue().splitlines(True) if not l.startswith("decrypted ")]
-    assert [l.split()[0] for l in report] == ["mse", "psnr_db", "mae"]
-    sha = hashlib.sha256(plain.read_bytes())
-    sha.update("".join(report).encode())
-    return {"decrypt-70": sha.hexdigest()}
+    _run("decrypt", "--store", store, "--output", plain)
+    prefix = tmp / "analyze" / "out"
+    _run("analyze", "--store", store, "--input", csv, "--column", "ecg", "--output", prefix)
+    quality = [l for l in Path(f"{prefix}_report.txt").read_text().splitlines() if l.startswith("quality.")]
+    return {"decrypt-70": hashlib.sha256(plain.read_bytes()).hexdigest()}, quality
 
 
 @pytest.mark.parametrize("name", sorted(DECRYPT_DIGESTS))
-def test_decrypt_output_is_byte_identical(decrypt_digests, name):
-    assert decrypt_digests[name] == DECRYPT_DIGESTS[name]
+def test_decrypt_output_is_byte_identical(decrypt_outputs, name):
+    assert decrypt_outputs[0][name] == DECRYPT_DIGESTS[name]
+
+
+def test_decrypt_quality_is_identical(decrypt_outputs):
+    assert decrypt_outputs[1] == DECRYPT_QUALITY
