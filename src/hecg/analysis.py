@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chaos import ChaoticParams
-from .cipher import SignalSegment, batch_slices, decrypt_bytes, encrypt, quantize
+from .cipher import SignalSegment, batch_slices, decrypt_bytes, encrypt, params_for_segment, quantize
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -410,7 +410,7 @@ def key_sensitivity_test(
     """
     if delta <= 0:
         raise ParameterDomainError(f"delta must be positive, got {delta}")
-    record, _ = encrypt(segment, params)
+    record = encrypt(segment, params)
     reference = quantize(segment).bytes.astype(np.int16)
     worst_diff = 0
     worst_corr = 0.0
@@ -442,13 +442,11 @@ def plaintext_sensitivity_test(
     """
     if not (0 <= flip_index < len(segment)):
         raise ShapeError(f"flip_index {flip_index} outside segment of {len(segment)}")
-    from .cipher import params_for_segment
-
-    record, _ = encrypt(segment, params)
+    record = encrypt(segment, params)
     modified_samples = segment.samples.copy()
     modified_samples[flip_index] += flip_amount
     modified = SignalSegment(samples=modified_samples, sample_rate=segment.sample_rate)
-    record2, _ = encrypt(modified, params_for_segment(modified))
+    record2 = encrypt(modified, params_for_segment(modified))
     c1 = np.frombuffer(record.ciphertext, dtype=np.uint8).astype(np.int16)
     c2 = np.frombuffer(record2.ciphertext, dtype=np.uint8).astype(np.int16)
     return {

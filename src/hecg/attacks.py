@@ -2,11 +2,13 @@
 
 Both attacks take (record, km, config, reference): they perturb the
 record's ciphertext bytes (the stored/transmitted artifact), decrypt with
-km, the record's own KeyMaterial, and measure the damage as fidelity does,
-by normalized_errors against reference, clean_reference(original) of the
-segment the record was encrypted from. Occlusion also tracks exactly which
-plaintext positions were hit; with a chaotic permutation a contiguous
-ciphertext hole scatters across the whole segment.
+km, the record's own KeyMaterial, derive_key_material(params,
+record.segment_len), rescale by the record's range, and measure the
+damage as fidelity does, by normalized_errors against reference,
+clean_reference(original) of the segment the record was encrypted from.
+Occlusion also tracks exactly which plaintext positions were hit; with a
+chaotic permutation a contiguous ciphertext hole scatters across the
+whole segment.
 """
 
 import math
@@ -19,10 +21,10 @@ from .analysis import clean_reference, normalize_unit, normalized_errors
 from .cipher import (
     EncryptedRecord,
     KeyMaterial,
+    QuantizationRange,
     _dequantized_samples,
-    batch_slices,
     decrypt_with_key_material,
-    derive_key_material_batch,
+    key_material_runs,
     remove_keystream,
 )
 from .errors import ShapeError
@@ -59,17 +61,17 @@ class AttackResult:
 
 
 def _damage(
-    attacked: np.ndarray, hit: np.ndarray, km: KeyMaterial, reference: tuple
+    attacked: np.ndarray, hit: np.ndarray, km: KeyMaterial, rng: QuantizationRange, reference: tuple
 ) -> AttackResult:
-    """MAE and MSE of the attacked ciphertext decrypted with km against
-    reference, and the sorted plaintext positions that the changed
-    ciphertext positions hit, with their dispersion. remove_keystream
-    rejects key material of another length (CorruptRecordError) before
-    hit indexes its permutation."""
+    """MAE and MSE of the attacked ciphertext, decrypted with km and
+    rescaled by rng, against reference, and the sorted plaintext positions
+    that the changed ciphertext positions hit, with their dispersion.
+    remove_keystream rejects key material of another length
+    (CorruptRecordError) before hit indexes its permutation."""
     lo, hi, clean = reference
     q_bytes = remove_keystream(attacked, km.permutation, km.mask)
     # the recovered bytes are finite samples by construction: no SignalSegment
-    got = normalize_unit(_dequantized_samples(q_bytes, km.range), lo, hi)
+    got = normalize_unit(_dequantized_samples(q_bytes, rng), lo, hi)
     mse, mae = normalized_errors(clean, got)
     corrupted = km.permutation[hit]
     corrupted.sort()
@@ -109,7 +111,7 @@ def noise_attack(
     np.maximum(noisy, 0, out=noisy)
     np.minimum(noisy, 255, out=noisy)
     noisy = noisy.astype(np.uint8)
-    return _damage(noisy, (noisy != ct).nonzero()[0], km, reference)
+    return _damage(noisy, (noisy != ct).nonzero()[0], km, record.range, reference)
 
 
 def occlusion_attack(
@@ -126,7 +128,7 @@ def occlusion_attack(
     start = int(np.random.default_rng(config.seed).integers(0, n - length + 1)) if length else 0
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
     ct[start : start + length] = 0
-    return _damage(ct, np.arange(start, start + length), km, reference)
+    return _damage(ct, np.arange(start, start + length), km, record.range, reference)
 
 
 def attack_sweep(
@@ -141,11 +143,11 @@ def attack_sweep(
 
     Rows are dicts {intensity, mae, mse, dispersion} ready for tabular
     output; deterministic for a fixed seed. Key material is derived once
-    per record, BATCH_ROWS records at a time, and serves every intensity,
-    as does each original's clean_reference. originals None stands for
-    the records decrypted with their params: each chunk's records are
-    decrypted with the key material just derived for them, so a store is
-    read, derived and decrypted once, and the rows equal those of the
+    per record, one key_material_runs run at a time, and serves every
+    intensity, as does each original's clean_reference. originals None
+    stands for the records decrypted with their params: each run's records
+    are decrypted with the key material just derived for them, so a store
+    is read, derived and decrypted once, and the rows equal those of the
     decrypt_batch originals bit for bit.
     """
     if len(records) != len(params_list) or (
@@ -156,10 +158,7 @@ def attack_sweep(
     run = occlusion_attack if kind is AttackKind.OCCLUSION else noise_attack
     # per intensity: the (mae, mse, dispersion) of each record, in record order
     damage = [([], [], []) for _ in intensities]
-    for s in batch_slices([r.segment_len for r in records]):
-        kms = derive_key_material_batch(
-            params_list[s], records[s.start].segment_len, [r.range for r in records[s]]
-        )
+    for s, kms in key_material_runs(records, params_list):
         if originals is None:
             origs = [decrypt_with_key_material(rec, km) for rec, km in zip(records[s], kms)]
         else:

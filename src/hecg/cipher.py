@@ -8,13 +8,15 @@ Encryption of one segment:
     4. bytes = quantize(samples to 0..255)
     5. ciphertext[i] = bytes[P[i]] XOR M[i]
 
-Decryption regenerates X from the stored (r, x0); the permutation and
-mask are never persisted or transmitted. The byte-domain roundtrip is
-exact; the real-domain roundtrip is within half a quantization step.
+Decryption regenerates X from the stored (r, x0) and the record's
+length; the permutation and mask (KeyMaterial) are never persisted or
+transmitted, and encrypt returns the record alone. The byte-domain
+roundtrip is exact; the real-domain roundtrip is within half a
+quantization step.
 
-Readers of many stored records (derive_key_material_batch,
-decrypt_batch) derive key material for BATCH_ROWS segments at a time,
-bit-identical to one segment at a time.
+Readers of many stored records (decrypt_batch, attacks.attack_sweep)
+walk them with key_material_runs, which derives the key material of
+BATCH_ROWS records at a time, bit-identical to one record at a time.
 """
 
 import math
@@ -96,15 +98,13 @@ class QuantizedSegment:
 
 @dataclass(frozen=True, eq=False)
 class KeyMaterial:
-    """Per-segment derived artifacts: permutation P, mask M, range.
+    """The keystream of one segment: permutation P and mask M.
 
-    Immutable after construction; never serialized.
+    A pure function of (r, x0) and the segment length; never serialized.
     """
 
     permutation: np.ndarray
     mask: np.ndarray
-    range: QuantizationRange
-    params: ChaoticParams
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def _dequantized_samples(q_bytes: np.ndarray, rng: QuantizationRange) -> np.ndar
     return lo + q_bytes.astype(np.float64) / 255.0 * (hi - lo)
 
 
-def derive_key_material(params: ChaoticParams, n: int, rng: QuantizationRange) -> KeyMaterial:
+def derive_key_material(params: ChaoticParams, n: int) -> KeyMaterial:
     """Generate per-segment mask and permutation from the chaotic sequence.
 
     mask[i] = floor(X[i] * 2^24) mod 256, the third byte of each
@@ -243,7 +243,7 @@ def derive_key_material(params: ChaoticParams, n: int, rng: QuantizationRange) -
     if n < 2:
         raise InvalidSignalError(f"segment length must be >= 2, got {n}")
     mask, perm = _mask_and_permutation(iterate_logistic(params, n))
-    return KeyMaterial(permutation=perm, mask=mask, range=rng, params=params)
+    return KeyMaterial(permutation=perm, mask=mask)
 
 
 def _mask_and_permutation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,26 +269,22 @@ def batch_slices(lengths: list) -> list:
     return slices
 
 
-def derive_key_material_batch(params_list: list, n: int, ranges: list) -> list:
-    """derive_key_material for many segments of length n, row for row.
+def key_material_runs(records: list, params_list: list):
+    """Yield (s, key material of records[s]) for each batch_slices run s
+    of the records, the row for each record equal to derive_key_material.
 
-    Iterates the logistic map over a vector of BATCH_ROWS segments at a
-    time (chaos.iterate_logistic_batch), so the first row whose orbit
-    degenerates raises DegenerateOrbitError as iterate_logistic would.
+    A run's orbits are iterated over a vector (chaos.iterate_logistic_batch),
+    so its first row whose orbit degenerates raises DegenerateOrbitError as
+    iterate_logistic would. Only one run's key material is held at a time.
     """
-    if n < 2:
-        raise InvalidSignalError(f"segment length must be >= 2, got {n}")
-    if len(params_list) != len(ranges):
-        raise ShapeError(f"{len(params_list)} params for {len(ranges)} ranges")
-    out = []
-    for start in range(0, len(params_list), BATCH_ROWS):
-        chunk = params_list[start : start + BATCH_ROWS]
-        mask, perm = _mask_and_permutation(iterate_logistic_batch(chunk, n))
-        out.extend(
-            KeyMaterial(permutation=perm[i], mask=mask[i], range=rng, params=params)
-            for i, (params, rng) in enumerate(zip(chunk, ranges[start : start + BATCH_ROWS]))
-        )
-    return out
+    if len(records) != len(params_list):
+        raise ShapeError(f"{len(records)} records for {len(params_list)} params")
+    for s in batch_slices([r.segment_len for r in records]):
+        n = records[s.start].segment_len
+        if n < 2:  # a crafted record's
+            raise InvalidSignalError(f"segment length must be >= 2, got {n}")
+        mask, perm = _mask_and_permutation(iterate_logistic_batch(params_list[s], n))
+        yield s, [KeyMaterial(permutation=p, mask=m) for p, m in zip(perm, mask)]
 
 
 def _keystream_operands(data: np.ndarray, perm: np.ndarray, mask: np.ndarray):
@@ -324,16 +320,12 @@ def encrypt(
     salt: KeySalt = KeySalt(0),
     mode_tag: Mode = Mode.DIRECT,
     counter: int = 0,
-) -> tuple[EncryptedRecord, KeyMaterial]:
-    """Encrypt one segment with already-final params (salting is the caller's).
-
-    Returns the record plus the key material for in-process decryption
-    and testing; the key material must never travel with the record.
-    """
+) -> EncryptedRecord:
+    """Encrypt one segment with already-final params (salting is the caller's)."""
     q = quantize(segment)
-    km = derive_key_material(params, len(segment), q.range)
+    km = derive_key_material(params, len(segment))
     ct = apply_keystream(q.bytes, km.permutation, km.mask)
-    record = EncryptedRecord(
+    return EncryptedRecord(
         ciphertext=ct.tobytes(),
         range=q.range,
         segment_len=len(segment),
@@ -341,7 +333,6 @@ def encrypt(
         salt=salt,
         mode_tag=mode_tag,
     )
-    return record, km
 
 
 def decrypt(
@@ -353,23 +344,18 @@ def decrypt(
     record itself does not carry the sample rate, so the caller supplies
     it (default 500 Hz).
     """
-    km = derive_key_material(params, record.segment_len, record.range)
+    km = derive_key_material(params, record.segment_len)
     return decrypt_with_key_material(record, km, sample_rate)
 
 
 def decrypt_batch(records: list, params_list: list, sample_rate: float = 500.0) -> list:
     """decrypt for many records, sample for sample, with the key material
-    of BATCH_ROWS records derived at a time."""
-    if len(records) != len(params_list):
-        raise ShapeError(f"{len(records)} records for {len(params_list)} params")
-    segments = []
-    for s in batch_slices([r.segment_len for r in records]):
-        chunk = records[s]
-        kms = derive_key_material_batch(
-            params_list[s], chunk[0].segment_len, [r.range for r in chunk]
-        )
-        segments.extend(decrypt_with_key_material(r, km, sample_rate) for r, km in zip(chunk, kms))
-    return segments
+    of one key_material_runs run derived at a time."""
+    return [
+        decrypt_with_key_material(r, km, sample_rate)
+        for s, kms in key_material_runs(records, params_list)
+        for r, km in zip(records[s], kms)
+    ]
 
 
 def decrypt_with_key_material(
@@ -384,7 +370,7 @@ def decrypt_with_key_material(
 def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams) -> np.ndarray:
     """Byte-domain decryption (dequantization skipped); exact inverse."""
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-    km = derive_key_material(params, record.segment_len, record.range)
+    km = derive_key_material(params, record.segment_len)
     return remove_keystream(ct, km.permutation, km.mask)
 
 

@@ -219,6 +219,15 @@ def _emit_series(prefix: Path, name: str, header: str, rows):
 
 
 def cmd_analyze(args) -> int:
+    if args.compare:
+        other = FileStore(args.compare)
+        other_bytes = [
+            np.frombuffer(other.get_record(s, i).ciphertext, dtype=np.uint8)
+            for s in other.streams()
+            for i in other.record_indices(s)
+        ]
+        if not other_bytes:
+            raise HecgError(f"--compare store {args.compare} holds no records")
     if args.store:
         records, _, segments, decrypt_s = _load_store(args)
         if not records:
@@ -275,19 +284,11 @@ def cmd_analyze(args) -> int:
     print(f"wrote {prefix}_report.txt, _report.json, _min_entropy.json and series files")
 
     if args.compare:
-        other = FileStore(args.compare)
-        other_bytes = []
-        for s in other.streams():
-            for i in other.record_indices(s):
-                other_bytes.append(
-                    np.frombuffer(other.get_record(s, i).ciphertext, dtype=np.uint8)
-                )
-        if other_bytes:
-            dist = analysis.histogram_distance(
-                hist, analysis.Histogram256.from_bytes(np.concatenate(other_bytes))
-            )
-            print(f"compare.chi_squared {dist['chi_squared']:.17g}")
-            print(f"compare.js_divergence {dist['js_divergence']:.17g}")
+        dist = analysis.histogram_distance(
+            hist, analysis.Histogram256.from_bytes(np.concatenate(other_bytes))
+        )
+        print(f"compare.chi_squared {dist['chi_squared']:.17g}")
+        print(f"compare.js_divergence {dist['js_divergence']:.17g}")
     return 0
 
 
@@ -313,6 +314,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # the model file is written only after training: check its directory first
+    out_dir = Path(args.output).parent
+    if not (out_dir.is_dir() and os.access(out_dir, os.W_OK)):
+        raise HecgError(f"--output {args.output}: directory {out_dir} is missing or not writable")
     segments = _load_segments(args)
     if len(segments) < 10:
         print(f"training needs >= 10 segments, got {len(segments)}", file=sys.stderr)

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams
+from .chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams, derive_params
 from .cipher import SignalSegment, compute_stats
 from .errors import CorruptRecordError, DatasetError, ShapeError, TrainingDivergedError
-from .chaos import derive_params
 
 MODEL_MAGIC = b"HMLP"
 MODEL_VERSION = 1

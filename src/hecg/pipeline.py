@@ -480,7 +480,6 @@ class PipelineMetrics:
     store_s: list = field(default_factory=list)
     decrypt_s: list = field(default_factory=list)
     total_s: list = field(default_factory=list)
-    arrival_monotonic: list = field(default_factory=list)
     labels: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     distinct_biometric_params: int = 0
@@ -551,7 +550,7 @@ def seal_segment(
         params = params_for_segment(segment)
     salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
     salted = apply_salt(params, salt)
-    record, _ = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index)
+    record = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index)
     return record, salted, params
 
 
@@ -602,7 +601,6 @@ def run_pipeline(
             first = time.perf_counter()
         elif cadence:
             time.sleep(max(0.0, first + index * cadence - time.perf_counter()))
-        metrics.arrival_monotonic.append(time.perf_counter())
         t_seg = time.perf_counter()
         try:
             t0 = time.perf_counter()

@@ -57,7 +57,7 @@ def encrypted_corpus(corpus):
         base = cipher.params_for_segment(seg)
         salt = KeySalt(timestamp=1_700_000_000_000 + i, device_id=b"corpus")
         salted = apply_salt(base, salt)
-        rec, _ = cipher.encrypt(seg, salted, salt=salt, counter=i)
+        rec = cipher.encrypt(seg, salted, salt=salt, counter=i)
         records.append(rec)
         params_list.append(salted)
     return segments, slices, records, params_list

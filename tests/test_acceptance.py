@@ -18,7 +18,6 @@ import pytest
 from hecg import analysis, mlkey, pipeline
 from hecg.chaos import ChaoticParams
 from hecg.cipher import (
-    QuantizationRange,
     SignalSegment,
     apply_keystream,
     decrypt,
@@ -184,7 +183,7 @@ def test_criterion_6_attacks(encrypted_corpus):
     recs = records[subset]
     pars = params_list[subset]
     inputs = [
-        (rec, derive_key_material(p, rec.segment_len, rec.range), analysis.clean_reference(seg))
+        (rec, derive_key_material(p, rec.segment_len), analysis.clean_reference(seg))
         for seg, rec, p in zip(segs, recs, pars)
     ]
 
@@ -250,7 +249,7 @@ def test_criterion_8_oracle_equivalence():
         assert apply_keystream(q, perm, mask).tolist() == want
     for _ in range(100):
         params = ChaoticParams(float(rng.uniform(3.61, 3.99)), float(rng.uniform(0.11, 0.89)))
-        km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0))
+        km = derive_key_material(params, 300)
         assert np.array_equal(np.sort(km.permutation), np.arange(300))
         q = rng.integers(0, 256, 300).astype(np.uint8)
         c = apply_keystream(q, km.permutation, km.mask)
@@ -306,7 +305,7 @@ def test_criterion_9_ml_key_generator(trained_model, robust_model, training_segm
             ("direct", params_for_segment(noisy)),
             ("ml", mlkey.predict_params(model, noisy)),
         ):
-            record, _ = encrypt(noisy, params)
+            record = encrypt(noisy, params)
             back = decrypt(record, params, 500.0)
             errs[mode] = float(np.mean(np.abs(analysis.normalize_unit(back.samples, lo, hi) - ref)))
         if errs["ml"] <= errs["direct"] + 1e-15:

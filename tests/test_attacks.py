@@ -30,12 +30,12 @@ from hecg.errors import CorruptRecordError, ShapeError
 from hecg.pipeline import synthetic_ecg
 
 
-def reference_damage(original, attacked, km):
+def reference_damage(original, attacked, km, rng):
     """_damage as it was: decrypt through dequantize's SignalSegment."""
     lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
     clean = normalize_unit(original.samples, lo, hi)
     q_bytes = remove_keystream(attacked, km.permutation, km.mask)
-    recovered = dequantize(QuantizedSegment(bytes=q_bytes, range=km.range), original.sample_rate)
+    recovered = dequantize(QuantizedSegment(bytes=q_bytes, range=rng), original.sample_rate)
     diff = clean - normalize_unit(recovered.samples, lo, hi)
     return float(np.mean(np.abs(diff))), float(np.mean(diff * diff))
 
@@ -61,9 +61,9 @@ def reference_noise_attack(record, params, config, original):
         delta = np.round(rng.normal(0.0, a, size=ct.size)).astype(np.int64)
     noisy = np.clip(ct + delta, 0, 255).astype(np.uint8)
     changed = np.nonzero(noisy != ct.astype(np.uint8))[0]
-    km = derive_key_material(params, record.segment_len, record.range)
+    km = derive_key_material(params, record.segment_len)
     corrupted = np.asarray(km.permutation)[changed]
-    mae, mse = reference_damage(original, noisy, km)
+    mae, mse = reference_damage(original, noisy, km, record.range)
     return AttackResult(
         mae, mse, tuple(np.sort(corrupted).tolist()), reference_dispersion(corrupted, len(ct))
     )
@@ -79,9 +79,9 @@ def reference_occlusion_attack(record, params, config, original):
         start = end = 0
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8).copy()
     ct[start:end] = 0
-    km = derive_key_material(params, n, record.range)
+    km = derive_key_material(params, n)
     corrupted = np.asarray(km.permutation)[start:end]
-    mae, mse = reference_damage(original, ct, km)
+    mae, mse = reference_damage(original, ct, km, record.range)
     return AttackResult(mae, mse, tuple(np.sort(corrupted).tolist()), reference_dispersion(corrupted, n))
 
 
@@ -97,7 +97,7 @@ def attack_corpus(corpus):
     records, params_list = [], []
     for i, seg in enumerate(segments):
         p = params_for_segment(seg)
-        rec, _ = encrypt(seg, p, counter=i)
+        rec = encrypt(seg, p, counter=i)
         records.append(rec)
         params_list.append(p)
     return segments, records, params_list
@@ -108,7 +108,7 @@ def attack_inputs(attack_corpus):
     """Per attack_corpus segment, the (record, key material, clean
     reference) an attack takes."""
     return [
-        (rec, derive_key_material(p, rec.segment_len, rec.range), clean_reference(seg))
+        (rec, derive_key_material(p, rec.segment_len), clean_reference(seg))
         for seg, rec, p in zip(*attack_corpus)
     ]
 
@@ -270,7 +270,7 @@ def test_given_key_material(attack_corpus, attack, config):
     # indexes anything
     segments, records, params_list = attack_corpus
     rec, p, ref = records[3], params_list[3], clean_reference(segments[3])
-    wrong = derive_key_material(p, rec.segment_len - 1, rec.range)
+    wrong = derive_key_material(p, rec.segment_len - 1)
     with pytest.raises(CorruptRecordError, match="keystream length mismatch"):
         attack(rec, wrong, config, ref)
 
@@ -289,7 +289,7 @@ def chunked_store():
     segments = long[:70] + short + long[70:]
     params_list = [params_for_segment(seg) for seg in segments]
     records = [
-        encrypt(seg, p, counter=i)[0] for i, (seg, p) in enumerate(zip(segments, params_list))
+        encrypt(seg, p, counter=i) for i, (seg, p) in enumerate(zip(segments, params_list))
     ]
     return records, params_list
 

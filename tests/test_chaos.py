@@ -14,7 +14,6 @@ from hecg.chaos import (
     derive_params,
     iterate_logistic,
     iterate_logistic_batch,
-    logistic_fill,
 )
 from hecg.errors import DegenerateOrbitError, InvalidStatisticsError, ParameterDomainError
 
@@ -86,12 +85,16 @@ class TestIterateLogistic:
         assert np.array_equal(a, b)
 
     def test_degenerate_orbit_reports_index(self):
-        # r=4 is outside the parameter domain, but logistic_fill takes raw
-        # floats: from x=0.5 the first iterate is exactly 1.0, and a healthy
+        # r=4 is outside the parameter domain, so it is forced past the
+        # check: from x=0.5 the first iterate is exactly 1.0, and a healthy
         # orbit fills every slot.
-        for r, x0, want in ((4.0, 0.5, 0), (3.99, 0.123, 4)):
-            out = np.empty(4)
-            assert logistic_fill(r, x0, out) == want, (r, x0)
+        params = ChaoticParams(3.99, 0.5)
+        object.__setattr__(params, "r", 4.0)
+        with pytest.raises(DegenerateOrbitError) as exc:
+            iterate_logistic(params, 4)
+        assert exc.value.index == 0
+        healthy = iterate_logistic(ChaoticParams(3.99, 0.123), 4)
+        assert healthy.tolist() == reference_logistic(3.99, 0.123, 4)
 
     @pytest.mark.parametrize("n", [1, 5, 300, 7])
     def test_batch_rows_match_reference(self, n):

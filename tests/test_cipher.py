@@ -21,8 +21,8 @@ from hecg.cipher import (
     decrypt_bytes,
     dequantize,
     derive_key_material,
-    derive_key_material_batch,
     encrypt,
+    key_material_runs,
     params_for_segment,
     quantize,
     remove_keystream,
@@ -159,22 +159,22 @@ class TestKeyMaterial:
 
     @pytest.mark.parametrize("params", [ChaoticParams(3.99, 0.123), ChaoticParams(3.61, 0.87)])
     def test_derived_mask_matches_reference(self, params):
-        km = derive_key_material(params, 300, QuantizationRange(0.0, 1.0))
+        km = derive_key_material(params, 300)
         orbit = iterate_logistic(params, 300)
         assert km.mask.tobytes() == reference_mask(orbit).tobytes()
 
     def test_bijective_permutation(self):
-        km = derive_key_material(ChaoticParams(3.97, 0.321), 257, QuantizationRange(0.0, 1.0))
+        km = derive_key_material(ChaoticParams(3.97, 0.321), 257)
         assert sorted(km.permutation.tolist()) == list(range(257))
         assert len(km.mask) == 257
 
     def test_golden_mask_distinct_values(self):
-        km = derive_key_material(ChaoticParams(3.99, 0.123), 300, QuantizationRange(0.0, 1.0))
+        km = derive_key_material(ChaoticParams(3.99, 0.123), 300)
         assert len(np.unique(km.mask)) >= 100
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidSignalError):
-            derive_key_material(ChaoticParams(3.9, 0.3), 1, QuantizationRange(0.0, 1.0))
+            derive_key_material(ChaoticParams(3.9, 0.3), 1)
 
 
 def _batch_params(count: int, seed: int = 11) -> list:
@@ -183,20 +183,30 @@ def _batch_params(count: int, seed: int = 11) -> list:
     return [ChaoticParams(3.6 + 0.4 * u, 0.1 + 0.8 * v) for u, v in draws]
 
 
+def _records_of_length(count: int, n: int) -> list:
+    """count records of n ciphertext bytes: only their lengths matter to
+    key_material_runs."""
+    return [
+        EncryptedRecord(bytes(n), QuantizationRange(0.0, 1.0), n, bytes(16), KeySalt(0), Mode.DIRECT)
+        for _ in range(count)
+    ]
+
+
 class TestBatch:
     """The batched read path against the one-segment-at-a-time oracle."""
 
     def test_key_material_matches_serial(self):
         params_list = _batch_params(2 * BATCH_ROWS + 7)
-        ranges = [QuantizationRange(-float(i), float(i)) for i in range(len(params_list))]
-        got = derive_key_material_batch(params_list, 300, ranges)
+        records = _records_of_length(len(params_list), 300)
+        runs = list(key_material_runs(records, params_list))
+        assert [(s.start, s.stop) for s, _ in runs] == [(0, 64), (64, 128), (128, 135)]
+        got = [km for _, kms in runs for km in kms]
         assert len(got) == len(params_list)
-        for km, params, rng in zip(got, params_list, ranges):
-            want = derive_key_material(params, 300, rng)
+        for km, params in zip(got, params_list):
+            want = derive_key_material(params, 300)
             assert np.array_equal(km.permutation, want.permutation)
             assert km.permutation.dtype == want.permutation.dtype
             assert np.array_equal(km.mask, want.mask)
-            assert km.params == params and km.range == rng
 
     def test_decrypt_matches_serial(self, encrypted_corpus):
         segments, _, _, params_list = encrypted_corpus
@@ -205,7 +215,7 @@ class TestBatch:
         records, keys = [], []
         for i, n in enumerate(lengths):
             seg = SignalSegment(segments[i % len(segments)].samples[:n], 500.0)
-            records.append(encrypt(seg, params_list[i % len(params_list)])[0])
+            records.append(encrypt(seg, params_list[i % len(params_list)]))
             keys.append(params_list[i % len(params_list)])
         got = decrypt_batch(records, keys, 250.0)
         assert len(got) == len(records)
@@ -216,7 +226,7 @@ class TestBatch:
 
     def test_first_degenerate_row_raises_like_scalar(self):
         params_list = _batch_params(2 * BATCH_ROWS + 7)
-        ranges = [QuantizationRange(0.0, 1.0)] * len(params_list)
+        records = _records_of_length(len(params_list), 300)
 
         def force(params, x0):
             object.__setattr__(params, "r", 4.0)
@@ -228,24 +238,23 @@ class TestBatch:
         # r = 4 maps x0 = 0.5 to exactly 1.0 on iterate 0
         assert force(params_list[BATCH_ROWS + 5], 0.5) == 0
         with pytest.raises(DegenerateOrbitError) as batch:
-            derive_key_material_batch(params_list, 300, ranges)
+            list(key_material_runs(records, params_list))
         assert batch.value.index == 0
         # an earlier row that degenerates one iterate later wins: it maps
         # to 0.5 on iterate 0 and to 1.0 on iterate 1
         assert force(params_list[BATCH_ROWS + 3], 0.14644660940672624) == 1
         with pytest.raises(DegenerateOrbitError) as batch:
-            derive_key_material_batch(params_list, 300, ranges)
+            list(key_material_runs(records, params_list))
         assert batch.value.index == 1
 
     def test_empty_and_mismatched(self):
-        rng = QuantizationRange(0.0, 1.0)
-        assert derive_key_material_batch([], 300, []) == []
+        assert list(key_material_runs([], [])) == []
         assert decrypt_batch([], []) == []
         with pytest.raises(InvalidSignalError):
-            derive_key_material_batch(_batch_params(2), 1, [rng] * 2)
+            list(key_material_runs(_records_of_length(2, 1), _batch_params(2)))
         with pytest.raises(ShapeError):
-            derive_key_material_batch(_batch_params(2), 300, [rng])
-        record, _ = encrypt(SignalSegment(np.arange(10.0), 500.0), _batch_params(1)[0])
+            list(key_material_runs(_records_of_length(1, 300), _batch_params(2)))
+        record = encrypt(SignalSegment(np.arange(10.0), 500.0), _batch_params(1)[0])
         with pytest.raises(ShapeError):
             decrypt_batch([record], _batch_params(2))
 
@@ -262,7 +271,7 @@ class TestEncryptDecrypt:
         rng = np.random.default_rng(1)
         seg = SignalSegment(rng.normal(0.0, 0.4, 300), 500.0)
         params = params_for_segment(seg)
-        record, _ = encrypt(seg, params)
+        record = encrypt(seg, params)
         assert np.array_equal(decrypt_bytes(record, params), quantize(seg).bytes)
 
     def test_real_domain_roundtrip_bound(self):
@@ -270,7 +279,7 @@ class TestEncryptDecrypt:
         for _ in range(20):
             seg = SignalSegment(rng.normal(0.0, 1.0, 128), 500.0)
             params = params_for_segment(seg)
-            record, _ = encrypt(seg, params)
+            record = encrypt(seg, params)
             back = decrypt(record, params, 500.0)
             bound = (record.range.max - record.range.min) / 510.0
             assert np.max(np.abs(back.samples - seg.samples)) <= bound * (1 + 1e-12)
@@ -279,9 +288,9 @@ class TestEncryptDecrypt:
         rng = np.random.default_rng(3)
         seg = SignalSegment(rng.normal(0.0, 0.4, 300), 500.0)
         params = params_for_segment(seg)
-        record, km = encrypt(seg, params)
+        record = encrypt(seg, params)
         ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-        unmasked = np.bitwise_xor(ct, km.mask)
+        unmasked = np.bitwise_xor(ct, derive_key_material(params, len(seg)).mask)
         assert sorted(unmasked.tolist()) == sorted(quantize(seg).bytes.tolist())
 
     def test_determinism_same_salt(self):
@@ -289,15 +298,15 @@ class TestEncryptDecrypt:
         seg = SignalSegment(rng.normal(0.0, 0.4, 300), 500.0)
         params = params_for_segment(seg)
         salt = KeySalt(123456, b"dev")
-        r1, _ = encrypt(seg, params, salt=salt, counter=9)
-        r2, _ = encrypt(seg, params, salt=salt, counter=9)
+        r1 = encrypt(seg, params, salt=salt, counter=9)
+        r2 = encrypt(seg, params, salt=salt, counter=9)
         assert r1.to_bytes() == r2.to_bytes()
 
     def test_wrong_key_garbage(self):
         rng = np.random.default_rng(6)
         seg = SignalSegment(rng.normal(0.0, 0.4, 3000), 500.0)
         params = params_for_segment(seg)
-        record, _ = encrypt(seg, params)
+        record = encrypt(seg, params)
         wrong = ChaoticParams(params.r + 1e-10, params.x0)
         got = decrypt_bytes(record, wrong).astype(int)
         orig = quantize(seg).bytes.astype(int)
@@ -313,11 +322,11 @@ class TestEncryptDecrypt:
         for _ in range(30):
             samples = rng.normal(0.0, 0.4, 300)
             seg = SignalSegment(samples, 500.0)
-            r1, _ = encrypt(seg, params_for_segment(seg))
+            r1 = encrypt(seg, params_for_segment(seg))
             bumped = samples.copy()
             bumped[rng.integers(0, 300)] += (samples.max() - samples.min()) / 255.0
             seg2 = SignalSegment(bumped, 500.0)
-            r2, _ = encrypt(seg2, params_for_segment(seg2))
+            r2 = encrypt(seg2, params_for_segment(seg2))
             c1 = np.frombuffer(r1.ciphertext, dtype=np.uint8)
             c2 = np.frombuffer(r2.ciphertext, dtype=np.uint8)
             rates.append(np.mean(c1 != c2))
@@ -328,7 +337,7 @@ class TestEncryptDecrypt:
         rng = np.random.default_rng(9)
         seg = SignalSegment(rng.normal(0.0, 0.4, 64), 500.0)
         params = params_for_segment(seg)
-        record, _ = encrypt(seg, params)
+        record = encrypt(seg, params)
         with pytest.raises(CorruptRecordError):
             EncryptedRecord(
                 ciphertext=record.ciphertext[:-1],
@@ -371,7 +380,7 @@ class TestRecordFormat:
         seg = SignalSegment(rng.normal(0.0, 0.4, 300), 500.0)
         params = params_for_segment(seg)
         salt = KeySalt(timestamp=1_699_999_999_123, device_id=b"device-7")
-        record, _ = encrypt(seg, params, salt=salt, mode_tag=Mode.ML_PREDICTED, counter=77)
+        record = encrypt(seg, params, salt=salt, mode_tag=Mode.ML_PREDICTED, counter=77)
         return record
 
     def test_layout_bit_exact(self):
@@ -424,8 +433,8 @@ class TestRecordFormat:
         rng = np.random.default_rng(11)
         seg = SignalSegment(rng.normal(0.0, 0.4, 32), 500.0)
         params = params_for_segment(seg)
-        direct, _ = encrypt(seg, params, mode_tag=Mode.DIRECT)
-        ml, _ = encrypt(seg, params, mode_tag=Mode.ML_PREDICTED)
+        direct = encrypt(seg, params, mode_tag=Mode.DIRECT)
+        ml = encrypt(seg, params, mode_tag=Mode.ML_PREDICTED)
         assert direct.to_bytes()[5] == 0
         assert ml.to_bytes()[5] == 1
 
@@ -439,5 +448,5 @@ class TestRecordFormat:
 def test_roundtrip_property(samples, r, x0):
     seg = SignalSegment(np.asarray(samples), 500.0)
     params = ChaoticParams(r, x0)
-    record, _ = encrypt(seg, params)
+    record = encrypt(seg, params)
     assert np.array_equal(decrypt_bytes(record, params), quantize(seg).bytes)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hecg import HAVE_COMPILED, attacks, backend_name, cipher, cli
 from hecg.analysis import AnalysisReport
 from hecg.cipher import decrypt
+from hecg.errors import TrainingDivergedError
 from hecg.cli import main
 from hecg.pipeline import FileStore, synthetic_ecg_wave
 
@@ -146,6 +148,21 @@ def test_analyze_compare_stores(tmp_path, capsys):
     assert jsd < 0.32
 
 
+@pytest.mark.parametrize("empty", ["missing", "no_records"])
+def test_analyze_compare_without_records_fails_before_writing(tmp_path, empty, capsys):
+    main(["encrypt", "--synthetic", "3", "--store", str(tmp_path / "a")])
+    (tmp_path / "no_records" / "stream0").mkdir(parents=True)
+    capsys.readouterr()
+    other = tmp_path / empty
+    prefix = tmp_path / "out" / "cmp"
+    argv = ["analyze", "--store", str(tmp_path / "a"), "--compare", str(other), "--output", str(prefix)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert f"error: --compare store {other} holds no records" in err
+    assert "compare." not in out
+    assert not prefix.parent.exists()
+
+
 def test_attack_sweep_deterministic(tmp_path, capsys):
     store = tmp_path / "store"
     main(["encrypt", "--synthetic", "20", "--store", str(store), "--seed", "9"])
@@ -191,12 +208,12 @@ def test_attack_derives_each_record_once_and_never_batch_decrypts(tmp_path, monk
     main(["encrypt", "--synthetic", "70", "--store", str(store), "--seed", "6"])
     capsys.readouterr()
     rows, decrypts, attacked = [], [], []
-    derive, decrypt_all = cipher.derive_key_material_batch, cipher.decrypt_batch
+    iterate, decrypt_all = cipher.iterate_logistic_batch, cipher.decrypt_batch
     noise = attacks.noise_attack
 
     def counting(params_list, *args, **kwargs):
         rows.append(len(params_list))
-        return derive(params_list, *args, **kwargs)
+        return iterate(params_list, *args, **kwargs)
 
     def recorded(records, *args, **kwargs):
         decrypts.append(len(records))
@@ -206,8 +223,8 @@ def test_attack_derives_each_record_once_and_never_batch_decrypts(tmp_path, monk
         attacked.append(args[0])
         return noise(*args)
 
-    for module in (cipher, attacks):
-        monkeypatch.setattr(module, "derive_key_material_batch", counting)
+    # every record's key material is derived in the orbits of a key_material_runs run
+    monkeypatch.setattr(cipher, "iterate_logistic_batch", counting)
     for module in (cipher, cli):
         monkeypatch.setattr(module, "decrypt_batch", recorded)
     # the benchmark's audit ticks at each call of the module-level noise_attack
@@ -255,7 +272,15 @@ def _non_numeric_key(stream: Path) -> str:
     return f"error: key {key_id} in stream stream0 is not numeric: notnum {x0}"
 
 
-@pytest.mark.parametrize("fault", [_stray_record_file, _non_numeric_key])
+def _one_sample_record(stream: Path) -> str:
+    # a crafted record of one sample, keyed like the record it replaces
+    record = FileStore(stream.parent).get_record(stream.name, 1)
+    short = dataclasses.replace(record, ciphertext=record.ciphertext[:1], segment_len=1)
+    (stream / "seg_000001.rec").write_bytes(short.to_bytes())
+    return "error: segment length must be >= 2, got 1"
+
+
+@pytest.mark.parametrize("fault", [_stray_record_file, _non_numeric_key, _one_sample_record])
 @pytest.mark.parametrize("command, args", READ_COMMANDS)
 def test_read_commands_report_a_store_fault(tmp_path, monkeypatch, command, args, fault, capsys):
     monkeypatch.chdir(tmp_path)
@@ -338,6 +363,24 @@ def test_train_determinism_and_model_file(tmp_path, capsys):
     assert main(["train", "--output", str(model_b)] + args) == 0
     capsys.readouterr()
     assert model_a.read_bytes() == model_b.read_bytes()
+
+
+@pytest.mark.parametrize("directory", ["missing", "."])
+def test_train_checks_output_before_training_and_writes_no_failed_model(
+    tmp_path, monkeypatch, directory, capsys
+):
+    def failing(*args, **kwargs):
+        raise TrainingDivergedError("training reached")
+
+    monkeypatch.setattr(cli, "train", failing)
+    model = tmp_path / directory / "m.hmlp"
+    assert main(["train", "--synthetic", "20", "--output", str(model)]) == 1
+    err = capsys.readouterr().err
+    if directory == "missing":
+        assert f"error: --output {model}: directory {model.parent} is missing or not writable" in err
+    else:
+        assert "error: training reached" in err
+    assert not model.exists()
 
 
 def test_train_undersized_dataset(tmp_path, capsys):
