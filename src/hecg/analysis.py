@@ -171,11 +171,11 @@ def min_entropy_mcv_blocks(data, block: int = 2) -> float:
 class MinEntropySummary:
     """Distribution of per-segment MCV lower bounds (bits/byte)."""
 
-    per_segment_bits: list
     median: float
     iqr: float
     p5: float
     p95: float
+    per_segment_bits: list
 
     @classmethod
     def from_segments(cls, segment_bytes_list) -> "MinEntropySummary":
@@ -526,32 +526,30 @@ class AnalysisReport:
         return cls(**json.loads(text))
 
 
-def analyze_corpus(
-    plaintexts: list, blocks: list, recovered: list, reference: list | None = None
-) -> AnalysisReport:
+def analyze_corpus(segments: list, blocks: list, reference: list | None = None) -> AnalysisReport:
     """Run the battery on per-segment byte blocks.
 
-    plaintexts: the SignalSegments the blocks hold, encrypted or not;
-    blocks: one uint8 array per segment; recovered: the SignalSegment a
-    reader gets back from each block. quality is fidelity(reference,
-    recovered) when a reference is given, else empty: nothing was
-    measured. timing.decrypt_seconds is zero, for the caller to fill in.
+    segments: the SignalSegments the blocks hold, encrypted or not, as a
+    reader gets them back; blocks: one uint8 array per segment. quality is
+    fidelity(reference, segments) when a reference is given, else empty:
+    nothing was measured. timing.decrypt_seconds is zero, for the caller to
+    fill in.
     """
-    if not plaintexts or not (len(plaintexts) == len(blocks) == len(recovered)):
-        raise ShapeError("need one block and one recovered segment per segment")
+    if not segments or len(segments) != len(blocks):
+        raise ShapeError("need one block per segment")
 
     all_bytes = np.concatenate(blocks)
     flatnesses = segment_flatness(all_bytes, [len(b) for b in blocks])
     seg_entropies = []
     correlations = []
     monobit_passes = 0
-    for seg, block in zip(plaintexts, blocks):
+    for seg, block in zip(segments, blocks):
         seg_entropies.append(shannon_entropy(block))
         correlations.append(pearson_correlation(seg.samples, block))
         if monobit_test(block) > 0.01:
             monobit_passes += 1
 
-    n_seg = len(plaintexts)
+    n_seg = len(segments)
     hist = histogram_stats(all_bytes)
     report = AnalysisReport(
         shannon_entropy_bits=shannon_entropy(all_bytes),
@@ -561,7 +559,7 @@ def analyze_corpus(
         histogram_stats=hist,
         spectral_flatness=float(np.mean(flatnesses)),
         min_entropy_bits=min_entropy_mcv(all_bytes),
-        quality={} if reference is None else fidelity(reference, recovered),
+        quality={} if reference is None else fidelity(reference, segments),
         timing={"decrypt_seconds": 0.0},
         segment_count=n_seg,
         per_segment_entropy_mean=float(np.mean(seg_entropies)),

@@ -4,8 +4,9 @@ Both attacks take (record, km, config, reference): they perturb the
 record's ciphertext bytes (the stored/transmitted artifact), decrypt with
 km, the record's own KeyMaterial, derive_key_material(params,
 record.segment_len), rescale by the record's range, and measure the
-damage as fidelity does, by normalized_errors against reference,
-clean_reference(original) of the segment the record was encrypted from.
+damage as fidelity does, by normalized_errors against reference: the
+clean_reference of the record's original, which for attack_sweep is the
+record decrypted with km.
 Occlusion also tracks exactly which plaintext positions were hit; with a
 chaotic permutation a contiguous ciphertext hole scatters across the
 whole segment.
@@ -27,7 +28,6 @@ from .cipher import (
     key_material_runs,
     remove_keystream,
 )
-from .errors import ShapeError
 
 
 class AttackKind(Enum):
@@ -132,38 +132,25 @@ def occlusion_attack(
 
 
 def attack_sweep(
-    records: list,
-    params_list: list,
-    originals: list | None,
-    kind: AttackKind,
-    intensities: list,
-    seed: int = 0,
+    records: list, params_list: list, kind: AttackKind, intensities: list, seed: int = 0
 ) -> list:
     """Corpus sweep: one row per intensity with corpus-mean MAE/MSE.
 
     Rows are dicts {intensity, mae, mse, dispersion} ready for tabular
     output; deterministic for a fixed seed. Key material is derived once
     per record, one key_material_runs run at a time, and serves every
-    intensity, as does each original's clean_reference. originals None
-    stands for the records decrypted with their params: each run's records
-    are decrypted with the key material just derived for them, so a store
-    is read, derived and decrypted once, and the rows equal those of the
-    decrypt_batch originals bit for bit.
+    intensity, as does the record's reference: the clean_reference of the
+    record decrypted with that key material, taken for the whole run before
+    its attacks, so a store is read, derived and decrypted once.
+    key_material_runs raises ShapeError unless there is one params per
+    record.
     """
-    if len(records) != len(params_list) or (
-        originals is not None and len(originals) != len(records)
-    ):
-        given = "no" if originals is None else len(originals)
-        raise ShapeError(f"{len(records)} records, {len(params_list)} params, {given} originals")
     run = occlusion_attack if kind is AttackKind.OCCLUSION else noise_attack
     # per intensity: the (mae, mse, dispersion) of each record, in record order
     damage = [([], [], []) for _ in intensities]
     for s, kms in key_material_runs(records, params_list):
-        if originals is None:
-            origs = [decrypt_with_key_material(rec, km) for rec, km in zip(records[s], kms)]
-        else:
-            origs = originals[s]
-        refs = [clean_reference(orig) for orig in origs]
+        # the run's references first, so that no decrypt lands between two attacks
+        refs = [clean_reference(decrypt_with_key_material(r, km)) for r, km in zip(records[s], kms)]
         for i, rec, km, ref in zip(range(s.start, s.stop), records[s], kms, refs):
             for level, intensity in enumerate(intensities):
                 cfg = AttackConfig(kind=kind, intensity=intensity, seed=seed + 7919 * level + i)

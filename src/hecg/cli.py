@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,8 @@ def _add_common(p: argparse.ArgumentParser, segmenting: bool = True):
     """--seed and, unless segmenting is False, --segment-len and --sample-rate."""
     p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
     if segmenting:
-        p.add_argument("--segment-len", type=_int_at_least(1), default=300)
+        # a SignalSegment holds at least 2 samples
+        p.add_argument("--segment-len", type=_int_at_least(2), default=300)
         p.add_argument("--sample-rate", type=_float_in(0), default=500.0)
 
 
@@ -133,6 +135,16 @@ def _mode_and_model(args) -> tuple:
     return Mode.ML_PREDICTED, KeyPredictor.load(args.model)
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output that is a directory, or whose directory is
+    missing or not writable, before the work whose result it would hold."""
+    out = Path(path)
+    if out.is_dir():
+        raise HecgError(f"--output {path} is a directory")
+    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        raise HecgError(f"--output {path}: directory {out.parent} is missing or not writable")
+
+
 def _base_timestamp(args) -> int:
     """Salt timestamp of segment 0; segment i is salted with this plus i."""
     return 1_700_000_000_000 + args.seed * 1_000_000
@@ -172,7 +184,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    _, _, segments, _ = _load_store(args)
+    _check_output(args.output)
+    _, segments, _ = _load_store(args)
     if not segments:
         print(f"no records in {args.store}/{args.stream}", file=sys.stderr)
         return 1
@@ -200,13 +213,13 @@ def _read_store(args):
 
 
 def _load_store(args):
-    """_read_store's records and params, plus their segments decrypted by
-    decrypt_batch and the batch decrypt time per record."""
+    """_read_store's records, their segments decrypted by decrypt_batch
+    and the batch decrypt time per record."""
     records, params_list = _read_store(args)
     t0 = time.perf_counter()
     segments = decrypt_batch(records, params_list)
     decrypt_s = (time.perf_counter() - t0) / max(1, len(records))
-    return records, params_list, segments, decrypt_s
+    return records, segments, decrypt_s
 
 
 def _emit_series(prefix: Path, name: str, header: str, rows):
@@ -229,7 +242,7 @@ def cmd_analyze(args) -> int:
         if not other_bytes:
             raise HecgError(f"--compare store {args.compare} holds no records")
     if args.store:
-        records, _, segments, decrypt_s = _load_store(args)
+        records, segments, decrypt_s = _load_store(args)
         if not records:
             print("store holds no records", file=sys.stderr)
             return 1
@@ -237,7 +250,7 @@ def cmd_analyze(args) -> int:
         if args.input:
             reference = _load_segments(args)[: len(segments)]
         blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
-        report = analysis.analyze_corpus(segments, blocks, segments, reference)
+        report = analysis.analyze_corpus(segments, blocks, reference)
         report.timing["decrypt_seconds"] = decrypt_s
     else:
         if not args.input and not args.synthetic:
@@ -245,9 +258,8 @@ def cmd_analyze(args) -> int:
             return 1
         segments = _load_segments(args)
         blocks = [quantize(s).bytes for s in segments]
-        # The un-encrypted baseline: the blocks are the plain quantized
-        # segments, and a reader gets the segments themselves back.
-        report = analysis.analyze_corpus(segments, blocks, segments)
+        # the un-encrypted baseline: the blocks are the plain quantized segments
+        report = analysis.analyze_corpus(segments, blocks)
     all_bytes = np.concatenate(blocks)
     summary = analysis.MinEntropySummary.from_segments(blocks)
 
@@ -255,18 +267,7 @@ def cmd_analyze(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}_report.txt").write_text(report.to_flat_text())
     Path(f"{prefix}_report.json").write_text(report.to_json())
-    Path(f"{prefix}_min_entropy.json").write_text(
-        json.dumps(
-            {
-                "median": summary.median,
-                "iqr": summary.iqr,
-                "p5": summary.p5,
-                "p95": summary.p95,
-                "per_segment_bits": summary.per_segment_bits,
-            },
-            indent=2,
-        )
-    )
+    Path(f"{prefix}_min_entropy.json").write_text(json.dumps(asdict(summary), indent=2))
     hist = analysis.Histogram256.from_bytes(all_bytes)
     _emit_series(prefix, "histogram", "bin\tcount", [(i, int(c)) for i, c in enumerate(hist.counts)])
     _emit_series(
@@ -293,6 +294,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.output:
+        _check_output(args.output)
     kind = attacks.AttackKind(args.kind)
     try:  # every intensity in its kind's domain before the store is read
         intensities = [float(v) for v in args.sweep.split(",")]
@@ -305,7 +308,7 @@ def cmd_attack(args) -> int:
     if not records:
         print("store holds no records", file=sys.stderr)
         return 1
-    rows = attacks.attack_sweep(records, params_list, None, kind, intensities, seed=args.seed)
+    rows = attacks.attack_sweep(records, params_list, kind, intensities, seed=args.seed)
     table = attacks.sweep_table(rows)
     if args.output:
         Path(args.output).write_text(table)
@@ -314,10 +317,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # the model file is written only after training: check its directory first
-    out_dir = Path(args.output).parent
-    if not (out_dir.is_dir() and os.access(out_dir, os.W_OK)):
-        raise HecgError(f"--output {args.output}: directory {out_dir} is missing or not writable")
+    _check_output(args.output)
     segments = _load_segments(args)
     if len(segments) < 10:
         print(f"training needs >= 10 segments, got {len(segments)}", file=sys.stderr)

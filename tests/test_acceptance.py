@@ -194,7 +194,7 @@ def test_criterion_6_attacks(encrypted_corpus):
     noise_mae = float(np.mean(maes))
     assert 0.001 <= noise_mae <= 0.05
 
-    rows = attack_sweep(recs, pars, segs, AttackKind.NOISE_UNIFORM, [0, 1, 4, 16], seed=77)
+    rows = attack_sweep(recs, pars, AttackKind.NOISE_UNIFORM, [0, 1, 4, 16], seed=77)
     sweep = [r["mae"] for r in rows]
     assert sweep == sorted(sweep)
 

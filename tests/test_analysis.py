@@ -542,7 +542,7 @@ class TestAnalysisReport:
         segments, records = segments[:30], records[:30]
         blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
         recovered = [decrypt(r, p) for r, p in zip(records, params_list)]
-        report = analysis.analyze_corpus(segments, blocks, recovered, reference=segments)
+        report = analysis.analyze_corpus(recovered, blocks, reference=segments)
         report.validate()
         parsed = AnalysisReport.from_json(report.to_json())
         assert parsed == report

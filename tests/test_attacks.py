@@ -19,7 +19,7 @@ from hecg.cipher import (
     BATCH_ROWS,
     QuantizedSegment,
     batch_slices,
-    decrypt_batch,
+    decrypt,
     dequantize,
     derive_key_material,
     encrypt,
@@ -128,10 +128,8 @@ class TestNoiseAttack:
         assert 0.001 <= np.mean(maes) <= 0.05
 
     def test_sweep_monotone(self, attack_corpus):
-        segments, records, params_list = attack_corpus
-        rows = attack_sweep(
-            records, params_list, segments, AttackKind.NOISE_UNIFORM, [0, 1, 4, 16], seed=7
-        )
+        _, records, params_list = attack_corpus
+        rows = attack_sweep(records, params_list, AttackKind.NOISE_UNIFORM, [0, 1, 4, 16], seed=7)
         maes = [r["mae"] for r in rows]
         assert maes == sorted(maes)
 
@@ -245,10 +243,8 @@ class TestDispersionStatistic:
 
 
 def test_sweep_table_format(attack_corpus):
-    segments, records, params_list = attack_corpus
-    rows = attack_sweep(
-        records[:5], params_list[:5], segments[:5], AttackKind.OCCLUSION, [0.05, 0.1, 0.25], seed=1
-    )
+    _, records, params_list = attack_corpus
+    rows = attack_sweep(records[:5], params_list[:5], AttackKind.OCCLUSION, [0.05, 0.1, 0.25], seed=1)
     text = sweep_table(rows)
     lines = text.strip().splitlines()
     assert lines[0].split("\t") == ["intensity", "mae", "mse", "dispersion"]
@@ -295,9 +291,9 @@ def chunked_store():
 
 
 class TestSweepDecryptsItsOwnOriginals:
-    """attack_sweep without originals decrypts each chunk's records with
-    the key material it derived for them, and gives the rows that the
-    decrypt_batch originals give."""
+    """attack_sweep measures each record against its own decryption, with
+    the key material it derived for the record's chunk, and gives the rows
+    of the same sweep done one record at a time."""
 
     def test_store_cuts_chunks_short(self, chunked_store):
         records, _ = chunked_store
@@ -313,18 +309,29 @@ class TestSweepDecryptsItsOwnOriginals:
             (AttackKind.OCCLUSION, [0.0, 0.1, 0.5]),
         ],
     )
-    def test_rows_equal_decrypt_batch_originals(self, chunked_store, kind, intensities):
+    def test_rows_equal_one_record_at_a_time(self, chunked_store, kind, intensities):
         records, params_list = chunked_store
-        originals = decrypt_batch(records, params_list)
-        want = attack_sweep(records, params_list, originals, kind, intensities, 5)
-        got = attack_sweep(records, params_list, None, kind, intensities, 5)
+        attack = occlusion_attack if kind is AttackKind.OCCLUSION else noise_attack
+        damage = [[] for _ in intensities]
+        for i, (rec, p) in enumerate(zip(records, params_list)):
+            km = derive_key_material(p, rec.segment_len)
+            ref = clean_reference(decrypt(rec, p))
+            for level, intensity in enumerate(intensities):
+                cfg = AttackConfig(kind, intensity, seed=5 + 7919 * level + i)
+                damage[level].append(attack(rec, km, cfg, ref))
+        want = [
+            {
+                "intensity": float(intensity),
+                "mae": float(np.mean([r.mae for r in results])),
+                "mse": float(np.mean([r.mse for r in results])),
+                "dispersion": float(np.mean([r.dispersion for r in results])),
+            }
+            for intensity, results in zip(intensities, damage)
+        ]
+        got = attack_sweep(records, params_list, kind, intensities, 5)
         assert _sweep_bits(got) == _sweep_bits(want)
 
     def test_length_mismatch_rejected(self, chunked_store):
         records, params_list = chunked_store
-        with pytest.raises(ShapeError, match="no originals"):
-            attack_sweep(records, params_list[:-1], None, AttackKind.OCCLUSION, [0.1])
-        with pytest.raises(ShapeError, match="139 originals"):
-            attack_sweep(
-                records, params_list, [None] * 139, AttackKind.OCCLUSION, [0.1]
-            )
+        with pytest.raises(ShapeError, match="140 records for 139 params"):
+            attack_sweep(records, params_list[:-1], AttackKind.OCCLUSION, [0.1])

@@ -330,6 +330,7 @@ def test_read_commands_report_a_store_fault(tmp_path, monkeypatch, command, args
         (["train", "--synthetic", "20", "--epochs", "1", "--output", "/missing/dir/m.hmlp"], 1),
         (["train", "--learning-rate", "-1"], 2),
         (["train", "--lr-decay", "1.5"], 2),
+        (["encrypt", "--synthetic", "3", "--segment-len", "1"], 2),
     ],
 )
 def test_bad_arguments_end_in_an_error_line(tmp_path, monkeypatch, argv, code, capsys):
@@ -365,7 +366,7 @@ def test_train_determinism_and_model_file(tmp_path, capsys):
     assert model_a.read_bytes() == model_b.read_bytes()
 
 
-@pytest.mark.parametrize("directory", ["missing", "."])
+@pytest.mark.parametrize("directory", ["missing", ".", "is_a_directory"])
 def test_train_checks_output_before_training_and_writes_no_failed_model(
     tmp_path, monkeypatch, directory, capsys
 ):
@@ -374,13 +375,43 @@ def test_train_checks_output_before_training_and_writes_no_failed_model(
 
     monkeypatch.setattr(cli, "train", failing)
     model = tmp_path / directory / "m.hmlp"
+    if directory == "is_a_directory":
+        model.mkdir(parents=True)
     assert main(["train", "--synthetic", "20", "--output", str(model)]) == 1
     err = capsys.readouterr().err
     if directory == "missing":
         assert f"error: --output {model}: directory {model.parent} is missing or not writable" in err
+    elif directory == "is_a_directory":
+        assert f"error: --output {model} is a directory" in err
     else:
         assert "error: training reached" in err
-    assert not model.exists()
+    if directory == "is_a_directory":
+        assert list(model.iterdir()) == []
+    else:
+        assert not model.exists()
+
+
+@pytest.mark.parametrize("output", ["missing/out", "."])
+@pytest.mark.parametrize("command", ["decrypt", "attack"])
+def test_decrypt_and_attack_check_output_before_the_work(
+    tmp_path, monkeypatch, command, output, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--synthetic", "3", "--store", "store"]) == 0
+    capsys.readouterr()
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{command} read the store before checking --output")
+
+    monkeypatch.setattr(cli, "decrypt_batch", reached)
+    monkeypatch.setattr(cli.attacks, "attack_sweep", reached)
+    assert main([command, "--store", "store", "--output", output]) == 1
+    err = capsys.readouterr().err
+    if output == ".":
+        assert "error: --output . is a directory" in err
+    else:
+        assert "error: --output missing/out: directory missing is missing or not writable" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
 
 def test_train_undersized_dataset(tmp_path, capsys):
