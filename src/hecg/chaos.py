@@ -13,6 +13,7 @@ bit-identical sequences on any platform (binary64 arithmetic throughout).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,14 @@ class KeySalt:
             raise ValueError("device_id longer than 255 bytes")
 
     def digest(self) -> int:
-        """64-bit FNV-1a fold of (timestamp, device_id). Not cryptographic."""
+        """64-bit FNV-1a fold of (timestamp, device_id). Not cryptographic.
+
+        Folded on the first call and kept on the salt, outside its fields.
+        """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> int:
         h = _FNV_OFFSET
         for b in self.timestamp.to_bytes(8, "little"):
             h = ((h ^ b) * _FNV_PRIME) & _U64

@@ -14,9 +14,13 @@ transmitted, and encrypt returns the record alone. The byte-domain
 roundtrip is exact; the real-domain roundtrip is within half a
 quantization step.
 
-Readers of many stored records (decrypt_batch, attacks.attack_sweep)
-walk them with key_material_runs, which derives the key material of
-BATCH_ROWS records at a time, bit-identical to one record at a time.
+derive_key_material keeps the most recent keystream in process memory
+until the next derivation with other (r, x0, n), so a stream's read-back
+decrypt reuses the orbit its encrypt just iterated. Its arrays are
+read-only. Readers of many stored records (decrypt_batch,
+attacks.attack_sweep) walk them with key_material_runs instead, which
+derives the key material of BATCH_ROWS records at a time, bit-identical
+to one record at a time, and leaves that memo alone.
 """
 
 import math
@@ -239,11 +243,29 @@ def derive_key_material(params: ChaoticParams, n: int) -> KeyMaterial:
 
     The permutation is the stable ascending argsort of X (ties broken by
     lower original index).
+
+    The arrays are read-only: a call with the (r, x0, n) of the last
+    derivation returns its KeyMaterial again without iterating the map.
     """
+    global _last_key_material
     if n < 2:
         raise InvalidSignalError(f"segment length must be >= 2, got {n}")
-    mask, perm = _mask_and_permutation(iterate_logistic(params, n))
-    return KeyMaterial(permutation=perm, mask=mask)
+    # Keyed on the floats, not the params object, which can be changed in
+    # place. Equal nonzero floats are equal bits; a zero r or x0 degenerates.
+    key = (params.r, params.x0, n)
+    last_key, km = _last_key_material
+    if key != last_key:
+        mask, perm = _mask_and_permutation(iterate_logistic(params, n))
+        mask.flags.writeable = perm.flags.writeable = False
+        km = KeyMaterial(permutation=perm, mask=mask)
+        _last_key_material = (key, km)
+    return km
+
+
+# (r, x0, n) and the KeyMaterial of the last derive_key_material call that
+# iterated; replaced whole, so a reader never pairs one key with another's
+# keystream.
+_last_key_material = (None, None)
 
 
 def _mask_and_permutation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -145,6 +145,17 @@ def _check_output(path: str) -> None:
         raise HecgError(f"--output {path}: directory {out.parent} is missing or not writable")
 
 
+def _check_output_prefix(prefix: Path) -> None:
+    """Refuse an --output prefix whose files could not be written: the
+    nearest existing ancestor of its directory, below which the missing
+    directories are made, must be a writable directory."""
+    ancestor = prefix.parent
+    while not os.path.lexists(ancestor) and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
+        raise HecgError(f"--output {prefix}: {ancestor} is not a writable directory")
+
+
 def _base_timestamp(args) -> int:
     """Salt timestamp of segment 0; segment i is salted with this plus i."""
     return 1_700_000_000_000 + args.seed * 1_000_000
@@ -232,6 +243,8 @@ def _emit_series(prefix: Path, name: str, header: str, rows):
 
 
 def cmd_analyze(args) -> int:
+    prefix = Path(args.output or "analysis")
+    _check_output_prefix(prefix)
     if args.compare:
         other = FileStore(args.compare)
         other_bytes = [
@@ -263,7 +276,6 @@ def cmd_analyze(args) -> int:
     all_bytes = np.concatenate(blocks)
     summary = analysis.MinEntropySummary.from_segments(blocks)
 
-    prefix = Path(args.output or "analysis")
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}_report.txt").write_text(report.to_flat_text())
     Path(f"{prefix}_report.json").write_text(report.to_json())

@@ -218,6 +218,16 @@ class TestApplySalt:
         assert 3.6 < salted.r < 4.0
         assert 0.1 < salted.x0 < 0.9
 
+    def test_digest_kept_outside_the_fields(self):
+        s = KeySalt(timestamp=42, device_id=b"abc")
+        fresh = KeySalt(timestamp=42, device_id=b"abc")
+        shown, hashed = repr(s), hash(s)
+        assert "_digest" not in vars(s)
+        assert s.digest() == s.digest() == fresh.digest()
+        assert "_digest" in vars(s)
+        assert repr(s) == shown and hash(s) == hashed and s == KeySalt(42, b"abc")
+        assert KeySalt(42, b"abd") != s and KeySalt(42, b"abd").digest() != s.digest()
+
     def test_digest_deterministic(self):
         s = KeySalt(timestamp=42, device_id=b"abc")
         assert s.digest() == KeySalt(timestamp=42, device_id=b"abc").digest()

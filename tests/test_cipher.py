@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecg import cipher
+from hecg.analysis import key_sensitivity_test
 from hecg.chaos import ChaoticParams, KeySalt, iterate_logistic
 from hecg.cipher import (
     BATCH_ROWS,
@@ -175,6 +179,117 @@ class TestKeyMaterial:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidSignalError):
             derive_key_material(ChaoticParams(3.9, 0.3), 1)
+
+
+def _uncached(params, n):
+    """(mask, permutation) of a derivation that bypasses the memo."""
+    return _mask_and_permutation(iterate_logistic(params, n))
+
+
+@pytest.fixture()
+def orbits(monkeypatch):
+    """The (r, x0, n) of every orbit derive_key_material iterates."""
+    seen = []
+
+    def counting(params, n):
+        seen.append((params.r, params.x0, n))
+        return iterate_logistic(params, n)
+
+    monkeypatch.setattr(cipher, "_last_key_material", (None, None))
+    monkeypatch.setattr(cipher, "iterate_logistic", counting)
+    return seen
+
+
+class TestKeyMaterialMemo:
+    """derive_key_material returns its last keystream again for the same
+    (r, x0, n), read-only, and iterates anew for any other."""
+
+    def test_repeat_equals_fresh_and_is_read_only(self, orbits):
+        first = derive_key_material(ChaoticParams(3.91, 0.437), 300)
+        # an equal params object built anew is the same key
+        again = derive_key_material(ChaoticParams(3.91, 0.437), 300)
+        assert orbits == [(3.91, 0.437, 300)]
+        mask, perm = _uncached(ChaoticParams(3.91, 0.437), 300)
+        for km in (first, again):
+            assert np.array_equal(km.mask, mask) and km.mask.dtype == mask.dtype
+            assert np.array_equal(km.permutation, perm)
+            assert km.permutation.dtype == perm.dtype
+            with pytest.raises(ValueError):
+                km.mask[0] = 0
+            with pytest.raises(ValueError):
+                km.permutation[0] = 0
+
+    @pytest.mark.parametrize("change", ["r", "x0", "n+1", "n-1"])
+    def test_next_key_misses(self, orbits, change):
+        params, n = ChaoticParams(3.91, 0.437), 300
+        derive_key_material(params, n)
+        r = math.nextafter(params.r, 4.0) if change == "r" else params.r
+        x0 = math.nextafter(params.x0, 0.0) if change == "x0" else params.x0
+        m = {"n+1": n + 1, "n-1": n - 1}.get(change, n)
+        other = ChaoticParams(r, x0)
+        for key, length in ((other, m), (params, n)):
+            km = derive_key_material(key, length)
+            mask, perm = _uncached(key, length)
+            assert np.array_equal(km.mask, mask)
+            assert np.array_equal(km.permutation, perm)
+        assert orbits == [(params.r, params.x0, n), (r, x0, m), (params.r, params.x0, n)]
+
+    def test_params_changed_in_place_miss(self, orbits):
+        params = ChaoticParams(3.91, 0.437)
+        before = derive_key_material(params, 300).mask
+        object.__setattr__(params, "x0", math.nextafter(params.x0, 1.0))
+        after = derive_key_material(params, 300)
+        assert len(orbits) == 2
+        assert np.array_equal(after.mask, _uncached(params, 300)[0])
+        assert not np.array_equal(after.mask, before)
+
+    def test_errors_raise_on_every_call(self, orbits):
+        params = ChaoticParams(3.9, 0.3)
+        derive_key_material(params, 300)
+        for _ in range(2):
+            with pytest.raises(InvalidSignalError):
+                derive_key_material(params, 1)
+        # r = 4 maps x0 = 0.5 to exactly 1.0 on iterate 0
+        object.__setattr__(params, "r", 4.0)
+        object.__setattr__(params, "x0", 0.5)
+        for _ in range(2):
+            with pytest.raises(DegenerateOrbitError):
+                derive_key_material(params, 300)
+        assert orbits == [(3.9, 0.3, 300), (4.0, 0.5, 300), (4.0, 0.5, 300)]
+
+    def test_threads_get_their_own_keystream(self):
+        keys = [(ChaoticParams(3.61 + 0.05 * i, 0.2 + 0.1 * i), 40 + i) for i in range(6)]
+        want = {n: _uncached(params, n) for params, n in keys}
+        bad = []
+
+        def work(offset):
+            for k in range(300):
+                params, n = keys[(offset + k) % len(keys)]
+                km = derive_key_material(params, n)
+                mask, perm = want[n]
+                if not (np.array_equal(km.mask, mask) and np.array_equal(km.permutation, perm)):
+                    bad.append((offset, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_key_sensitivity_full_range(self):
+        seg = SignalSegment(np.random.default_rng(3).uniform(size=3000), 500.0)
+        params = params_for_segment(seg)
+        # the right key's keystream is the memo's when the wrong keys decrypt
+        derive_key_material(params, len(seg))
+        res = key_sensitivity_test(seg, params, delta=1e-10)
+        assert res["max_byte_diff"] == 255 and abs(res["correlation"]) < 0.05
 
 
 def _batch_params(count: int, seed: int = 11) -> list:

@@ -414,6 +414,33 @@ def test_decrypt_and_attack_check_output_before_the_work(
     assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
 
+@pytest.mark.parametrize(
+    "output, ancestor",
+    [("file/rep", "file"), ("file/missing/rep", "file"), ("ro/missing/rep", "ro")],
+)
+def test_analyze_checks_output_before_the_work(tmp_path, monkeypatch, output, ancestor, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--synthetic", "3", "--store", "store"]) == 0
+    Path("file").write_text("not a directory\n")
+    Path("ro").mkdir()
+    capsys.readouterr()
+
+    def reached(*args, **kwargs):
+        raise AssertionError("analyze read the store before checking --output")
+
+    monkeypatch.setattr(cli, "decrypt_batch", reached)
+    monkeypatch.setattr(cli.analysis, "analyze_corpus", reached)
+    # a root user may write to any directory, so ro is refused at the check itself
+    access = cli.os.access
+    monkeypatch.setattr(
+        cli.os, "access", lambda path, mode: Path(path) != Path("ro") and access(path, mode)
+    )
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["analyze", "--store", "store", "--output", output]) == 1
+    assert f"error: --output {output}: {ancestor} is not a writable directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_undersized_dataset(tmp_path, capsys):
     rc = main(["train", "--output", str(tmp_path / "m.hmlp"), "--synthetic", "5"])
     assert rc == 1

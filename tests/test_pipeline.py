@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import itertools
 import math
 import os
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecg import analysis, pipeline
-from hecg.chaos import ChaoticParams
+from hecg import analysis, cipher, pipeline
+from hecg.chaos import ChaoticParams, iterate_logistic
 from hecg.cipher import Mode, SignalSegment, decrypt, quantize
 from hecg.errors import IngestionError, StoreError
 from hecg.pipeline import (
@@ -522,6 +523,31 @@ class TestFileStore:
 
 
 class TestRunPipeline:
+    def test_one_orbit_per_segment(self, tmp_path, monkeypatch):
+        """The read-back decrypt reuses the keystream its segment's encrypt
+        derived: N segments iterate N orbits, and the store and labels are
+        byte for byte those of one orbit per derivation (sha256 pinned)."""
+        orbits = []
+
+        def counting(params, n):
+            orbits.append((params.r, params.x0, n))
+            return iterate_logistic(params, n)
+
+        monkeypatch.setattr(cipher, "_last_key_material", (None, None))
+        monkeypatch.setattr(cipher, "iterate_logistic", counting)
+        root = tmp_path / "s"
+        metrics = run_pipeline(
+            SegmentSource.synthetic(8.0, seed=26), Mode.DIRECT, FileStore(root), segment_count=12
+        )
+        assert metrics.segments_processed == 12 and not metrics.errors
+        assert len(orbits) == 12 and len(set(orbits)) == 12
+        sha = hashlib.sha256()
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            sha.update(str(path.relative_to(root)).encode() + b"\0")
+            sha.update(path.read_bytes())
+        sha.update("\n".join(metrics.labels).encode())
+        assert sha.hexdigest() == "da2ad476cdfdb802e57d0575cd00506fe2ee4dd94071c0e48b5a96f9b92a5f96"
+
     def test_ten_segments_direct(self, tmp_path):
         source = SegmentSource.synthetic(8.0, seed=21)
         store = FileStore(tmp_path / "store")
