@@ -186,8 +186,7 @@ def cmd_encrypt(args) -> int:
             seg, i, mode, model, args.salt_device_id, base_timestamp
         )
         times.append(time.perf_counter() - t0)
-        store.put_key(args.stream, record.key_id, salted)
-        store.put_record(args.stream, i, record)
+        store.write(args.stream, i, record, salted)
     arr = np.asarray(times)
     print(f"encrypted {len(segments)} segments -> {args.store}/{args.stream}")
     print(f"per-segment core encrypt: median {np.median(arr) * 1e3:.4f} ms, p99 {np.percentile(arr, 99) * 1e3:.4f} ms")
@@ -196,6 +195,14 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     _check_output(args.output)
+    # the output is one series, so a missing record would cut time out of it
+    gaps, expected = [], 0
+    for i in FileStore(args.store).record_indices(args.stream):
+        if i > expected:
+            gaps.append(f"{args.stream}[{expected}]" if i == expected + 1 else f"{args.stream}[{expected}-{i - 1}]")
+        expected = i + 1
+    if gaps:
+        raise HecgError(f"no record for {', '.join(gaps)}: decrypt writes only an unbroken series")
     _, segments, _ = _load_store(args)
     if not segments:
         print(f"no records in {args.store}/{args.stream}", file=sys.stderr)
@@ -217,9 +224,9 @@ def _read_store(args):
     records, params_list = [], []
     for stream in [args.stream] if args.stream else store.streams():
         for i in store.record_indices(stream):
-            record = store.get_record(stream, i)
+            record, params = store.read(stream, i)
             records.append(record)
-            params_list.append(store.get_key(stream, record.key_id))
+            params_list.append(params)
     return records, params_list
 
 

@@ -26,9 +26,10 @@ from .cipher import (
     SignalSegment,
     decrypt,
     encrypt,
+    make_key_id,
     params_for_segment,
 )
-from .errors import IngestionError, StoreError
+from .errors import CorruptRecordError, IngestionError, StoreError
 from .mlkey import KeyPredictor, predict_params
 
 DEFAULT_SAMPLE_RATE = 500.0
@@ -301,10 +302,9 @@ class FileStore:
     lookup stats keys.txt and re-reads it only when its (inode, size,
     mtime) signature changed, so keys appended by another FileStore or
     process are found. put_key refuses a key_id the stream already
-    holds, so a stale row can never shadow a new one; writers store the
-    key before the record, so a refused write leaves the stream's records
-    as they were. Reads never create directories, not even the root: a
-    store comes into being with its first write.
+    holds, so a stale row can never shadow a new one. Reads never create
+    directories, not even the root: a store comes into being with its
+    first write.
     """
 
     def __init__(self, root):
@@ -358,12 +358,38 @@ class FileStore:
             fh.write(data)
 
     def get_record(self, stream_id: str, index: int) -> EncryptedRecord:
+        """The record stored at index. One whose key_id is not make_key_id
+        of its own salt and index (a swapped, renamed or edited file) raises
+        StoreError, bytes that do not parse CorruptRecordError, each naming
+        <stream>[<index>]."""
+        where = f"{stream_id}[{index}]"
         try:
             with open(self._record_path(stream_id, index), "rb") as fh:
                 data = fh.read()
         except (FileNotFoundError, NotADirectoryError):
-            raise StoreError(f"no record for {stream_id}[{index}]") from None
-        return EncryptedRecord.from_bytes(data)
+            raise StoreError(f"no record for {where}") from None
+        try:
+            record = EncryptedRecord.from_bytes(data)
+        except CorruptRecordError as exc:
+            raise CorruptRecordError(f"{where}: {exc}") from None
+        if record.key_id != make_key_id(record.salt, index):
+            raise StoreError(
+                f"{where}: key_id {record.key_id.hex()} does not match the record's salt at index"
+                f" {index}; the file holds another segment's record or was edited"
+            )
+        return record
+
+    def write(self, stream_id: str, index: int, record: EncryptedRecord, params: ChaoticParams):
+        """Store segment index of stream_id: its key, then its record, so a
+        key that put_key refuses leaves the stream's records as they were."""
+        self.put_key(stream_id, record.key_id, params)
+        self.put_record(stream_id, index, record)
+
+    def read(self, stream_id: str, index: int) -> tuple[EncryptedRecord, ChaoticParams]:
+        """Segment index of stream_id as written: its checked record and the
+        key stored under the record's key_id."""
+        record = self.get_record(stream_id, index)
+        return record, self.get_key(stream_id, record.key_id)
 
     def record_indices(self, stream_id: str) -> list:
         d = self.root / stream_id
@@ -568,8 +594,8 @@ def run_pipeline(
     """Process segments end to end until the source ends or the count is hit.
 
     Per segment: seal it (see seal_segment; the salt timestamp is
-    base_timestamp + index, so runs are reproducible), persist key then
-    record in separate files, read both back, decrypt, classify.
+    base_timestamp + index, so runs are reproducible), store it with
+    FileStore.write, read it back with FileStore.read, decrypt, classify.
     Encrypt latency excludes I/O; store latency is measured separately.
     Store failures are recorded per segment and the loop continues. A
     stream that already holds records is refused (StoreError) before
@@ -612,12 +638,10 @@ def run_pipeline(
             stored_seen.add((salted.r, salted.x0))
 
             t0 = time.perf_counter()
-            store.put_key(stream_id, record.key_id, salted)
-            store.put_record(stream_id, index, record)
+            store.write(stream_id, index, record, salted)
             store_elapsed = time.perf_counter() - t0
 
-            fetched = store.get_record(stream_id, index)
-            key = store.get_key(stream_id, fetched.key_id)
+            fetched, key = store.read(stream_id, index)
             t0 = time.perf_counter()
             decrypted = decrypt(fetched, key, source.sample_rate)
             decrypt_elapsed = time.perf_counter() - t0

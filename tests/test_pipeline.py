@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hecg import analysis, cipher, pipeline
 from hecg.chaos import ChaoticParams, iterate_logistic
 from hecg.cipher import Mode, SignalSegment, decrypt, quantize
-from hecg.errors import IngestionError, StoreError
+from hecg.errors import CorruptRecordError, IngestionError, StoreError
 from hecg.pipeline import (
     FileStore,
     Pacing,
@@ -520,6 +520,46 @@ class TestFileStore:
         # a rerun that draws the torn row's key_id again stores its own key
         store.put_key("s0", _key_id(0), _params(2))
         assert FileStore(tmp_path / "store").get_key("s0", _key_id(0)) == _params(2)
+
+    def test_write_then_read(self, tmp_path, encrypted_corpus):
+        _, _, records, params_list = encrypted_corpus
+        store = FileStore(tmp_path / "store")
+        for i in range(3):
+            store.write("s0", i, records[i], params_list[i])
+        for reader in (store, FileStore(tmp_path / "store")):
+            for i in range(3):
+                record, params = reader.read("s0", i)
+                assert record.to_bytes() == records[i].to_bytes()
+                assert params == params_list[i]
+
+    def test_refused_key_writes_no_record(self, tmp_path, encrypted_corpus):
+        _, _, records, params_list = encrypted_corpus
+        store = FileStore(tmp_path / "store")
+        store.put_key("s0", records[0].key_id, params_list[0])
+        with pytest.raises(StoreError, match="already stored"):
+            store.write("s0", 0, records[0], params_list[1])
+        assert list((store.root / "s0").glob("seg_*.rec")) == []
+        assert store.get_key("s0", records[0].key_id) == params_list[0]
+
+    def test_record_at_another_index_is_refused(self, tmp_path, encrypted_corpus):
+        _, _, records, params_list = encrypted_corpus
+        store = FileStore(tmp_path / "store")
+        store.write("s0", 0, records[0], params_list[0])
+        store.put_record("s0", 5, records[0])
+        with pytest.raises(StoreError, match=r"^s0\[5\]: key_id .* at index 5;"):
+            store.read("s0", 5)
+        with pytest.raises(StoreError, match=r"^s0\[5\]: "):
+            store.get_record("s0", 5)
+        assert store.read("s0", 0)[0].to_bytes() == records[0].to_bytes()
+
+    def test_damaged_record_names_its_index(self, tmp_path, encrypted_corpus):
+        _, _, records, _ = encrypted_corpus
+        store = FileStore(tmp_path / "store")
+        store.put_record("s0", 2, records[2])
+        path = store.root / "s0" / "seg_000002.rec"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorruptRecordError, match=r"^s0\[2\]: record is \d+ bytes, layout needs"):
+            store.get_record("s0", 2)
 
 
 class TestRunPipeline:
