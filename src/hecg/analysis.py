@@ -77,15 +77,24 @@ def histogram_stats(data) -> dict:
 
     Uniformity is 1 - JSD(empirical || uniform) in bits, so 1.0 means a
     perfectly flat histogram and 0 approaches a point mass.
+
+    The variance is np.var's population variance, bit for bit: the same
+    subtract, square and pairwise sum, done in place in one float64 copy
+    of the bytes, so the call holds one array of the input's size at a
+    time. std_dev is its square root, as np.std takes it.
     """
     arr = np.asarray(data, dtype=np.uint8)
     h = Histogram256.from_bytes(arr)
     p = h.frequencies()
     uniform = np.full(256, 1.0 / 256.0)
-    vals = arr.astype(np.float64)
+    n = arr.size
+    d = arr.astype(np.float64)
+    d -= np.add.reduce(d) / n
+    np.square(d, out=d)
+    variance = float(np.add.reduce(d) / n)
     return {
-        "variance": float(np.var(vals)),
-        "std_dev": float(np.std(vals)),
+        "variance": variance,
+        "std_dev": math.sqrt(variance),
         "entropy": _entropy_of_freqs(p),
         "uniformity": 1.0 - js_divergence(p, uniform),
     }
@@ -147,24 +156,20 @@ def _mcv_bits(counts: np.ndarray, n: int) -> float:
     return -math.log2(p_u)
 
 
-def min_entropy_mcv_blocks(data, block: int = 2) -> float:
-    """Supplementary MCV bound on non-overlapping byte blocks, per byte.
+def min_entropy_mcv_blocks(data) -> float:
+    """Supplementary MCV bound on non-overlapping 2-byte blocks, per byte.
 
     Treats each block as one symbol, so pairwise dependence lowers the
-    bound; reported alongside the plain per-byte estimate.
+    bound; reported alongside the plain per-byte estimate. The symbols are
+    counted into 65 536 bins over a big-endian uint16 view of the bytes,
+    so no symbol array is built beside them.
     """
-    arr = np.asarray(data, dtype=np.uint8)
-    nblocks = arr.size // block
+    arr = np.ascontiguousarray(data, dtype=np.uint8)
+    nblocks = arr.size // 2
     if nblocks < 256:
-        raise InsufficientDataError(
-            f"block MCV needs >= 256 blocks, got {nblocks} of size {block}"
-        )
-    trimmed = arr[: nblocks * block].reshape(nblocks, block).astype(np.uint64)
-    symbols = np.zeros(nblocks, dtype=np.uint64)
-    for j in range(block):
-        symbols = symbols * 256 + trimmed[:, j]
-    _, counts = np.unique(symbols, return_counts=True)
-    return _mcv_bits(counts, nblocks) / block
+        raise InsufficientDataError(f"block MCV needs >= 256 2-byte blocks, got {nblocks}")
+    counts = np.bincount(arr[: 2 * nblocks].view(">u2"), minlength=65536)
+    return _mcv_bits(counts, nblocks) / 2
 
 
 @dataclass(frozen=True)
@@ -227,14 +232,18 @@ def autocorrelation(data, max_lag: int) -> np.ndarray:
     the result with the thread count and stalls when the pool has more
     threads than the process has CPUs (a CPU quota or affinity mask
     narrower than the machine). _dot sums in one thread, in a fixed order.
+
+    The mean is removed in place in the function's own float64 copy of
+    the data, the one array of the input's size it holds; a float64 input
+    is left as it was.
     """
-    x = np.asarray(data, dtype=np.float64)
-    n = x.size
+    d = np.array(data, dtype=np.float64)
+    n = d.size
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if n <= max_lag:
         raise InsufficientDataError(f"need length > max_lag, got {n} <= {max_lag}")
-    d = x - x.mean()
+    d -= d.mean()
     denom = _dot(d, d)
     if denom == 0.0:
         raise UndefinedStatisticError("autocorrelation undefined for constant input")

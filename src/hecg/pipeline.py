@@ -387,9 +387,13 @@ class FileStore:
 
     def read(self, stream_id: str, index: int) -> tuple[EncryptedRecord, ChaoticParams]:
         """Segment index of stream_id as written: its checked record and the
-        key stored under the record's key_id."""
+        key stored under the record's key_id. A key lookup's StoreError is
+        raised again naming <stream>[<index>], as get_record's are."""
         record = self.get_record(stream_id, index)
-        return record, self.get_key(stream_id, record.key_id)
+        try:
+            return record, self.get_key(stream_id, record.key_id)
+        except StoreError as exc:
+            raise StoreError(f"{stream_id}[{index}]: {exc}") from None
 
     def record_indices(self, stream_id: str) -> list:
         d = self.root / stream_id

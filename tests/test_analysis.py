@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from hecg.analysis import (
     key_space_bits,
     key_sensitivity_test,
     min_entropy_mcv,
+    min_entropy_mcv_blocks,
     monobit_test,
     normalized_errors,
     pearson_correlation,
@@ -571,3 +573,96 @@ class TestAnalysisReport:
 def test_js_divergence_self_zero():
     p = np.full(256, 1 / 256)
     assert js_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
+
+
+# Reference formulas, each of which holds two arrays the size of the
+# corpus: np.var/np.std of a float64 copy, x - x.mean() beside x, and
+# np.unique over uint64 symbols. histogram_stats, autocorrelation and
+# min_entropy_mcv_blocks must give their bits from one such array.
+
+
+def reference_variance_std(data) -> tuple:
+    vals = np.asarray(data, dtype=np.uint8).astype(np.float64)
+    return float(np.var(vals)), float(np.std(vals))
+
+
+def reference_autocorrelation(data, max_lag: int) -> np.ndarray:
+    x = np.asarray(data, dtype=np.float64)
+    d = x - x.mean()
+    denom = analysis._dot(d, d)
+    out = np.empty(max_lag + 1)
+    out[0] = 1.0
+    for k in range(1, max_lag + 1):
+        out[k] = analysis._dot(d[:-k], d[k:]) / denom
+    return out
+
+
+def reference_min_entropy_blocks(data) -> float:
+    arr = np.asarray(data, dtype=np.uint8)
+    nblocks = arr.size // 2
+    trimmed = arr[: nblocks * 2].reshape(nblocks, 2).astype(np.uint64)
+    symbols = trimmed[:, 0] * 256 + trimmed[:, 1]
+    _, counts = np.unique(symbols, return_counts=True)
+    return analysis._mcv_bits(counts, nblocks) / 2
+
+
+# 360 000 bytes is the audit workload's corpus: 24 streams of 50 segments.
+CORPUS_SIZES = [300, 8191, 8193, 45_000, 360_000]
+
+
+def _uniform_bytes(n: int) -> np.ndarray:
+    return np.random.default_rng(n).integers(0, 256, n).astype(np.uint8)
+
+
+def _plaintext_like_bytes(n: int) -> np.ndarray:
+    # a quantized periodic wave plus noise: a peaked, correlated histogram
+    rng = np.random.default_rng(n + 1)
+    t = np.arange(n)
+    wave = 100.0 + 60.0 * np.sin(2 * np.pi * t / 150.0) ** 9 + rng.normal(0.0, 6.0, n)
+    return np.clip(np.rint(wave), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", CORPUS_SIZES)
+@pytest.mark.parametrize("make", [_uniform_bytes, _plaintext_like_bytes])
+class TestCorpusStatisticsBits:
+    def test_histogram_moments(self, n, make):
+        data = make(n)
+        stats = histogram_stats(data)
+        variance, std_dev = reference_variance_std(data)
+        assert stats["variance"].hex() == variance.hex()
+        assert stats["std_dev"].hex() == std_dev.hex()
+
+    def test_autocorrelation(self, n, make):
+        data = make(n)
+        want = reference_autocorrelation(data, analysis.MAX_LAG).tobytes()
+        assert autocorrelation(data, analysis.MAX_LAG).tobytes() == want
+        floats = data.astype(np.float64)
+        before = floats.tobytes()
+        assert autocorrelation(floats, analysis.MAX_LAG).tobytes() == want
+        assert floats.tobytes() == before
+
+    def test_min_entropy_blocks(self, n, make):
+        data = make(n)
+        if n < 512:
+            with pytest.raises(InsufficientDataError):
+                min_entropy_mcv_blocks(data)
+            return
+        assert min_entropy_mcv_blocks(data).hex() == reference_min_entropy_blocks(data).hex()
+
+
+@pytest.mark.parametrize(
+    "stat",
+    [histogram_stats, lambda d: autocorrelation(d, analysis.MAX_LAG), min_entropy_mcv_blocks],
+    ids=["histogram_stats", "autocorrelation", "min_entropy_mcv_blocks"],
+)
+def test_corpus_statistic_holds_one_float64_copy(stat):
+    # numpy traces its array buffers, so the peak counts every array the
+    # call makes; a float64 copy of the input is 8 bytes per byte
+    data = _uniform_bytes(360_000)
+    tracemalloc.start()
+    try:
+        stat(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * data.size + 256 * 1024

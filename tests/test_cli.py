@@ -269,7 +269,7 @@ def _non_numeric_key(stream: Path) -> str:
     rows = keys.read_text().split("\n")
     key_id, _, x0 = rows[1].split()
     keys.write_text("\n".join([rows[0], f"{key_id} notnum {x0}", *rows[2:]]))
-    return f"error: key {key_id} in stream stream0 is not numeric: notnum {x0}"
+    return f"error: stream0[1]: key {key_id} in stream stream0 is not numeric: notnum {x0}"
 
 
 def _one_sample_record(stream: Path) -> str:

@@ -142,7 +142,7 @@ def test_torn_final_key_row(template, data):
         last_row = keys.rstrip(b"\n").rfind(b"\n") + 1
         cut = data.draw(st.integers(last_row, len(keys) - 1), label="cut")
         (stream / "keys.txt").write_bytes(keys[:cut])
-        assert_refused(work, "error: no key")
+        assert_refused(work, f"error: stream0[{SEGMENTS - 1}]: no key")
 
 
 @fault_settings
