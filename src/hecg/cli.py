@@ -63,13 +63,11 @@ def _add_common(p: argparse.ArgumentParser, segmenting: bool = True):
         p.add_argument("--sample-rate", type=_float_in(0), default=500.0)
 
 
-def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSource:
+def _source(args, count: int = 0) -> SegmentSource:
     """The segments of the CSV named by --input or, without one, of a
     seeded synthetic recording long enough for count segments."""
     if args.input:
-        return SegmentSource.from_csv(
-            args.input, _column(args), args.sample_rate, args.segment_len, pacing
-        )
+        return SegmentSource.from_csv(args.input, _column(args), args.sample_rate, args.segment_len)
     return SegmentSource.synthetic(
         (count + 1) * args.segment_len / args.sample_rate,
         args.sample_rate,
@@ -77,7 +75,6 @@ def _source(args, count: int = 0, pacing: Pacing = Pacing.UNPACED) -> SegmentSou
         heart_rate_bpm=args.heart_rate,
         noise_amplitude=args.noise_amplitude,
         seed=args.seed,
-        pacing=pacing,
     )
 
 
@@ -261,27 +258,34 @@ def cmd_analyze(args) -> int:
         ]
         if not other_bytes:
             raise HecgError(f"--compare store {args.compare} holds no records")
+    reference = None
     if args.store:
         records, segments, decrypt_s = _load_store(args)
         if not records:
             print("store holds no records", file=sys.stderr)
             return 1
-        reference = None
         if args.input:
             reference = _load_segments(args)[: len(segments)]
+            for ref, seg in zip(reference, segments):
+                if len(ref) != len(seg):
+                    raise HecgError(
+                        f"--input segments of --segment-len {len(ref)} against stored"
+                        f" segments of {len(seg)} samples"
+                    )
         blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
-        report = analysis.analyze_corpus(segments, blocks, reference)
-        report.timing["decrypt_seconds"] = decrypt_s
     else:
-        if not args.input and not args.synthetic:
-            print("analyze needs --store or --input/--synthetic", file=sys.stderr)
-            return 1
         segments = _load_segments(args)
-        blocks = [quantize(s).bytes for s in segments]
+        if not segments:
+            print("analyze needs --store, or a segment from --input or --synthetic", file=sys.stderr)
+            return 1
         # the un-encrypted baseline: the blocks are the plain quantized segments
-        report = analysis.analyze_corpus(segments, blocks)
-    all_bytes = np.concatenate(blocks)
+        blocks = [quantize(s).bytes for s in segments]
+    # per-segment bounds first: a segment under 256 bytes is refused before the battery
     summary = analysis.MinEntropySummary.from_segments(blocks)
+    report = analysis.analyze_corpus(segments, blocks, reference)
+    if args.store:
+        report.timing["decrypt_seconds"] = decrypt_s
+    all_bytes = np.concatenate(blocks)
 
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}_report.txt").write_text(report.to_flat_text())
@@ -368,7 +372,7 @@ def cmd_train(args) -> int:
 def cmd_stream(args) -> int:
     mode, model = _mode_and_model(args)
     metrics = pipeline.run_pipeline(
-        _source(args, args.segments, Pacing(args.pacing)),
+        _source(args, args.segments),
         mode,
         FileStore(args.store),
         segment_count=args.segments,
@@ -376,10 +380,13 @@ def cmd_stream(args) -> int:
         stream_id=args.stream,
         device_id=args.salt_device_id,
         base_timestamp=_base_timestamp(args),
+        pacing=Pacing(args.pacing),
     )
     print(metrics.table())
     if args.json:
         print(json.dumps(metrics.summary(), indent=2))
+    for index, message in metrics.errors:
+        print(f"error: {args.stream}[{index}]: {message}", file=sys.stderr)
     return 0 if not metrics.errors else 1
 
 

@@ -1,11 +1,12 @@
 """End-to-end loop: segment source -> encrypt -> store -> decrypt -> classify.
 
 The serial-port acquisition of the original system is replaced by two
-sources (synthetic quasi-ECG and CSV replay) and the cloud by a local
+replay sources (synthetic quasi-ECG and CSV) and the cloud by a local
 directory store that keeps ciphertext records and key material in
 separate files. One loop on the caller's thread takes each segment from
-the source as it arrives, then encrypts, persists, retrieves, decrypts
-and hands it to a pluggable classifier hook.
+any iterable of SignalSegments as it arrives, so a device reader plugs
+in as the classifier hook does, then encrypts, persists, retrieves,
+decrypts and hands it to that hook.
 """
 
 import csv
@@ -13,6 +14,7 @@ import itertools
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -230,16 +232,9 @@ def _row_values(rows, column, col_idx: int | None = None):
 
 @dataclass
 class SegmentSource:
-    """Segment stream plus the pacing contract the pipeline honours."""
+    """A replayable segment stream: each iteration reads its input again."""
 
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    segment_len: int = DEFAULT_SEGMENT_LEN
-    pacing: Pacing = Pacing.UNPACED
-    _factory: object = None
-
-    @property
-    def segment_duration_s(self) -> float:
-        return self.segment_len / self.sample_rate
+    _factory: object
 
     def __iter__(self):
         return iter(self._factory())
@@ -253,15 +248,11 @@ class SegmentSource:
         heart_rate_bpm: float = 60.0,
         noise_amplitude: float = 0.02,
         seed: int = 0,
-        pacing: Pacing = Pacing.UNPACED,
     ) -> "SegmentSource":
         return cls(
-            sample_rate=sample_rate,
-            segment_len=segment_len,
-            pacing=pacing,
-            _factory=lambda: synthetic_ecg(
+            lambda: synthetic_ecg(
                 duration_s, sample_rate, heart_rate_bpm, noise_amplitude, seed, segment_len
-            ),
+            )
         )
 
     @classmethod
@@ -271,14 +262,8 @@ class SegmentSource:
         column=0,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
         segment_len: int = DEFAULT_SEGMENT_LEN,
-        pacing: Pacing = Pacing.UNPACED,
     ) -> "SegmentSource":
-        return cls(
-            sample_rate=sample_rate,
-            segment_len=segment_len,
-            pacing=pacing,
-            _factory=lambda: ingest_csv(path, column, sample_rate, segment_len),
-        )
+        return cls(lambda: ingest_csv(path, column, sample_rate, segment_len))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +570,7 @@ def seal_segment(
 
 
 def run_pipeline(
-    source: SegmentSource,
+    source: Iterable[SignalSegment],
     mode: Mode,
     store: FileStore,
     segment_count: int | None = None,
@@ -594,8 +579,13 @@ def run_pipeline(
     device_id: bytes = b"desk01",
     base_timestamp: int = 1_700_000_000_000,
     classifier=default_classifier,
+    pacing: Pacing = Pacing.UNPACED,
 ) -> PipelineMetrics:
     """Process segments end to end until the source ends or the count is hit.
+
+    source is any iterable of SignalSegments (a SegmentSource, a list, a
+    device reader's generator); each read-back decrypts at its segment's
+    own sample rate.
 
     Per segment: seal it (see seal_segment; the salt timestamp is
     base_timestamp + index, so runs are reproducible), store it with
@@ -613,15 +603,14 @@ def run_pipeline(
     exception the source raises (IngestionError for a malformed or
     non-finite CSV row, InvalidSignalError for a segment it cannot build)
     ends the run and propagates unchanged; the segments before it stay
-    stored. A REAL_TIME source is paced against a deadline: segment i is
-    taken no earlier than i * segment_duration_s after segment 0, however
-    long the work on the segments before it took.
+    stored. With pacing REAL_TIME, segment i is taken no earlier than i
+    times segment 0's duration (len(segment) / segment.sample_rate) after
+    segment 0, however long the work on the segments before it took.
     """
     if mode is Mode.ML_PREDICTED and model is None:
         raise StoreError("ML mode requires a trained KeyPredictor")
     store.refuse_stored(stream_id)
     metrics = PipelineMetrics(mode_tag=mode)
-    cadence = source.segment_duration_s if source.pacing is Pacing.REAL_TIME else 0.0
     biometric_seen = set()
     stored_seen = set()
     # zip takes the next index first, so the source is never read past the count
@@ -629,6 +618,7 @@ def run_pipeline(
     for index, segment in zip(indices, source):
         if index == 0:
             first = time.perf_counter()
+            cadence = len(segment) / segment.sample_rate if pacing is Pacing.REAL_TIME else 0.0
         elif cadence:
             time.sleep(max(0.0, first + index * cadence - time.perf_counter()))
         t_seg = time.perf_counter()
@@ -638,16 +628,16 @@ def run_pipeline(
                 segment, index, mode, model, device_id, base_timestamp
             )
             encrypt_elapsed = time.perf_counter() - t0
-            biometric_seen.add((params.r, params.x0))
-            stored_seen.add((salted.r, salted.x0))
 
             t0 = time.perf_counter()
             store.write(stream_id, index, record, salted)
             store_elapsed = time.perf_counter() - t0
+            biometric_seen.add((params.r, params.x0))
+            stored_seen.add((salted.r, salted.x0))
 
             fetched, key = store.read(stream_id, index)
             t0 = time.perf_counter()
-            decrypted = decrypt(fetched, key, source.sample_rate)
+            decrypted = decrypt(fetched, key, segment.sample_rate)
             decrypt_elapsed = time.perf_counter() - t0
 
             if classifier is not None:

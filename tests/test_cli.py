@@ -619,6 +619,60 @@ def test_stream_rerun_with_other_seed_is_refused(tmp_path, capsys):
                  "--stream", "stream1"]) == 0
 
 
+def test_stream_names_the_segments_that_failed(tmp_path, capsys):
+    # With the records deleted, a rerun with the same seed draws the same
+    # key_ids, and put_key refuses each one keys.txt still holds.
+    store = tmp_path / "store"
+    argv = ["stream", "--segments", "3", "--store", str(store), "--seed", "7", "--json"]
+    assert main(argv) == 0
+    keys = [row.split()[0] for row in (store / "stream0" / "keys.txt").read_text().splitlines()]
+    for path in (store / "stream0").glob("seg_*.rec"):
+        path.unlink()
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: stream0[{i}]: StoreError: key {key} already stored in stream stream0"
+        for i, key in enumerate(keys)
+    ]
+    assert "mode=DIRECT segments=0 errors=3" in captured.out
+    assert "distinct params: biometric=0 stored=0" in captured.out
+    summary = json.loads(captured.out[captured.out.index("{") :])
+    assert summary["errors"] == 3 and summary["distinct_stored_params"] == 0
+
+
+@pytest.mark.parametrize(
+    "encrypt_args, analyze_args, message",
+    [
+        # MinEntropySummary's per-segment bound needs 256 bytes a segment
+        (["--segment-len", "100"], ["--store", "store"], "error: MCV estimator needs >= 256 bytes, got 100"),
+        ([], ["--input", "ecg.csv", "--segment-len", "100"], "error: MCV estimator needs >= 256 bytes, got 100"),
+        (
+            [],
+            ["--store", "store", "--input", "ecg.csv", "--segment-len", "200"],
+            "error: --input segments of --segment-len 200 against stored segments of 300 samples",
+        ),
+        # the 8 s CSV holds 4000 samples, not one 5000-sample segment
+        ([], ["--input", "ecg.csv", "--segment-len", "5000"], "analyze needs --store, or a segment from --input or --synthetic"),
+    ],
+    ids=["store-short-segments", "plain-short-segments", "reference-length", "plain-no-segments"],
+)
+def test_analyze_refuses_bad_input_before_the_battery(
+    tmp_path, monkeypatch, csv_file, encrypt_args, analyze_args, message, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--input", "ecg.csv", "--store", "store", *encrypt_args]) == 0
+    capsys.readouterr()
+
+    def reached(*args, **kwargs):
+        raise AssertionError("analyze ran the battery on input it refuses")
+
+    monkeypatch.setattr(cli.analysis, "analyze_corpus", reached)
+    assert main(["analyze", "--output", "out/rep", *analyze_args]) == 1
+    assert message in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
 def test_encrypt_rerun_with_same_seed_is_refused(tmp_path, csv_file, capsys):
     # Same seed and stream means the same key_ids; a second run must not
     # replace the records while the first run's keys stay in keys.txt.

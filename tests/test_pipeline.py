@@ -712,14 +712,51 @@ class TestRunPipeline:
             time.sleep(0.2)
             return "slow"
 
-        source = SegmentSource.synthetic(3.0, seed=30, pacing=Pacing.REAL_TIME)
+        source = SegmentSource.synthetic(3.0, seed=30)
         metrics = run_pipeline(
-            source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=3, classifier=slow
+            source,
+            Mode.DIRECT,
+            FileStore(tmp_path / "s"),
+            segment_count=3,
+            classifier=slow,
+            pacing=Pacing.REAL_TIME,
         )
         gaps = np.diff(arrivals)
         assert len(gaps) == 2
         for gap in gaps:
             assert 0.55 <= gap <= 0.65
+
+    def test_any_iterable_of_segments_is_a_source(self, tmp_path):
+        # run_pipeline only iterates its source and reads rate and length
+        # from the segments, so a list or a one-shot generator gives the
+        # same stored bytes and labels as the SegmentSource they came from.
+        def run(source, name, segment_count=None):
+            store = FileStore(tmp_path / name)
+            metrics = run_pipeline(source, Mode.DIRECT, store, segment_count=segment_count)
+            assert metrics.segments_processed == 6 and not metrics.errors
+            files = sorted((store.root / "stream0").iterdir())
+            return [(f.name, f.read_bytes()) for f in files], metrics.labels
+
+        source = SegmentSource.synthetic(5.0, seed=4)
+        want = run(source, "source", segment_count=6)
+        assert len(want[0]) == 7  # 6 records and keys.txt
+        segments = list(source)[:6]
+        assert run(segments, "list") == want
+        assert run(iter(segments), "generator") == want
+
+    def test_failed_writes_count_no_stored_params(self, tmp_path):
+        # The records are gone but keys.txt still holds their keys, so a
+        # rerun with the same salts has every key refused by put_key.
+        store = FileStore(tmp_path / "s")
+        run_pipeline(SegmentSource.synthetic(2.0, seed=33), Mode.DIRECT, store)
+        for path in (store.root / "stream0").glob("seg_*.rec"):
+            path.unlink()
+        metrics = run_pipeline(SegmentSource.synthetic(2.0, seed=33), Mode.DIRECT, store)
+        assert [index for index, _ in metrics.errors] == [0, 1, 2]
+        assert all(" already stored in stream stream0" in m for _, m in metrics.errors)
+        assert metrics.segments_processed == 0
+        assert metrics.distinct_stored_params == 0
+        assert metrics.distinct_biometric_params == 0
 
     def test_source_exhaustion_clean_stop(self, tmp_path):
         source = SegmentSource.synthetic(2.0, seed=31)  # only 3 segments available
