@@ -401,7 +401,7 @@ def fidelity(reference: list, recovered: list) -> dict:
 # sensitivity
 
 
-def _perturb_inward(value: float, delta: float, lo: float, hi: float) -> float:
+def _perturb_inward(value: float, delta: float, hi: float) -> float:
     up = value + delta
     if up < hi:
         return up
@@ -424,8 +424,8 @@ def key_sensitivity_test(
     worst_diff = 0
     worst_corr = 0.0
     for wrong in (
-        ChaoticParams(_perturb_inward(params.r, delta, 3.6, 4.0), params.x0),
-        ChaoticParams(params.r, _perturb_inward(params.x0, delta, 0.1, 0.9)),
+        ChaoticParams(_perturb_inward(params.r, delta, 4.0), params.x0),
+        ChaoticParams(params.r, _perturb_inward(params.x0, delta, 0.9)),
     ):
         got = decrypt_bytes(record, wrong).astype(np.int16)
         worst_diff = max(worst_diff, int(np.max(np.abs(got - reference))))
@@ -561,7 +561,7 @@ def analyze_corpus(segments: list, blocks: list, reference: list | None = None) 
     n_seg = len(segments)
     hist = histogram_stats(all_bytes)
     report = AnalysisReport(
-        shannon_entropy_bits=shannon_entropy(all_bytes),
+        shannon_entropy_bits=hist["entropy"],
         monobit_p_value=monobit_test(all_bytes),
         pearson_correlation=float(np.mean(correlations)),
         autocorrelation=[float(v) for v in autocorrelation(all_bytes, MAX_LAG)],

@@ -6,6 +6,7 @@ read, and a set HECG_* variable is refused.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from . import analysis, attacks, pipeline
 from .cipher import Mode, decrypt_batch, quantize
 from .errors import HecgError
 from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
-from .pipeline import FileStore, Pacing, SegmentSource
+from .pipeline import FileStore, Pacing
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -63,18 +64,18 @@ def _add_common(p: argparse.ArgumentParser, segmenting: bool = True):
         p.add_argument("--sample-rate", type=_float_in(0), default=500.0)
 
 
-def _source(args, count: int = 0) -> SegmentSource:
-    """The segments of the CSV named by --input or, without one, of a
-    seeded synthetic recording long enough for count segments."""
+def _source(args, count: int = 0):
+    """A generator of the segments of the CSV named by --input or, without
+    one, of a seeded synthetic recording long enough for count segments."""
     if args.input:
-        return SegmentSource.from_csv(args.input, _column(args), args.sample_rate, args.segment_len)
-    return SegmentSource.synthetic(
+        return pipeline.ingest_csv(args.input, _column(args), args.sample_rate, args.segment_len)
+    return pipeline.synthetic_ecg(
         (count + 1) * args.segment_len / args.sample_rate,
         args.sample_rate,
-        args.segment_len,
         heart_rate_bpm=args.heart_rate,
         noise_amplitude=args.noise_amplitude,
         seed=args.seed,
+        segment_len=args.segment_len,
     )
 
 
@@ -83,7 +84,7 @@ def _load_segments(args) -> list:
     --synthetic segments of the synthetic recording."""
     if args.input:
         return list(_source(args))
-    return list(_source(args, args.synthetic))[: args.synthetic]
+    return list(itertools.islice(_source(args, args.synthetic), args.synthetic))
 
 
 def _input_flags(p, synthetic_default: int | None = 0):
@@ -266,6 +267,8 @@ def cmd_analyze(args) -> int:
             return 1
         if args.input:
             reference = _load_segments(args)[: len(segments)]
+            if len(reference) < len(segments):
+                raise HecgError(f"{len(segments)} recovered segments for {len(reference)} reference segments")
             for ref, seg in zip(reference, segments):
                 if len(ref) != len(seg):
                     raise HecgError(
@@ -341,12 +344,8 @@ def cmd_attack(args) -> int:
 
 def cmd_train(args) -> int:
     _check_output(args.output)
-    segments = _load_segments(args)
-    if len(segments) < 10:
-        print(f"training needs >= 10 segments, got {len(segments)}", file=sys.stderr)
-        return 1
     dataset = build_dataset(
-        segments,
+        _load_segments(args),
         augment_noise=args.augment_noise,
         augment_snr_db=args.augment_snr_db,
         seed=args.seed,
@@ -372,10 +371,9 @@ def cmd_train(args) -> int:
 def cmd_stream(args) -> int:
     mode, model = _mode_and_model(args)
     metrics = pipeline.run_pipeline(
-        _source(args, args.segments),
+        itertools.islice(_source(args, args.segments), args.segments),
         mode,
         FileStore(args.store),
-        segment_count=args.segments,
         model=model,
         stream_id=args.stream,
         device_id=args.salt_device_id,

@@ -13,7 +13,10 @@ Model file container (little-endian, all floats binary64):
     | per layer: weights (d_in*d_out, row-major) then biases (d_out)
     | scaler_min (dims[0]) | scaler_max (dims[0]) | imputer_fill (dims[0])
 
-The layout is stable across releases; bump the version byte on change.
+imputer_fill is the per-position median of the training rows. It keeps
+its place in the layout, but no prediction uses it: a segment holds only
+finite samples, so there is nothing to impute. The layout is stable across
+releases; bump the version byte on change.
 """
 
 import struct
@@ -35,41 +38,32 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Per-position median imputation followed by min-max scaling.
+    """Per-position min-max scaling, fitted on the training rows.
 
     Positions whose span (hi - lo) is not positive scale to 0. The span
-    and whether every span is positive are computed once, at
-    construction, so the arrays must not be mutated afterwards.
+    and its positive mask are computed once, at construction, so the
+    arrays must not be mutated afterwards. fill is the per-position
+    median of the training rows, stored as the model file's imputer_fill;
+    nothing is imputed, since a SignalSegment holds only finite samples.
     """
 
     fill: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     span: np.ndarray = field(init=False, repr=False, compare=False)
-    all_spans_positive: bool = field(init=False, repr=False, compare=False)
+    positive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         span = self.hi - self.lo
         object.__setattr__(self, "span", span)
-        object.__setattr__(self, "all_spans_positive", bool(np.all(span > 0)))
+        object.__setattr__(self, "positive", span > 0)
 
     @classmethod
     def fit(cls, raw: np.ndarray) -> "Preprocessor":
-        masked = np.ma.masked_invalid(raw)
-        fill = np.ma.median(masked, axis=0).filled(0.0)
-        clean = np.where(np.isfinite(raw), raw, fill)
-        return cls(fill=fill, lo=clean.min(axis=0), hi=clean.max(axis=0))
+        return cls(fill=np.median(raw, axis=0), lo=raw.min(axis=0), hi=raw.max(axis=0))
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
-        # With nothing to impute and no zero span, the general path below
-        # computes exactly (raw - lo) / span at every position.
-        if self.all_spans_positive and np.isfinite(raw).all():
-            return (raw - self.lo) / self.span
-        x = np.where(np.isfinite(raw), raw, self.fill)
-        out = np.zeros_like(x)
-        nz = self.span > 0
-        out[..., nz] = (x[..., nz] - self.lo[nz]) / self.span[nz]
-        return out
+        return np.divide(raw - self.lo, self.span, out=np.zeros(raw.shape), where=self.positive)
 
 
 def noise_sigma_for_snr(segment: SignalSegment, snr_db: float) -> float:
@@ -119,20 +113,18 @@ def build_dataset(
     labels = []
     rng = np.random.default_rng(seed)
     for seg in segments:
-        finite = seg.samples[np.isfinite(seg.samples)]
-        stats_source = seg if finite.size == seg.samples.size else SignalSegment(
-            np.where(np.isfinite(seg.samples), seg.samples, np.median(finite)),
-            seg.sample_rate,
-        )
-        params = derive_params(compute_stats(stats_source))
+        params = derive_params(compute_stats(seg))
         raw.append(seg.samples)
         labels.append((params.r, params.x0))
         if augment_noise > 0:
-            sigma = noise_sigma_for_snr(stats_source, augment_snr_db)
+            sigma = noise_sigma_for_snr(seg, augment_snr_db)
             for _ in range(augment_noise):
-                raw.append(stats_source.samples + rng.normal(0.0, sigma, n))
+                raw.append(seg.samples + rng.normal(0.0, sigma, n))
                 labels.append((params.r, params.x0))
     raw = np.asarray(raw, dtype=np.float64)
+    # a segment's samples are finite, so only a noisy copy can overflow
+    if not np.isfinite(raw).all():
+        raise DatasetError(f"augmentation noise at augment_snr_db={augment_snr_db} overflows float64")
     prep = Preprocessor.fit(raw)
     return Dataset(
         features=prep.transform(raw),

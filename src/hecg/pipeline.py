@@ -573,7 +573,6 @@ def run_pipeline(
     source: Iterable[SignalSegment],
     mode: Mode,
     store: FileStore,
-    segment_count: int | None = None,
     model: KeyPredictor | None = None,
     stream_id: str = "stream0",
     device_id: bytes = b"desk01",
@@ -581,11 +580,12 @@ def run_pipeline(
     classifier=default_classifier,
     pacing: Pacing = Pacing.UNPACED,
 ) -> PipelineMetrics:
-    """Process segments end to end until the source ends or the count is hit.
+    """Process segments end to end until the source ends.
 
-    source is any iterable of SignalSegments (a SegmentSource, a list, a
-    device reader's generator); each read-back decrypts at its segment's
-    own sample rate.
+    source is any iterable of SignalSegments (a list, a generator such as
+    ingest_csv or synthetic_ecg, a device reader); each read-back decrypts
+    at its segment's own sample rate. Bound an endless or long source with
+    itertools.islice(source, count).
 
     Per segment: seal it (see seal_segment; the salt timestamp is
     base_timestamp + index, so runs are reproducible), store it with
@@ -595,11 +595,12 @@ def run_pipeline(
     stream that already holds records is refused (StoreError) before
     anything is read or written.
 
-    The source is read in this loop, one segment at a time, and no
-    segment past segment_count is taken from it. The source may read its
-    input ahead of the segment taken (ingest_csv reads up to one block of
+    The source is read in this loop, one segment at a time: the next
+    segment is taken only when the one before it is done, so an islice
+    bound takes no segment past its count. The source may read its input
+    ahead of the segment taken (ingest_csv reads up to one block of
     BLOCK_SEGMENTS segments of lines), but it raises only for a segment
-    taken, so a bad CSV row past segment_count is never reported. An
+    taken, so a bad CSV row past an islice count is never reported. An
     exception the source raises (IngestionError for a malformed or
     non-finite CSV row, InvalidSignalError for a segment it cannot build)
     ends the run and propagates unchanged; the segments before it stay
@@ -613,9 +614,7 @@ def run_pipeline(
     metrics = PipelineMetrics(mode_tag=mode)
     biometric_seen = set()
     stored_seen = set()
-    # zip takes the next index first, so the source is never read past the count
-    indices = itertools.count() if segment_count is None else range(segment_count)
-    for index, segment in zip(indices, source):
+    for index, segment in enumerate(source):
         if index == 0:
             first = time.perf_counter()
             cadence = len(segment) / segment.sample_rate if pacing is Pacing.REAL_TIME else 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hecg import HAVE_COMPILED, attacks, backend_name, cipher, cli
+from hecg import HAVE_COMPILED, analysis, attacks, backend_name, cipher, cli
 from hecg.analysis import AnalysisReport
 from hecg.cipher import decrypt
 from hecg.errors import TrainingDivergedError
@@ -72,12 +72,19 @@ def test_analyze_without_reference_writes_no_quality(tmp_path, csv_file, capsys)
         assert report.to_json() == text
 
 
-def test_analyze_short_reference_fails(tmp_path, csv_file, capsys):
+def test_analyze_short_reference_fails(tmp_path, csv_file, capsys, monkeypatch):
     store = tmp_path / "store"
     main(["encrypt", "--input", str(csv_file), "--store", str(store)])
     short = tmp_path / "short.csv"
     short.write_text("".join(csv_file.read_text().splitlines(True)[: 1 + 5 * 300]))
     capsys.readouterr()
+
+    def battery(*args, **kwargs):
+        raise AssertionError("the battery ran before the reference count was checked")
+
+    # the count is refused before any per-segment bound or statistic is taken
+    monkeypatch.setattr(analysis, "analyze_corpus", battery)
+    monkeypatch.setattr(analysis.MinEntropySummary, "from_segments", battery)
     prefix = tmp_path / "out" / "ref"
     rc = main(["analyze", "--store", str(store), "--input", str(short), "--output", str(prefix)])
     assert rc == 1
@@ -444,7 +451,7 @@ def test_analyze_checks_output_before_the_work(tmp_path, monkeypatch, output, an
 def test_train_undersized_dataset(tmp_path, capsys):
     rc = main(["train", "--output", str(tmp_path / "m.hmlp"), "--synthetic", "5"])
     assert rc == 1
-    assert "needs >= 10" in capsys.readouterr().err
+    assert "need >= 10" in capsys.readouterr().err
 
 
 def test_stream_direct_metrics(tmp_path, capsys):

@@ -1,17 +1,18 @@
 """Byte-identity of CLI outputs for a fixed seed.
 
-Pins sha256 digests of what `encrypt`, `stream`, `analyze`, `attack` and
-`decrypt` write for a small seeded corpus: every store file (records and
-keys.txt), every analyze output except the wall-clock `timing` fields,
-the attack tables and the decrypted CSV, whose quality lines against its
-reference are pinned as text. A refactor that keeps these digests keeps
-ciphertext, key files and report values bit-identical.
+Pins sha256 digests of what `train`, `encrypt`, `stream`, `analyze`,
+`attack` and `decrypt` write for a small seeded corpus: the `.hmlp`
+model, every store file (records and keys.txt), every analyze output
+except the wall-clock `timing` fields, the attack tables and the
+decrypted CSV, whose quality lines against its reference are pinned as
+text. A refactor that keeps these digests keeps model files, ciphertext,
+key files and report values bit-identical.
 
-The ML-mode store depends on a model trained here, whose weights go
-through BLAS matrix products; its digest holds on one machine and numpy
-build. The other encrypt, stream, attack and decrypt digests involve no
-BLAS, and analyze takes its inner products with numpy's own loop
-(analysis._dot), so the analyze digests hold for any BLAS thread count.
+The model trained here and the ML-mode store it keys go through BLAS
+matrix products; their digests hold on one machine and numpy build. The
+other encrypt, stream, attack and decrypt digests involve no BLAS, and
+analyze takes its inner products with numpy's own loop (analysis._dot),
+so the analyze digests hold for any BLAS thread count.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from hecg.pipeline import synthetic_ecg_wave
 DIGESTS = {
     "encrypt-direct": "bdc4a8634240378d4901ed83141b7887282796486ad069236459d84ed63b9344",
     "encrypt-ml": "43b80655eaf0b653382083c52a4031e306e4e47860a7fb0dbb2c17ee6fc58506",
+    "train-model": "c2d6b4a9e2e7e85c2675c25bf0b7aba1d43f4fa5bf1c88b0931129437561fe5b",
     "stream-direct": "eab7e317b4344bbac03ad885314927d5c5165f6cba469d342c37c0d482bdf49b",
     "analyze-store": "c497cdb278a9a651e85efe070ffc7b85f5fa9cb8a9457141b4eee916fdc0482c",
     "analyze-stream-store": "d4b1183b73ffd1e71751d7a20a3b323c488813fdc1d499e0f81e4b088342eec1",
@@ -91,6 +93,7 @@ def digests(tmp_path_factory):
     out = {
         "encrypt-direct": _tree_digest(store),
         "encrypt-ml": _tree_digest(ml_store),
+        "train-model": hashlib.sha256(model.read_bytes()).hexdigest(),
         "stream-direct": _tree_digest(stream_store),
     }
     for name, argv in (

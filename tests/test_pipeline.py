@@ -577,7 +577,7 @@ class TestRunPipeline:
         monkeypatch.setattr(cipher, "iterate_logistic", counting)
         root = tmp_path / "s"
         metrics = run_pipeline(
-            SegmentSource.synthetic(8.0, seed=26), Mode.DIRECT, FileStore(root), segment_count=12
+            itertools.islice(SegmentSource.synthetic(8.0, seed=26), 12), Mode.DIRECT, FileStore(root)
         )
         assert metrics.segments_processed == 12 and not metrics.errors
         assert len(orbits) == 12 and len(set(orbits)) == 12
@@ -591,7 +591,7 @@ class TestRunPipeline:
     def test_ten_segments_direct(self, tmp_path):
         source = SegmentSource.synthetic(8.0, seed=21)
         store = FileStore(tmp_path / "store")
-        metrics = run_pipeline(source, Mode.DIRECT, store, segment_count=10)
+        metrics = run_pipeline(itertools.islice(source, 10), Mode.DIRECT, store)
         assert metrics.segments_processed == 10
         assert not metrics.errors
         assert store.record_indices("stream0") == list(range(10))
@@ -606,7 +606,7 @@ class TestRunPipeline:
 
     def test_metrics_invariants(self, tmp_path):
         source = SegmentSource.synthetic(8.0, seed=22)
-        metrics = run_pipeline(source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=8)
+        metrics = run_pipeline(itertools.islice(source, 8), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert len(metrics.encrypt_s) == 8
         for enc, sto, dec, total in zip(
             metrics.encrypt_s, metrics.store_s, metrics.decrypt_s, metrics.total_s
@@ -617,7 +617,7 @@ class TestRunPipeline:
 
     def test_key_freshness(self, tmp_path):
         source = SegmentSource.synthetic(40.0, seed=23)
-        metrics = run_pipeline(source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=60)
+        metrics = run_pipeline(itertools.islice(source, 60), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert metrics.segments_processed == 60
         assert metrics.distinct_biometric_params >= 0.9 * 60
         assert metrics.distinct_stored_params >= 0.9 * 60
@@ -625,7 +625,7 @@ class TestRunPipeline:
     def test_key_separation(self, tmp_path):
         source = SegmentSource.synthetic(5.0, seed=24)
         store = FileStore(tmp_path / "s")
-        run_pipeline(source, Mode.DIRECT, store, segment_count=5)
+        run_pipeline(itertools.islice(source, 5), Mode.DIRECT, store)
         os.remove(store.root / "stream0" / "keys.txt")
         record = store.get_record("stream0", 0)
         with pytest.raises(StoreError):
@@ -636,7 +636,7 @@ class TestRunPipeline:
         source = SegmentSource.synthetic(5.0, seed=25)
         store = FileStore(tmp_path / "s")
         metrics = run_pipeline(
-            source, Mode.ML_PREDICTED, store, segment_count=5, model=model
+            itertools.islice(source, 5), Mode.ML_PREDICTED, store, model=model
         )
         assert metrics.segments_processed == 5
         assert not metrics.errors
@@ -645,20 +645,19 @@ class TestRunPipeline:
 
     def test_rerun_into_stored_stream_refused(self, tmp_path):
         store = FileStore(tmp_path / "s")
-        run_pipeline(SegmentSource.synthetic(5.0, seed=24), Mode.DIRECT, store, segment_count=5)
+        run_pipeline(itertools.islice(SegmentSource.synthetic(5.0, seed=24), 5), Mode.DIRECT, store)
         stream_dir = tmp_path / "s" / "stream0"
         before = {p.name: p.read_bytes() for p in stream_dir.iterdir()}
         with pytest.raises(StoreError, match="5 records already stored in stream stream0"):
             run_pipeline(
-                SegmentSource.synthetic(5.0, seed=99), Mode.DIRECT, store, segment_count=4
+                itertools.islice(SegmentSource.synthetic(5.0, seed=99), 4), Mode.DIRECT, store
             )
         assert {p.name: p.read_bytes() for p in stream_dir.iterdir()} == before
         # another stream of the same store is still open to a run
         other = run_pipeline(
-            SegmentSource.synthetic(5.0, seed=99),
+            itertools.islice(SegmentSource.synthetic(5.0, seed=99), 4),
             Mode.DIRECT,
             store,
-            segment_count=4,
             stream_id="stream1",
         )
         assert other.segments_processed == 4 and store.record_indices("stream1") == [0, 1, 2, 3]
@@ -666,12 +665,12 @@ class TestRunPipeline:
     def test_ml_mode_requires_model(self, tmp_path):
         source = SegmentSource.synthetic(2.0, seed=26)
         with pytest.raises(StoreError):
-            run_pipeline(source, Mode.ML_PREDICTED, FileStore(tmp_path / "s"), segment_count=2)
+            run_pipeline(itertools.islice(source, 2), Mode.ML_PREDICTED, FileStore(tmp_path / "s"))
 
     def test_classifier_hook_optional(self, tmp_path):
         source = SegmentSource.synthetic(3.0, seed=27)
         metrics = run_pipeline(
-            source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=3, classifier=None
+            itertools.islice(source, 3), Mode.DIRECT, FileStore(tmp_path / "s"), classifier=None
         )
         assert metrics.labels == []
         assert not metrics.errors
@@ -679,10 +678,9 @@ class TestRunPipeline:
     def test_custom_classifier(self, tmp_path):
         source = SegmentSource.synthetic(3.0, seed=28)
         metrics = run_pipeline(
-            source,
+            itertools.islice(source, 3),
             Mode.DIRECT,
             FileStore(tmp_path / "s"),
-            segment_count=3,
             classifier=lambda seg: f"len={len(seg)}",
         )
         assert metrics.labels == ["len=300"] * 3
@@ -695,7 +693,7 @@ class TestRunPipeline:
                 super().put_record(stream_id, index, record)
 
         source = SegmentSource.synthetic(4.0, seed=29)
-        metrics = run_pipeline(source, Mode.DIRECT, FlakyStore(tmp_path / "s"), segment_count=4)
+        metrics = run_pipeline(itertools.islice(source, 4), Mode.DIRECT, FlakyStore(tmp_path / "s"))
         assert len(metrics.errors) == 1
         assert metrics.errors[0][0] == 1
         assert metrics.segments_processed == 3
@@ -714,10 +712,9 @@ class TestRunPipeline:
 
         source = SegmentSource.synthetic(3.0, seed=30)
         metrics = run_pipeline(
-            source,
+            itertools.islice(source, 3),
             Mode.DIRECT,
             FileStore(tmp_path / "s"),
-            segment_count=3,
             classifier=slow,
             pacing=Pacing.REAL_TIME,
         )
@@ -730,15 +727,15 @@ class TestRunPipeline:
         # run_pipeline only iterates its source and reads rate and length
         # from the segments, so a list or a one-shot generator gives the
         # same stored bytes and labels as the SegmentSource they came from.
-        def run(source, name, segment_count=None):
+        def run(source, name):
             store = FileStore(tmp_path / name)
-            metrics = run_pipeline(source, Mode.DIRECT, store, segment_count=segment_count)
+            metrics = run_pipeline(source, Mode.DIRECT, store)
             assert metrics.segments_processed == 6 and not metrics.errors
             files = sorted((store.root / "stream0").iterdir())
             return [(f.name, f.read_bytes()) for f in files], metrics.labels
 
         source = SegmentSource.synthetic(5.0, seed=4)
-        want = run(source, "source", segment_count=6)
+        want = run(itertools.islice(source, 6), "source")
         assert len(want[0]) == 7  # 6 records and keys.txt
         segments = list(source)[:6]
         assert run(segments, "list") == want
@@ -760,13 +757,13 @@ class TestRunPipeline:
 
     def test_source_exhaustion_clean_stop(self, tmp_path):
         source = SegmentSource.synthetic(2.0, seed=31)  # only 3 segments available
-        metrics = run_pipeline(source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=99)
+        metrics = run_pipeline(itertools.islice(source, 99), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert metrics.segments_processed == 3
         assert not metrics.errors
 
     def test_table_rendering(self, tmp_path):
         source = SegmentSource.synthetic(3.0, seed=32)
-        metrics = run_pipeline(source, Mode.DIRECT, FileStore(tmp_path / "s"), segment_count=3)
+        metrics = run_pipeline(itertools.islice(source, 3), Mode.DIRECT, FileStore(tmp_path / "s"))
         table = metrics.table()
         assert "encrypt_s" in table and "median_ms" in table
         summary = metrics.summary()
@@ -829,7 +826,7 @@ class TestSourceErrors:
             with _block_segments(size):
                 metrics = bounded(
                     lambda: run_pipeline(
-                        SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store, segment_count=66
+                        itertools.islice(SegmentSource.from_csv(path, "ecg"), 66), Mode.DIRECT, store
                     )
                 )
             assert metrics.segments_processed == 66
