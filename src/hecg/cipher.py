@@ -124,18 +124,18 @@ class EncryptedRecord:
 
     ciphertext: bytes
     range: QuantizationRange
-    segment_len: int
     key_id: bytes
     salt: KeySalt
     mode_tag: Mode
 
     def __post_init__(self):
-        if len(self.ciphertext) != self.segment_len:
-            raise CorruptRecordError(
-                f"ciphertext length {len(self.ciphertext)} != segment_len {self.segment_len}"
-            )
         if len(self.key_id) != 16:
             raise CorruptRecordError(f"key_id must be 16 bytes, got {len(self.key_id)}")
+
+    @property
+    def segment_len(self) -> int:
+        """Samples in the segment: one ciphertext byte each."""
+        return len(self.ciphertext)
 
     def to_bytes(self) -> bytes:
         head = struct.pack(
@@ -177,7 +177,6 @@ class EncryptedRecord:
         return cls(
             ciphertext=ciphertext,
             range=QuantizationRange(min=lo, max=hi),
-            segment_len=seg_len,
             key_id=key_id,
             salt=KeySalt(timestamp=ts, device_id=device_id),
             mode_tag=mode_tag,
@@ -350,7 +349,6 @@ def encrypt(
     return EncryptedRecord(
         ciphertext=ct.tobytes(),
         range=q.range,
-        segment_len=len(segment),
         key_id=make_key_id(salt, counter),
         salt=salt,
         mode_tag=mode_tag,

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, attacks, pipeline
 from .cipher import Mode, decrypt_batch, quantize
 from .errors import HecgError
-from .mlkey import KeyPredictor, TrainConfig, build_dataset, train
+from .mlkey import SPLIT_FRACTION, KeyPredictor, TrainConfig, build_dataset, train
 from .pipeline import FileStore, Pacing
 
 
@@ -266,7 +266,7 @@ def cmd_analyze(args) -> int:
             print("store holds no records", file=sys.stderr)
             return 1
         if args.input:
-            reference = _load_segments(args)[: len(segments)]
+            reference = list(itertools.islice(_source(args), len(segments)))
             if len(reference) < len(segments):
                 raise HecgError(f"{len(segments)} recovered segments for {len(reference)} reference segments")
             for ref, seg in zip(reference, segments):
@@ -363,8 +363,8 @@ def cmd_train(args) -> int:
     print(f"model -> {args.output}")
     print(f"train_mse {report.train_mse:.17g}")
     print(f"test_mse {report.test_mse:.17g}")
-    print(f"epochs {report.epochs}")
-    print(f"split_fraction {report.split_fraction}")
+    print(f"epochs {config.epochs}")
+    print(f"split_fraction {SPLIT_FRACTION}")
     return 0
 
 
@@ -440,11 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _input_flags(p, synthetic_default=500)
     p.add_argument("--output", required=True, help="model file path")
-    p.add_argument("--hidden", type=_layer_widths, default="32,16")
-    p.add_argument("--learning-rate", type=_float_in(0), default=0.2)
-    p.add_argument("--lr-decay", type=_float_in(0, 1), default=0.999)
-    p.add_argument("--epochs", type=_int_at_least(1), default=500)
-    p.add_argument("--batch-size", type=_int_at_least(1), default=32)
+    # argparse applies type only to a string default, so --hidden takes the tuple
+    p.add_argument("--hidden", type=_layer_widths, default=TrainConfig.hidden)
+    p.add_argument("--learning-rate", type=_float_in(0), default=TrainConfig.learning_rate)
+    p.add_argument("--lr-decay", type=_float_in(0, 1), default=TrainConfig.lr_decay)
+    p.add_argument("--epochs", type=_int_at_least(1), default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=TrainConfig.batch_size)
     p.add_argument("--augment-noise", type=_int_at_least(0), default=0)
     # below -6000 dB the noise scale 10 ** (-snr / 20) overflows a float
     p.add_argument("--augment-snr-db", type=_float_in(-6000), default=20.0)

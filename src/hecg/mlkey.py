@@ -169,18 +169,15 @@ class KeyPredictor:
     def dims(self) -> list:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def forward_unit(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Predict (r, x0) rows on the raw parameter scale."""
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w + b
             if i < last:
                 a = np.tanh(a)
-        return a
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Predict (r, x0) rows on the raw parameter scale."""
-        return unit_to_params(self.forward_unit(x))
+        return unit_to_params(a)
 
     def save(self, path):
         blob = [struct.pack("<4sBB", MODEL_MAGIC, MODEL_VERSION, len(self.dims))]
@@ -237,16 +234,17 @@ class TrainConfig:
     lr_decay: float = 0.999
     epochs: int = 500
     batch_size: int = 32
-    split_fraction: float = 0.2
     seed: int = 0
+
+
+# Share of a dataset's rows that train holds out for its test MSE.
+SPLIT_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
 class TrainingReport:
     train_mse: float
     test_mse: float
-    epochs: int
-    split_fraction: float
 
 
 def loss_and_gradients(weights: list, biases: list, x: np.ndarray, y: np.ndarray):
@@ -294,13 +292,13 @@ def train(dataset: Dataset, config: TrainConfig = TrainConfig()):
     """Mini-batch gradient descent; deterministic for a given seed.
 
     Returns the trained predictor and a report with held-out MSE on the
-    split_fraction tail of a seeded shuffle.
+    SPLIT_FRACTION head of a seeded shuffle.
     """
     if len(dataset) < 2:
         raise DatasetError(f"dataset too small to split: {len(dataset)}")
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(dataset))
-    n_test = max(1, int(round(len(dataset) * config.split_fraction)))
+    n_test = max(1, int(round(len(dataset) * SPLIT_FRACTION)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
         raise DatasetError("split leaves no training rows")
@@ -329,13 +327,7 @@ def train(dataset: Dataset, config: TrainConfig = TrainConfig()):
     test_mse = float(np.mean((model.forward(x_test) - unit_to_params(y_test)) ** 2))
     if not (np.isfinite(train_mse) and np.isfinite(test_mse)):
         raise TrainingDivergedError("non-finite final loss")
-    report = TrainingReport(
-        train_mse=train_mse,
-        test_mse=test_mse,
-        epochs=config.epochs,
-        split_fraction=config.split_fraction,
-    )
-    return model, report
+    return model, TrainingReport(train_mse=train_mse, test_mse=test_mse)
 
 
 # predicted params are clamped to the nudged interior of the chaotic regime

@@ -230,40 +230,13 @@ def _row_values(rows, column, col_idx: int | None = None):
         yield line_no, col_idx, value
 
 
-@dataclass
 class SegmentSource:
-    """A replayable segment stream: each iteration reads its input again."""
+    """The name under which perfbench's stream workload reads its CSV."""
 
-    _factory: object
-
-    def __iter__(self):
-        return iter(self._factory())
-
-    @classmethod
-    def synthetic(
-        cls,
-        duration_s: float,
-        sample_rate: float = DEFAULT_SAMPLE_RATE,
-        segment_len: int = DEFAULT_SEGMENT_LEN,
-        heart_rate_bpm: float = 60.0,
-        noise_amplitude: float = 0.02,
-        seed: int = 0,
-    ) -> "SegmentSource":
-        return cls(
-            lambda: synthetic_ecg(
-                duration_s, sample_rate, heart_rate_bpm, noise_amplitude, seed, segment_len
-            )
-        )
-
-    @classmethod
-    def from_csv(
-        cls,
-        path,
-        column=0,
-        sample_rate: float = DEFAULT_SAMPLE_RATE,
-        segment_len: int = DEFAULT_SEGMENT_LEN,
-    ) -> "SegmentSource":
-        return cls(lambda: ingest_csv(path, column, sample_rate, segment_len))
+    @staticmethod
+    def from_csv(path, column):
+        # ingest_csv is looked up at each call, so a tracer that wraps it sees it
+        return ingest_csv(path, column)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +367,15 @@ class FileStore:
         return sorted(indices)
 
     def refuse_stored(self, stream_id: str):
-        """Raise StoreError if stream_id already holds records: writing a
-        second run into it would replace them and orphan the old run's key
-        rows."""
+        """Raise StoreError if stream_id already holds records or complete
+        key rows: writing a second run into it would replace the records,
+        or mix its key rows with rows that no record of it names."""
         existing = self.record_indices(stream_id)
         if existing:
             raise StoreError(f"{len(existing)} records already stored in stream {stream_id}")
+        keys = self._key_index(stream_id)
+        if keys:
+            raise StoreError(f"{len(keys)} orphaned key rows, and no records, in stream {stream_id}")
 
     def put_key(self, stream_id: str, key_id: bytes, params: ChaoticParams):
         want = key_id.hex()
@@ -453,14 +429,14 @@ def _signature(st: os.stat_result) -> tuple[int, int, int]:
 # classifier hook
 
 
-def count_peaks(segment: SignalSegment, threshold_frac: float = 0.6) -> int:
-    """R-wave style peak count: local maxima above a range threshold,
+def count_peaks(segment: SignalSegment) -> int:
+    """R-wave style peak count: local maxima at or above 60% of the range,
     separated by a 250 ms refractory gap."""
     s = segment.samples
     lo, hi = float(s.min()), float(s.max())
     if hi == lo:
         return 0
-    thresh = lo + threshold_frac * (hi - lo)
+    thresh = lo + 0.6 * (hi - lo)
     refractory = max(1, int(0.25 * segment.sample_rate))
     mid = s[1:-1]
     candidates = np.flatnonzero((mid >= thresh) & (mid >= s[:-2]) & (mid >= s[2:])) + 1
@@ -592,8 +568,8 @@ def run_pipeline(
     FileStore.write, read it back with FileStore.read, decrypt, classify.
     Encrypt latency excludes I/O; store latency is measured separately.
     Store failures are recorded per segment and the loop continues. A
-    stream that already holds records is refused (StoreError) before
-    anything is read or written.
+    stream that already holds records or key rows is refused (StoreError,
+    see FileStore.refuse_stored) before anything is read or written.
 
     The source is read in this loop, one segment at a time: the next
     segment is taken only when the one before it is done, so an islice

@@ -10,12 +10,15 @@ perfbench reads (hecg.backend_name, hecg.HAVE_COMPILED, ...) must exist.
 
 A changed signature or a deleted flag would break only the benchmark, so
 every call perfbench makes into hecg must also bind to the callee's
-signature, and every literal argv it passes to run_cli must parse.
+signature, and every literal argv it passes to run_cli must parse. And
+each workload BENCHMARK.json names must run once, at perfbench's tiny
+size, without a failure.
 """
 
 import ast
 import inspect
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -26,9 +29,16 @@ import hecg.cli  # imports every hecg module a traced name lives in
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+def _load(name: str):
+    """perfbench/<name>.py as a module, by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 def _tree(name: str) -> ast.Module:
@@ -48,6 +58,10 @@ def _assigned(tree: ast.Module, target: str) -> list:
 
 TRACED = [name for value in _assigned(_tree("run.py"), "TRACED") for name in value]
 TICK_POINTS = [name for value in _assigned(_tree("workloads.py"), "tick_points") for name in value]
+# the seed and the pinned tiny audit store digest of perfbench's smoke test
+[SMOKE_SEED] = _assigned(_tree("test_smoke.py"), "SEED")
+[AUDIT_STORE_DIGEST] = _assigned(_tree("test_smoke.py"), "AUDIT_STORE_DIGEST")
+BENCHMARKED = [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
 # hecg and the two of its modules that perfbench imports by name
 MODULES = {"hecg": hecg, "pipeline": hecg.pipeline, "cli": hecg.cli}
 ATTRIBUTES = sorted(
@@ -137,3 +151,20 @@ def test_run_cli_argv_parses(line, argv):
         hecg.cli.build_parser().parse_args(words)
     except SystemExit:
         pytest.fail(f"perfbench/workloads.py:{line}: hecg {' '.join(words)} does not parse")
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_benchmarked_workload_runs_at_tiny_size(tmp_path, name):
+    # The workload's own steps, in-process: run.run would start a
+    # fresh-import subprocess for its set-up timing and fsync its work tree.
+    workload = workloads.WORKLOADS[name](SMOKE_SEED, workloads.TINY)
+    workload.setup(tmp_path)
+    assert workload.check_setup() == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    result = workload.job(out, workloads.Ticker())
+    assert result.failed == 0
+    _, failed = workload.verify(out, result)
+    assert failed == 0
+    if name == "audit":
+        assert workload.store_digest == AUDIT_STORE_DIGEST

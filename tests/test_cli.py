@@ -11,7 +11,7 @@ import pytest
 from hecg import HAVE_COMPILED, analysis, attacks, backend_name, cipher, cli
 from hecg.analysis import AnalysisReport
 from hecg.cipher import decrypt
-from hecg.errors import TrainingDivergedError
+from hecg.errors import StoreError, TrainingDivergedError
 from hecg.cli import main
 from hecg.pipeline import FileStore, synthetic_ecg_wave
 
@@ -92,6 +92,21 @@ def test_analyze_short_reference_fails(tmp_path, csv_file, capsys, monkeypatch):
     assert "error: 13 recovered segments for 5 reference segments" in captured.err
     assert captured.out == ""
     assert not prefix.parent.exists()
+
+
+def test_analyze_reads_no_reference_row_past_the_store(tmp_path, csv_file, capsys):
+    # as stream does, analyze never reports a bad row past the count it takes
+    lines = csv_file.read_text().splitlines(True)
+    five = tmp_path / "five.csv"
+    five.write_text("".join(lines[: 1 + 5 * 300]))
+    store = tmp_path / "store"
+    assert main(["encrypt", "--input", str(five), "--store", str(store)]) == 0
+    reference = tmp_path / "reference.csv"
+    reference.write_text("".join(lines[: 1 + 5 * 300]) + "oops\n" + "".join(lines[1 + 5 * 300 :]))
+    prefix = tmp_path / "ref"
+    assert main(["analyze", "--store", str(store), "--input", str(reference), "--output", str(prefix)]) == 0
+    assert "quality.mse " in capsys.readouterr().out
+    assert json.loads(Path(f"{prefix}_report.json").read_text())["quality"]["mse"] <= 1e-5
 
 
 def test_encrypt_ml_mode_without_model_errors(tmp_path, csv_file, capsys):
@@ -282,7 +297,7 @@ def _non_numeric_key(stream: Path) -> str:
 def _one_sample_record(stream: Path) -> str:
     # a crafted record of one sample, keyed like the record it replaces
     record = FileStore(stream.parent).get_record(stream.name, 1)
-    short = dataclasses.replace(record, ciphertext=record.ciphertext[:1], segment_len=1)
+    short = dataclasses.replace(record, ciphertext=record.ciphertext[:1])
     (stream / "seg_000001.rec").write_bytes(short.to_bytes())
     return "error: segment length must be >= 2, got 1"
 
@@ -368,6 +383,7 @@ def test_train_determinism_and_model_file(tmp_path, capsys):
     model_b = tmp_path / "b.hmlp"
     args = ["--synthetic", "60", "--epochs", "30", "--seed", "3"]
     assert main(["train", "--output", str(model_a)] + args) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["epochs 30", "split_fraction 0.2"]
     assert main(["train", "--output", str(model_b)] + args) == 0
     capsys.readouterr()
     assert model_a.read_bytes() == model_b.read_bytes()
@@ -626,26 +642,37 @@ def test_stream_rerun_with_other_seed_is_refused(tmp_path, capsys):
                  "--stream", "stream1"]) == 0
 
 
-def test_stream_names_the_segments_that_failed(tmp_path, capsys):
-    # With the records deleted, a rerun with the same seed draws the same
-    # key_ids, and put_key refuses each one keys.txt still holds.
-    store = tmp_path / "store"
-    argv = ["stream", "--segments", "3", "--store", str(store), "--seed", "7", "--json"]
-    assert main(argv) == 0
-    keys = [row.split()[0] for row in (store / "stream0" / "keys.txt").read_text().splitlines()]
-    for path in (store / "stream0").glob("seg_*.rec"):
-        path.unlink()
-    capsys.readouterr()
+def test_stream_names_the_segments_that_failed(tmp_path, monkeypatch, capsys):
+    def refused(self, stream_id, key_id, params):
+        raise StoreError("injected fault")
+
+    monkeypatch.setattr(FileStore, "put_key", refused)
+    argv = ["stream", "--segments", "3", "--store", str(tmp_path / "store"), "--seed", "7", "--json"]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        f"error: stream0[{i}]: StoreError: key {key} already stored in stream stream0"
-        for i, key in enumerate(keys)
-    ]
+    assert captured.err.splitlines() == [f"error: stream0[{i}]: StoreError: injected fault" for i in range(3)]
     assert "mode=DIRECT segments=0 errors=3" in captured.out
     assert "distinct params: biometric=0 stored=0" in captured.out
     summary = json.loads(captured.out[captured.out.index("{") :])
     assert summary["errors"] == 3 and summary["distinct_stored_params"] == 0
+
+
+@pytest.mark.parametrize("seed", ["7", "8"])
+def test_stream_into_orphaned_key_rows_is_refused_once(tmp_path, capsys, seed):
+    # With the records deleted, the same seed would fail each put_key and
+    # another seed would add its rows beside the orphans; both get one error.
+    store = tmp_path / "store"
+    assert main(["stream", "--segments", "3", "--store", str(store), "--seed", "7"]) == 0
+    for path in (store / "stream0").glob("seg_*.rec"):
+        path.unlink()
+    keys = (store / "stream0" / "keys.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["stream", "--segments", "3", "--store", str(store), "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: 3 orphaned key rows, and no records, in stream stream0"]
+    assert captured.out == ""
+    assert (store / "stream0" / "keys.txt").read_bytes() == keys
+    assert sorted(p.name for p in (store / "stream0").iterdir()) == ["keys.txt"]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from hecg.errors import CorruptRecordError, IngestionError, StoreError
 from hecg.pipeline import (
     FileStore,
     Pacing,
-    SegmentSource,
     count_peaks,
     default_classifier,
     ingest_csv,
@@ -324,12 +323,12 @@ class TestIngestMatchesRowReader:
             assert calls == [block] * (rest // block) + [rest % block] * (rest % block > 0) + [0]
 
 
-def _reference_count_peaks(segment, threshold_frac=0.6):
+def _reference_count_peaks(segment):
     s = segment.samples
     lo, hi = float(np.min(s)), float(np.max(s))
     if hi == lo:
         return 0
-    thresh = lo + threshold_frac * (hi - lo)
+    thresh = lo + 0.6 * (hi - lo)
     refractory = max(1, int(0.25 * segment.sample_rate))
     peaks = 0
     last = -refractory
@@ -345,11 +344,10 @@ class TestCountPeaksMatchesLoop:
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=200),
         st.sampled_from([4.0, 20.0, 100.0, 500.0]),
-        st.sampled_from([0.0, 0.3, 0.6, 1.0]),
     )
-    def test_random(self, samples, rate, frac):
+    def test_random(self, samples, rate):
         seg = SignalSegment(np.asarray(samples), rate)
-        assert count_peaks(seg, frac) == _reference_count_peaks(seg, frac)
+        assert count_peaks(seg) == _reference_count_peaks(seg)
 
     @pytest.mark.parametrize("rate", [4.0, 40.0, 500.0])
     def test_flat_and_plateaus(self, rate):
@@ -577,7 +575,7 @@ class TestRunPipeline:
         monkeypatch.setattr(cipher, "iterate_logistic", counting)
         root = tmp_path / "s"
         metrics = run_pipeline(
-            itertools.islice(SegmentSource.synthetic(8.0, seed=26), 12), Mode.DIRECT, FileStore(root)
+            itertools.islice(synthetic_ecg(8.0, seed=26), 12), Mode.DIRECT, FileStore(root)
         )
         assert metrics.segments_processed == 12 and not metrics.errors
         assert len(orbits) == 12 and len(set(orbits)) == 12
@@ -589,14 +587,14 @@ class TestRunPipeline:
         assert sha.hexdigest() == "da2ad476cdfdb802e57d0575cd00506fe2ee4dd94071c0e48b5a96f9b92a5f96"
 
     def test_ten_segments_direct(self, tmp_path):
-        source = SegmentSource.synthetic(8.0, seed=21)
+        source = synthetic_ecg(8.0, seed=21)
         store = FileStore(tmp_path / "store")
         metrics = run_pipeline(itertools.islice(source, 10), Mode.DIRECT, store)
         assert metrics.segments_processed == 10
         assert not metrics.errors
         assert store.record_indices("stream0") == list(range(10))
         # byte-exact roundtrips via the store
-        segs = list(SegmentSource.synthetic(8.0, seed=21))[:10]
+        segs = list(synthetic_ecg(8.0, seed=21))[:10]
         for i, seg in enumerate(segs):
             record = store.get_record("stream0", i)
             params = store.get_key("stream0", record.key_id)
@@ -605,7 +603,7 @@ class TestRunPipeline:
             assert np.array_equal(decrypt_bytes(record, params), quantize(seg).bytes)
 
     def test_metrics_invariants(self, tmp_path):
-        source = SegmentSource.synthetic(8.0, seed=22)
+        source = synthetic_ecg(8.0, seed=22)
         metrics = run_pipeline(itertools.islice(source, 8), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert len(metrics.encrypt_s) == 8
         for enc, sto, dec, total in zip(
@@ -616,14 +614,14 @@ class TestRunPipeline:
         assert all(label for label in metrics.labels)
 
     def test_key_freshness(self, tmp_path):
-        source = SegmentSource.synthetic(40.0, seed=23)
+        source = synthetic_ecg(40.0, seed=23)
         metrics = run_pipeline(itertools.islice(source, 60), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert metrics.segments_processed == 60
         assert metrics.distinct_biometric_params >= 0.9 * 60
         assert metrics.distinct_stored_params >= 0.9 * 60
 
     def test_key_separation(self, tmp_path):
-        source = SegmentSource.synthetic(5.0, seed=24)
+        source = synthetic_ecg(5.0, seed=24)
         store = FileStore(tmp_path / "s")
         run_pipeline(itertools.islice(source, 5), Mode.DIRECT, store)
         os.remove(store.root / "stream0" / "keys.txt")
@@ -633,7 +631,7 @@ class TestRunPipeline:
 
     def test_ml_mode_roundtrip(self, tmp_path, trained_model):
         model, _ = trained_model
-        source = SegmentSource.synthetic(5.0, seed=25)
+        source = synthetic_ecg(5.0, seed=25)
         store = FileStore(tmp_path / "s")
         metrics = run_pipeline(
             itertools.islice(source, 5), Mode.ML_PREDICTED, store, model=model
@@ -645,30 +643,47 @@ class TestRunPipeline:
 
     def test_rerun_into_stored_stream_refused(self, tmp_path):
         store = FileStore(tmp_path / "s")
-        run_pipeline(itertools.islice(SegmentSource.synthetic(5.0, seed=24), 5), Mode.DIRECT, store)
+        run_pipeline(itertools.islice(synthetic_ecg(5.0, seed=24), 5), Mode.DIRECT, store)
         stream_dir = tmp_path / "s" / "stream0"
         before = {p.name: p.read_bytes() for p in stream_dir.iterdir()}
         with pytest.raises(StoreError, match="5 records already stored in stream stream0"):
             run_pipeline(
-                itertools.islice(SegmentSource.synthetic(5.0, seed=99), 4), Mode.DIRECT, store
+                itertools.islice(synthetic_ecg(5.0, seed=99), 4), Mode.DIRECT, store
             )
         assert {p.name: p.read_bytes() for p in stream_dir.iterdir()} == before
         # another stream of the same store is still open to a run
         other = run_pipeline(
-            itertools.islice(SegmentSource.synthetic(5.0, seed=99), 4),
+            itertools.islice(synthetic_ecg(5.0, seed=99), 4),
             Mode.DIRECT,
             store,
             stream_id="stream1",
         )
         assert other.segments_processed == 4 and store.record_indices("stream1") == [0, 1, 2, 3]
 
+    def test_rerun_into_orphaned_key_rows_refused(self, tmp_path):
+        # A stream whose records are gone still holds their key rows: a run
+        # with other salts would add its rows beside the orphans.
+        store = FileStore(tmp_path / "s")
+        run_pipeline(itertools.islice(synthetic_ecg(5.0, seed=24), 3), Mode.DIRECT, store)
+        keys = tmp_path / "s" / "stream0" / "keys.txt"
+        for path in keys.parent.glob("seg_*.rec"):
+            path.unlink()
+        before = keys.read_bytes()
+        with pytest.raises(StoreError, match="^3 orphaned key rows, and no records, in stream stream0$"):
+            run_pipeline(itertools.islice(synthetic_ecg(5.0, seed=99), 3), Mode.DIRECT, store)
+        assert keys.read_bytes() == before and store.record_indices("stream0") == []
+        # a torn row is not a complete one: put_key cuts it off
+        keys.write_bytes(before[:20])
+        metrics = run_pipeline(itertools.islice(synthetic_ecg(5.0, seed=99), 3), Mode.DIRECT, store)
+        assert metrics.segments_processed == 3 and len(keys.read_text().splitlines()) == 3
+
     def test_ml_mode_requires_model(self, tmp_path):
-        source = SegmentSource.synthetic(2.0, seed=26)
+        source = synthetic_ecg(2.0, seed=26)
         with pytest.raises(StoreError):
             run_pipeline(itertools.islice(source, 2), Mode.ML_PREDICTED, FileStore(tmp_path / "s"))
 
     def test_classifier_hook_optional(self, tmp_path):
-        source = SegmentSource.synthetic(3.0, seed=27)
+        source = synthetic_ecg(3.0, seed=27)
         metrics = run_pipeline(
             itertools.islice(source, 3), Mode.DIRECT, FileStore(tmp_path / "s"), classifier=None
         )
@@ -676,7 +691,7 @@ class TestRunPipeline:
         assert not metrics.errors
 
     def test_custom_classifier(self, tmp_path):
-        source = SegmentSource.synthetic(3.0, seed=28)
+        source = synthetic_ecg(3.0, seed=28)
         metrics = run_pipeline(
             itertools.islice(source, 3),
             Mode.DIRECT,
@@ -692,7 +707,7 @@ class TestRunPipeline:
                     raise StoreError("injected fault")
                 super().put_record(stream_id, index, record)
 
-        source = SegmentSource.synthetic(4.0, seed=29)
+        source = synthetic_ecg(4.0, seed=29)
         metrics = run_pipeline(itertools.islice(source, 4), Mode.DIRECT, FlakyStore(tmp_path / "s"))
         assert len(metrics.errors) == 1
         assert metrics.errors[0][0] == 1
@@ -710,7 +725,7 @@ class TestRunPipeline:
             time.sleep(0.2)
             return "slow"
 
-        source = SegmentSource.synthetic(3.0, seed=30)
+        source = synthetic_ecg(3.0, seed=30)
         metrics = run_pipeline(
             itertools.islice(source, 3),
             Mode.DIRECT,
@@ -726,7 +741,7 @@ class TestRunPipeline:
     def test_any_iterable_of_segments_is_a_source(self, tmp_path):
         # run_pipeline only iterates its source and reads rate and length
         # from the segments, so a list or a one-shot generator gives the
-        # same stored bytes and labels as the SegmentSource they came from.
+        # same stored bytes and labels as the generator they came from.
         def run(source, name):
             store = FileStore(tmp_path / name)
             metrics = run_pipeline(source, Mode.DIRECT, store)
@@ -734,35 +749,31 @@ class TestRunPipeline:
             files = sorted((store.root / "stream0").iterdir())
             return [(f.name, f.read_bytes()) for f in files], metrics.labels
 
-        source = SegmentSource.synthetic(5.0, seed=4)
-        want = run(itertools.islice(source, 6), "source")
+        want = run(itertools.islice(synthetic_ecg(5.0, seed=4), 6), "source")
         assert len(want[0]) == 7  # 6 records and keys.txt
-        segments = list(source)[:6]
+        segments = list(synthetic_ecg(5.0, seed=4))[:6]
         assert run(segments, "list") == want
         assert run(iter(segments), "generator") == want
 
     def test_failed_writes_count_no_stored_params(self, tmp_path):
-        # The records are gone but keys.txt still holds their keys, so a
-        # rerun with the same salts has every key refused by put_key.
-        store = FileStore(tmp_path / "s")
-        run_pipeline(SegmentSource.synthetic(2.0, seed=33), Mode.DIRECT, store)
-        for path in (store.root / "stream0").glob("seg_*.rec"):
-            path.unlink()
-        metrics = run_pipeline(SegmentSource.synthetic(2.0, seed=33), Mode.DIRECT, store)
-        assert [index for index, _ in metrics.errors] == [0, 1, 2]
-        assert all(" already stored in stream stream0" in m for _, m in metrics.errors)
+        class KeylessStore(FileStore):
+            def put_key(self, stream_id, key_id, params):
+                raise StoreError("injected fault")
+
+        metrics = run_pipeline(synthetic_ecg(2.0, seed=33), Mode.DIRECT, KeylessStore(tmp_path / "s"))
+        assert metrics.errors == [(i, "StoreError: injected fault") for i in range(3)]
         assert metrics.segments_processed == 0
         assert metrics.distinct_stored_params == 0
         assert metrics.distinct_biometric_params == 0
 
     def test_source_exhaustion_clean_stop(self, tmp_path):
-        source = SegmentSource.synthetic(2.0, seed=31)  # only 3 segments available
+        source = synthetic_ecg(2.0, seed=31)  # only 3 segments available
         metrics = run_pipeline(itertools.islice(source, 99), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert metrics.segments_processed == 3
         assert not metrics.errors
 
     def test_table_rendering(self, tmp_path):
-        source = SegmentSource.synthetic(3.0, seed=32)
+        source = synthetic_ecg(3.0, seed=32)
         metrics = run_pipeline(itertools.islice(source, 3), Mode.DIRECT, FileStore(tmp_path / "s"))
         table = metrics.table()
         assert "encrypt_s" in table and "median_ms" in table
@@ -781,7 +792,7 @@ class TestSourceErrors:
         for size in BLOCK_SIZES:
             store = FileStore(tmp_path / f"s{size}")
             with _block_segments(size), pytest.raises(IngestionError) as err:
-                bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+                bounded(lambda: run_pipeline(ingest_csv(path, "ecg"), Mode.DIRECT, store))
             assert err.value.line_number == 20002
             # the segments before the bad row stay stored and decrypt
             assert store.record_indices("stream0") == list(range(66))
@@ -797,7 +808,7 @@ class TestSourceErrors:
         for size in BLOCK_SIZES:
             store = FileStore(tmp_path / f"s{size}")
             with _block_segments(size), pytest.raises(IngestionError) as err:
-                bounded(lambda: run_pipeline(SegmentSource.from_csv(path, "ecg"), Mode.DIRECT, store))
+                bounded(lambda: run_pipeline(ingest_csv(path, "ecg"), Mode.DIRECT, store))
             assert err.value.line_number == 20002
             assert store.record_indices("stream0") == list(range(66))
 
@@ -826,7 +837,7 @@ class TestSourceErrors:
             with _block_segments(size):
                 metrics = bounded(
                     lambda: run_pipeline(
-                        itertools.islice(SegmentSource.from_csv(path, "ecg"), 66), Mode.DIRECT, store
+                        itertools.islice(ingest_csv(path, "ecg"), 66), Mode.DIRECT, store
                     )
                 )
             assert metrics.segments_processed == 66
@@ -846,7 +857,7 @@ class TestBlockSizeOracle:
             store = FileStore(tmp_path / f"s{size}")
             with _block_segments(size):
                 metrics = run_pipeline(
-                    SegmentSource.from_csv(path, "ecg"), Mode.ML_PREDICTED, store, model=model
+                    ingest_csv(path, "ecg"), Mode.ML_PREDICTED, store, model=model
                 )
             assert metrics.segments_processed == 70 and not metrics.errors
             files = sorted((store.root / "stream0").iterdir())
