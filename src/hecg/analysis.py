@@ -1,8 +1,8 @@
 """Statistical security battery: entropy, randomness, correlation, spectra.
 
 Every function here is a pure reduction over byte or sample sequences.
-Corpus runs may fan out across segments and merge, since histograms use
-exact integer counts and every other statistic is computed per call.
+Histogram256 counts bytes, and every byte statistic reads its counts; a
+corpus's counts are the sums of its segments' counts.
 
 Granularity matters for several metrics: a 300-byte segment cannot reach
 the entropy or decorrelation levels that a concatenated corpus can, so
@@ -29,6 +29,7 @@ from .errors import (
 
 # Largest autocorrelation lag the corpus battery reports.
 MAX_LAG = 50
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)  # 1 bits per byte
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,8 @@ MAX_LAG = 50
 
 @dataclass(frozen=True)
 class Histogram256:
-    """Byte-value histogram with exact integer counts."""
+    """Byte-value histogram with exact integer counts. h1 + h2 counts the
+    bytes of both; from_blocks counts a concatenation block by block."""
 
     counts: np.ndarray
     total: int
@@ -45,13 +47,32 @@ class Histogram256:
     @classmethod
     def from_bytes(cls, data) -> "Histogram256":
         arr = np.asarray(data, dtype=np.uint8)
-        if arr.size == 0:
-            raise EmptyInputError("histogram of empty input")
-        counts = np.bincount(arr, minlength=256)
-        return cls(counts=counts, total=int(arr.size))
+        return cls(counts=np.bincount(arr, minlength=256), total=int(arr.size))
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "Histogram256":
+        return sum(map(cls.from_bytes, blocks), cls.from_bytes(()))
+
+    def __add__(self, other: "Histogram256") -> "Histogram256":
+        return Histogram256(counts=self.counts + other.counts, total=self.total + other.total)
 
     def frequencies(self) -> np.ndarray:
+        if self.total == 0:
+            raise EmptyInputError("histogram of empty input")
         return self.counts / self.total
+
+    def monobit_p(self) -> float:
+        """monobit_test of the counted bytes, whose S is 2 * (1 bits) - n."""
+        n = 8 * self.total
+        if n < 100:
+            raise InsufficientDataError(f"monobit needs >= 100 bits, got {n}")
+        return float(math.erfc(abs(2 * int(self.counts @ _POPCOUNT) - n) / math.sqrt(2.0 * n)))
+
+    def min_entropy(self) -> float:
+        """min_entropy_mcv of the counted bytes."""
+        if self.total < 256:
+            raise InsufficientDataError(f"MCV estimator needs >= 256 bytes, got {self.total}")
+        return _mcv_bits(self.counts, self.total)
 
 
 def shannon_entropy(data) -> float:
@@ -72,8 +93,8 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return _entropy_of_freqs(m) - 0.5 * (_entropy_of_freqs(p) + _entropy_of_freqs(q))
 
 
-def histogram_stats(data) -> dict:
-    """Byte-value variance, std dev, entropy, and a uniformity score.
+def histogram_stats(data, hist: Histogram256) -> dict:
+    """Variance, std dev, entropy and uniformity of bytes whose Histogram256 is hist.
 
     Uniformity is 1 - JSD(empirical || uniform) in bits, so 1.0 means a
     perfectly flat histogram and 0 approaches a point mass.
@@ -83,15 +104,12 @@ def histogram_stats(data) -> dict:
     of the bytes, so the call holds one array of the input's size at a
     time. std_dev is its square root, as np.std takes it.
     """
-    arr = np.asarray(data, dtype=np.uint8)
-    h = Histogram256.from_bytes(arr)
-    p = h.frequencies()
+    p = hist.frequencies()
     uniform = np.full(256, 1.0 / 256.0)
-    n = arr.size
-    d = arr.astype(np.float64)
-    d -= np.add.reduce(d) / n
+    d = np.asarray(data, dtype=np.uint8).astype(np.float64)
+    d -= np.add.reduce(d) / hist.total
     np.square(d, out=d)
-    variance = float(np.add.reduce(d) / n)
+    variance = float(np.add.reduce(d) / hist.total)
     return {
         "variance": variance,
         "std_dev": math.sqrt(variance),
@@ -121,18 +139,9 @@ def histogram_distance(h1: Histogram256, h2: Histogram256) -> dict:
 
 
 def monobit_test(data) -> float:
-    """NIST frequency (monobit) p-value; pass iff p > 0.01.
-
-    Bits are taken most-significant-first from each byte. With S the sum
-    of (2b - 1) over n bits, p = erfc(|S| / sqrt(2n)).
-    """
-    arr = np.asarray(data, dtype=np.uint8)
-    bits = np.unpackbits(arr)
-    n = bits.size
-    if n < 100:
-        raise InsufficientDataError(f"monobit needs >= 100 bits, got {n}")
-    s = 2 * int(np.sum(bits)) - n
-    return float(math.erfc(abs(s) / math.sqrt(2.0 * n)))
+    """NIST frequency (monobit) p-value, pass iff p > 0.01: with S the sum
+    of (2b - 1) over the n bits b of the bytes, p = erfc(|S| / sqrt(2n))."""
+    return Histogram256.from_bytes(data).monobit_p()
 
 
 def min_entropy_mcv(data) -> float:
@@ -141,11 +150,7 @@ def min_entropy_mcv(data) -> float:
     p_hat = max count / n, upper-bounded at 99% confidence, then
     -log2(p_u). Conservative by construction, never above Shannon.
     """
-    arr = np.asarray(data, dtype=np.uint8)
-    n = arr.size
-    if n < 256:
-        raise InsufficientDataError(f"MCV estimator needs >= 256 bytes, got {n}")
-    return _mcv_bits(np.bincount(arr, minlength=256), n)
+    return Histogram256.from_bytes(data).min_entropy()
 
 
 def _mcv_bits(counts: np.ndarray, n: int) -> float:
@@ -535,8 +540,8 @@ class AnalysisReport:
         return cls(**json.loads(text))
 
 
-def analyze_corpus(segments: list, blocks: list, reference: list | None = None) -> AnalysisReport:
-    """Run the battery on per-segment byte blocks.
+def analyze_corpus(segments: list, blocks: list, reference: list | None = None) -> tuple:
+    """The battery's AnalysisReport on per-segment byte blocks, and their summed Histogram256.
 
     segments: the SignalSegments the blocks hold, encrypted or not, as a
     reader gets them back; blocks: one uint8 array per segment. quality is
@@ -552,22 +557,25 @@ def analyze_corpus(segments: list, blocks: list, reference: list | None = None) 
     seg_entropies = []
     correlations = []
     monobit_passes = 0
+    corpus = Histogram256.from_bytes(())
     for seg, block in zip(segments, blocks):
-        seg_entropies.append(shannon_entropy(block))
+        h = Histogram256.from_bytes(block)  # one per segment, held for one pass
+        corpus += h
+        seg_entropies.append(_entropy_of_freqs(h.frequencies()))
         correlations.append(pearson_correlation(seg.samples, block))
-        if monobit_test(block) > 0.01:
+        if h.monobit_p() > 0.01:
             monobit_passes += 1
 
     n_seg = len(segments)
-    hist = histogram_stats(all_bytes)
+    hist = histogram_stats(all_bytes, corpus)
     report = AnalysisReport(
         shannon_entropy_bits=hist["entropy"],
-        monobit_p_value=monobit_test(all_bytes),
+        monobit_p_value=corpus.monobit_p(),
         pearson_correlation=float(np.mean(correlations)),
         autocorrelation=[float(v) for v in autocorrelation(all_bytes, MAX_LAG)],
         histogram_stats=hist,
         spectral_flatness=float(np.mean(flatnesses)),
-        min_entropy_bits=min_entropy_mcv(all_bytes),
+        min_entropy_bits=corpus.min_entropy(),
         quality={} if reference is None else fidelity(reference, segments),
         timing={"decrypt_seconds": 0.0},
         segment_count=n_seg,
@@ -577,4 +585,4 @@ def analyze_corpus(segments: list, blocks: list, reference: list | None = None) 
         min_entropy_block2_bits=min_entropy_mcv_blocks(all_bytes),
     )
     report.validate()
-    return report
+    return report, corpus

@@ -285,24 +285,23 @@ def cmd_analyze(args) -> int:
         blocks = [quantize(s).bytes for s in segments]
     # per-segment bounds first: a segment under 256 bytes is refused before the battery
     summary = analysis.MinEntropySummary.from_segments(blocks)
-    report = analysis.analyze_corpus(segments, blocks, reference)
+    report, corpus = analysis.analyze_corpus(segments, blocks, reference)
     if args.store:
         report.timing["decrypt_seconds"] = decrypt_s
-    all_bytes = np.concatenate(blocks)
 
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}_report.txt").write_text(report.to_flat_text())
     Path(f"{prefix}_report.json").write_text(report.to_json())
     Path(f"{prefix}_min_entropy.json").write_text(json.dumps(asdict(summary), indent=2))
-    hist = analysis.Histogram256.from_bytes(all_bytes)
-    _emit_series(prefix, "histogram", "bin\tcount", [(i, int(c)) for i, c in enumerate(hist.counts)])
+    _emit_series(prefix, "histogram", "bin\tcount", [(i, int(c)) for i, c in enumerate(corpus.counts)])
     _emit_series(
         prefix,
         "autocorr",
         "lag\trho",
         [(k, float(v)) for k, v in enumerate(report.autocorrelation)],
     )
-    spec = analysis.power_spectrum(all_bytes[:4096] - all_bytes[:4096].mean())
+    head = np.concatenate(blocks)[:4096]
+    spec = analysis.power_spectrum(head - head.mean())
     _emit_series(
         prefix, "spectrum", "bin\tpower", [(i, float(v)) for i, v in enumerate(spec[:-1])]
     )
@@ -311,9 +310,7 @@ def cmd_analyze(args) -> int:
     print(f"wrote {prefix}_report.txt, _report.json, _min_entropy.json and series files")
 
     if args.compare:
-        dist = analysis.histogram_distance(
-            hist, analysis.Histogram256.from_bytes(np.concatenate(other_bytes))
-        )
+        dist = analysis.histogram_distance(corpus, analysis.Histogram256.from_blocks(other_bytes))
         print(f"compare.chi_squared {dist['chi_squared']:.17g}")
         print(f"compare.js_divergence {dist['js_divergence']:.17g}")
     return 0

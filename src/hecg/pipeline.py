@@ -219,8 +219,8 @@ def _row_values(rows, column, col_idx: int | None = None):
                 float(row[col_idx])
             except (ValueError, IndexError):
                 continue  # header row
-        if col_idx >= len(row):
-            raise IngestionError(f"row has {len(row)} fields, need {col_idx + 1}", line_no)
+        if not -len(row) <= col_idx < len(row):  # a negative index counts from the end
+            raise IngestionError(f"row has {len(row)} fields, need {max(col_idx + 1, -col_idx)}", line_no)
         try:
             value = float(row[col_idx])
         except ValueError:

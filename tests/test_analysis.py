@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecg import analysis
+from hecg import analysis, cipher, pipeline
 from hecg.analysis import (
     AnalysisReport,
     Histogram256,
@@ -35,7 +36,7 @@ from hecg.analysis import (
     spectral_flatness,
 )
 from hecg.chaos import ChaoticParams
-from hecg.cipher import SignalSegment, decrypt, params_for_segment
+from hecg.cipher import SignalSegment, decrypt, encrypt, params_for_segment
 from hecg.errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -223,7 +224,8 @@ def _np_dot_autocorrelation(data, max_lag: int) -> np.ndarray:
 
 class TestHistogramStats:
     def test_uniform_uniformity_one(self):
-        stats = histogram_stats(np.arange(256, dtype=np.uint8))
+        data = np.arange(256, dtype=np.uint8)
+        stats = histogram_stats(data, Histogram256.from_bytes(data))
         assert stats["uniformity"] == pytest.approx(1.0)
         assert stats["entropy"] == pytest.approx(8.0)
 
@@ -234,7 +236,8 @@ class TestHistogramStats:
         m_rest = 1.0 / 512.0
         h_mix = -(m_point * math.log2(m_point) + 255 * m_rest * math.log2(m_rest))
         jsd_expected = h_mix - 4.0
-        stats = histogram_stats(np.zeros(512, dtype=np.uint8))
+        data = np.zeros(512, dtype=np.uint8)
+        stats = histogram_stats(data, Histogram256.from_bytes(data))
         assert stats["entropy"] == 0.0
         assert stats["uniformity"] == pytest.approx(1.0 - jsd_expected, abs=1e-12)
         assert jsd_expected == pytest.approx(0.98155, abs=1e-4)
@@ -244,8 +247,10 @@ class TestHistogramStats:
         segments, _, _, _ = encrypted_corpus
         from hecg.cipher import quantize
 
-        enc = histogram_stats(np.concatenate(ciphertexts))
-        plain = histogram_stats(np.concatenate([quantize(s).bytes for s in segments]))
+        enc = np.concatenate(ciphertexts)
+        plain = np.concatenate([quantize(s).bytes for s in segments])
+        enc = histogram_stats(enc, Histogram256.from_bytes(enc))
+        plain = histogram_stats(plain, Histogram256.from_bytes(plain))
         assert enc["uniformity"] > plain["uniformity"]
         assert enc["entropy"] > plain["entropy"]
 
@@ -544,7 +549,7 @@ class TestAnalysisReport:
         segments, records = segments[:30], records[:30]
         blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
         recovered = [decrypt(r, p) for r, p in zip(records, params_list)]
-        report = analysis.analyze_corpus(recovered, blocks, reference=segments)
+        report, _ = analysis.analyze_corpus(recovered, blocks, reference=segments)
         report.validate()
         parsed = AnalysisReport.from_json(report.to_json())
         assert parsed == report
@@ -627,7 +632,7 @@ def _plaintext_like_bytes(n: int) -> np.ndarray:
 class TestCorpusStatisticsBits:
     def test_histogram_moments(self, n, make):
         data = make(n)
-        stats = histogram_stats(data)
+        stats = histogram_stats(data, Histogram256.from_bytes(data))
         variance, std_dev = reference_variance_std(data)
         assert stats["variance"].hex() == variance.hex()
         assert stats["std_dev"].hex() == std_dev.hex()
@@ -652,7 +657,11 @@ class TestCorpusStatisticsBits:
 
 @pytest.mark.parametrize(
     "stat",
-    [histogram_stats, lambda d: autocorrelation(d, analysis.MAX_LAG), min_entropy_mcv_blocks],
+    [
+        lambda d: histogram_stats(d, Histogram256.from_bytes(d)),
+        lambda d: autocorrelation(d, analysis.MAX_LAG),
+        min_entropy_mcv_blocks,
+    ],
     ids=["histogram_stats", "autocorrelation", "min_entropy_mcv_blocks"],
 )
 def test_corpus_statistic_holds_one_float64_copy(stat):
@@ -666,3 +675,153 @@ def test_corpus_statistic_holds_one_float64_copy(stat):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * data.size + 256 * 1024
+
+
+# Byte-wise references for the statistics that read a Histogram256: the
+# np.unpackbits monobit formula the package used before it counted 1 bits
+# from the histogram, and np.unique's counts of the byte values present.
+# Each raises what the package raised for empty and short input.
+_unpackbits = np.unpackbits
+
+
+def reference_monobit(data) -> float:
+    bits = _unpackbits(np.asarray(data, dtype=np.uint8))
+    n = bits.size
+    if n < 100:
+        raise InsufficientDataError(f"monobit needs >= 100 bits, got {n}")
+    s = 2 * int(np.sum(bits)) - n
+    return float(math.erfc(abs(s) / math.sqrt(2.0 * n)))
+
+
+def _present_counts(data) -> tuple:
+    """(byte values present, their counts, n) by np.unique."""
+    arr = np.asarray(data, dtype=np.uint8)
+    if arr.size == 0:
+        raise EmptyInputError("histogram of empty input")
+    values, counts = np.unique(arr, return_counts=True)
+    return values, counts, arr.size
+
+
+def reference_shannon(data) -> float:
+    _, counts, n = _present_counts(data)
+    p = counts / n
+    return float(-np.sum(p * np.log2(p)))
+
+
+def reference_min_entropy(data) -> float:
+    n = np.asarray(data, dtype=np.uint8).size
+    if n < 256:
+        raise InsufficientDataError(f"MCV estimator needs >= 256 bytes, got {n}")
+    return analysis._mcv_bits(_present_counts(data)[1], n)
+
+
+def reference_histogram_stats(data) -> dict:
+    values, counts, n = _present_counts(data)
+    p = np.zeros(256)
+    p[values] = counts / n
+    variance, std_dev = reference_variance_std(data)
+    return {
+        "variance": variance,
+        "std_dev": std_dev,
+        "entropy": reference_shannon(data),
+        "uniformity": 1.0 - js_divergence(p, np.full(256, 1.0 / 256.0)),
+    }
+
+
+def _bits_or_error(fn, data):
+    """fn(data) as float.hex (per key for a dict), or its error's type and
+    message."""
+    try:
+        value = fn(data)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    if isinstance(value, dict):
+        return {k: v.hex() for k, v in value.items()}
+    return value.hex()
+
+
+def _refuse_unpackbits(*args, **kwargs):
+    raise AssertionError("np.unpackbits called")
+
+
+COUNTED_STATS = {
+    "monobit_test": (monobit_test, reference_monobit),
+    "min_entropy_mcv": (min_entropy_mcv, reference_min_entropy),
+    "shannon_entropy": (shannon_entropy, reference_shannon),
+    "histogram_stats": (lambda d: histogram_stats(d, Histogram256.from_bytes(d)), reference_histogram_stats),
+}
+
+
+def _seeded_ciphertext(n: int) -> np.ndarray:
+    """The first n bytes of the ciphertext of seeded synthetic 300-sample
+    segments, each under its own biometric key."""
+    count = -(-n // 300)
+    segments = itertools.islice(pipeline.synthetic_ecg((count + 1) * 0.6, seed=2801), count)
+    out = [np.frombuffer(encrypt(s, params_for_segment(s)).ciphertext, dtype=np.uint8) for s in segments]
+    return np.concatenate(out + [np.zeros(0, dtype=np.uint8)])[:n]
+
+
+@pytest.mark.parametrize("stat", sorted(COUNTED_STATS))
+@pytest.mark.parametrize("n", [0, 12, 13, 255, 256, 300, 360_000])
+@pytest.mark.parametrize("make", [_seeded_ciphertext, _plaintext_like_bytes], ids=["cipher", "plain"])
+def test_counted_statistic_matches_bytewise_reference(stat, n, make, monkeypatch):
+    fn, reference = COUNTED_STATS[stat]
+    data = make(n)
+    assert data.size == n
+    want = _bits_or_error(reference, data)
+    monkeypatch.setattr(np, "unpackbits", _refuse_unpackbits)
+    assert _bits_or_error(fn, data) == want
+
+
+@given(st.binary(max_size=2048))
+@settings(max_examples=200, deadline=None)
+def test_counted_statistics_match_bytewise_references_on_any_bytes(raw):
+    data = np.frombuffer(raw, dtype=np.uint8)
+    want = {name: _bits_or_error(ref, data) for name, (_, ref) in COUNTED_STATS.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "unpackbits", _refuse_unpackbits)
+        got = {name: _bits_or_error(fn, data) for name, (fn, _) in COUNTED_STATS.items()}
+    assert got == want
+
+
+def test_counted_statistics_keep_their_errors():
+    empty, short = np.zeros(0, dtype=np.uint8), np.zeros(12, dtype=np.uint8)
+    cases = [
+        (monobit_test, empty, InsufficientDataError, "monobit needs >= 100 bits, got 0"),
+        (monobit_test, short, InsufficientDataError, "monobit needs >= 100 bits, got 96"),
+        (min_entropy_mcv, empty, InsufficientDataError, "MCV estimator needs >= 256 bytes, got 0"),
+        (min_entropy_mcv, short, InsufficientDataError, "MCV estimator needs >= 256 bytes, got 12"),
+        (shannon_entropy, empty, EmptyInputError, "histogram of empty input"),
+        (COUNTED_STATS["histogram_stats"][0], empty, EmptyInputError, "histogram of empty input"),
+    ]
+    for fn, data, kind, message in cases:
+        with pytest.raises(kind) as err:
+            fn(data)
+        assert str(err.value) == message
+
+
+def test_corpus_histogram_is_the_sum_of_the_segment_histograms(encrypted_corpus, ciphertexts, monkeypatch):
+    segments, _, records, params_list = encrypted_corpus
+    recovered = [decrypt(r, p) for r, p in zip(records, params_list)]
+    plain = [np.asarray(cipher.quantize(s).bytes) for s in segments]
+    for blocks in (ciphertexts, plain):
+        concat = np.concatenate(blocks)
+        monkeypatch.setattr(np, "unpackbits", _refuse_unpackbits)
+        report, corpus = analysis.analyze_corpus(recovered, blocks)
+        monkeypatch.undo()
+        summed = sum(np.bincount(b, minlength=256) for b in blocks)
+        assert corpus.counts.tolist() == summed.tolist() == np.bincount(concat, minlength=256).tolist()
+        assert corpus.total == concat.size
+        from_blocks = Histogram256.from_blocks(blocks)
+        assert (from_blocks.counts.tolist(), from_blocks.total) == (corpus.counts.tolist(), corpus.total)
+        # each report value read from the counts is the byte-wise reference's bits
+        assert report.shannon_entropy_bits.hex() == reference_shannon(concat).hex()
+        assert report.monobit_p_value.hex() == reference_monobit(concat).hex()
+        assert report.min_entropy_bits.hex() == reference_min_entropy(concat).hex()
+        assert {k: v.hex() for k, v in report.histogram_stats.items()} == _bits_or_error(
+            reference_histogram_stats, concat
+        )
+        entropies = [reference_shannon(b) for b in blocks]
+        assert report.per_segment_entropy_mean.hex() == float(np.mean(entropies)).hex()
+        passes = sum(reference_monobit(b) > 0.01 for b in blocks)
+        assert report.monobit_pass_fraction == passes / len(blocks)

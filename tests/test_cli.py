@@ -109,6 +109,25 @@ def test_analyze_reads_no_reference_row_past_the_store(tmp_path, csv_file, capsy
     assert json.loads(Path(f"{prefix}_report.json").read_text())["quality"]["mse"] <= 1e-5
 
 
+@pytest.mark.parametrize("column", ["-5", "3"])
+def test_encrypt_column_past_the_row_is_an_error_line(tmp_path, csv_file, column, capsys):
+    store = tmp_path / "s"
+    assert main(["encrypt", "--input", str(csv_file), "--column", column, "--store", str(store)]) == 1
+    need = 5 if column == "-5" else 4
+    assert capsys.readouterr().err == f"error: line 2: row has 1 fields, need {need}\n"
+    assert not list(store.glob("*/seg_*.rec"))
+
+
+def test_encrypt_column_minus_one_reads_the_last_column(tmp_path, csv_file, capsys):
+    for column in ("-1", "0"):
+        assert main(["encrypt", "--input", str(csv_file), "--column", column, "--store", str(tmp_path / column)]) == 0
+    stores = [
+        {p.relative_to(tmp_path / c): p.read_bytes() for p in (tmp_path / c).rglob("*") if p.is_file()}
+        for c in ("-1", "0")
+    ]
+    assert stores[0] == stores[1] and stores[0]
+
+
 def test_encrypt_ml_mode_without_model_errors(tmp_path, csv_file, capsys):
     rc = main(
         ["encrypt", "--input", str(csv_file), "--store", str(tmp_path / "s"), "--mode", "ml"]

@@ -3,10 +3,11 @@
 Pins sha256 digests of what `train`, `encrypt`, `stream`, `analyze`,
 `attack` and `decrypt` write for a small seeded corpus: the `.hmlp`
 model, every store file (records and keys.txt), every analyze output
-except the wall-clock `timing` fields, the attack tables and the
-decrypted CSV, whose quality lines against its reference are pinned as
-text. A refactor that keeps these digests keeps model files, ciphertext,
-key files and report values bit-identical.
+except the wall-clock `timing` fields, the two `compare.*` lines of
+`analyze --compare`, the attack tables and the decrypted CSV, whose
+quality lines against its reference are pinned as text. A refactor that
+keeps these digests keeps model files, ciphertext, key files and report
+values bit-identical.
 
 The model trained here and the ML-mode store it keys go through BLAS
 matrix products; their digests hold on one machine and numpy build. The
@@ -15,7 +16,9 @@ analyze takes its inner products with numpy's own loop (analysis._dot),
 so the analyze digests hold for any BLAS thread count.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -33,6 +36,7 @@ DIGESTS = {
     "analyze-stream-store": "d4b1183b73ffd1e71751d7a20a3b323c488813fdc1d499e0f81e4b088342eec1",
     "analyze-store-reference": "1f80450ceceb52fdc5ce4eb37826b5864ac5783009f32e3435bf2b5d08f0a969",
     "analyze-plain": "118b73a041cedcf35e5d977cc3bb55e309e78543277466fbbc27be988fb7a8b6",
+    "analyze-compare": "2e969d67a2f423120d0d604d5fa84e37446bebdc3f7b580ad83745e8e22fef31",
     "attack-noise-uniform": "c9dd462537bccfc3c5dbf5da0452d735af5700573b14cd7044b36196d8895e76",
     "attack-occlusion": "07e25e4dfa9316599ab5aa4073d19d88dbde2d33bfcbaa32389c0d2c23e3c0fb",
 }
@@ -106,6 +110,12 @@ def digests(tmp_path_factory):
         prefix = tmp / name / "out"
         _run("analyze", *argv, "--output", prefix)
         out[name] = _analysis_digest(prefix)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        _run("analyze", "--store", store, "--compare", stream_store, "--output", tmp / "compare" / "out")
+    compare = [l for l in printed.getvalue().splitlines(True) if l.startswith("compare.")]
+    assert [l.split()[0] for l in compare] == ["compare.chi_squared", "compare.js_divergence"]
+    out["analyze-compare"] = hashlib.sha256("".join(compare).encode()).hexdigest()
     for kind, sweep in (("noise-uniform", "0,1,4,16"), ("occlusion", "0.05,0.25")):
         table = tmp / f"{kind}.tsv"
         _run("attack", "--store", store, "--kind", kind, "--sweep", sweep, "--seed", 9,

@@ -113,6 +113,31 @@ class TestIngestCsv:
         with pytest.raises(IngestionError):
             list(ingest_csv(path, "missing", 500.0, 2))
 
+    def test_negative_column_past_the_row_names_line(self, tmp_path):
+        # the first row is taken as a header, as with a too-large index
+        path = self._write(tmp_path, np.arange(600.0).tolist())
+        for column in (-5, 3):
+            with pytest.raises(IngestionError) as err:
+                list(ingest_csv(path, column, 500.0, 300))
+            assert str(err.value) == f"line 2: row has 1 fields, need {5 if column < 0 else 4}"
+
+    def test_negative_column_counts_from_the_end(self, tmp_path):
+        rows = [f"{i},{math.sin(i / 10.0)!r}" for i in range(700)]
+        path = self._write(tmp_path, rows, header="t,ecg")
+        for size in BLOCK_SIZES:
+            with _block_segments(size):
+                for index, name in ((-1, "ecg"), (-2, "t")):
+                    got = [s.samples.tobytes() for s in ingest_csv(path, index, 500.0, 300)]
+                    assert got == [s.samples.tobytes() for s in ingest_csv(path, name, 500.0, 300)]
+                    assert len(got) == 2
+
+    def test_short_row_under_a_negative_column_names_line(self, tmp_path):
+        rows = [f"{i},{i}.5" for i in range(700)]
+        rows[400] = "7.5"
+        path = self._write(tmp_path, rows)
+        _, error = _assert_same_as_reference(path, -2, 300)
+        assert error == (IngestionError, "line 401: row has 1 fields, need 2", 401)
+
 
 # BLOCK_SEGMENTS values the block reader is checked at: one segment, two,
 # and the shipped value.
@@ -149,8 +174,8 @@ def _reference_ingest(path, column=0, sample_rate=500.0, segment_len=300):
                     float(row[col_idx])
                 except (ValueError, IndexError):
                     continue  # header row
-            if col_idx >= len(row):
-                raise IngestionError(f"row has {len(row)} fields, need {col_idx + 1}", line_no)
+            if not -len(row) <= col_idx < len(row):
+                raise IngestionError(f"row has {len(row)} fields, need {max(col_idx + 1, -col_idx)}", line_no)
             try:
                 value = float(row[col_idx])
             except ValueError:
