@@ -36,13 +36,19 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)  #
 # histograms and entropy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram256:
     """Byte-value histogram with exact integer counts. h1 + h2 counts the
-    bytes of both; from_blocks counts a concatenation block by block."""
+    bytes of both; from_blocks counts a concatenation block by block; ==
+    compares totals and counts. Unhashable: frozen does not freeze counts."""
 
     counts: np.ndarray
     total: int
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Histogram256) and self.total == other.total
+        return same and np.array_equal(self.counts, other.counts)
 
     @classmethod
     def from_bytes(cls, data) -> "Histogram256":
@@ -278,12 +284,11 @@ def power_spectrum(samples, nfft: int | None = None) -> np.ndarray:
 
 
 def _flatness_rows(x: np.ndarray) -> np.ndarray:
-    """spectral_flatness of each row of a 2-D float64 array."""
+    """spectral_flatness of each row of a 2-D float64 array, nan for a
+    constant row."""
     if x.shape[1] < 8:
         raise InsufficientDataError(f"flatness needs >= 8 samples, got {x.shape[1]}")
     d = x - x.mean(axis=1, keepdims=True)
-    if not np.all(np.any(d, axis=1)):
-        raise UndefinedStatisticError("flatness undefined for constant signal")
     half = x.shape[1] // 2
     nfft = _next_pow2(half)
     p = 0.5 * (power_spectrum(d[:, :half], nfft) + power_spectrum(d[:, half : 2 * half], nfft))
@@ -292,6 +297,7 @@ def _flatness_rows(x: np.ndarray) -> np.ndarray:
     ok = ~np.any(bins <= 0.0, axis=1)
     good = bins[ok]
     flat[ok] = np.exp(np.mean(np.log(good), axis=1)) / np.mean(good, axis=1)
+    flat[~np.any(d, axis=1)] = math.nan  # a constant row
     return flat
 
 
@@ -305,12 +311,14 @@ def spectral_flatness(samples) -> float:
     of the single-periodogram 0.56, matching reported flatness scales
     for byte-level white spectra. A spectrum with an empty bin gives 0.
     """
-    return float(_flatness_rows(np.asarray(samples, dtype=np.float64).reshape(1, -1))[0])
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    return segment_flatness(x, [x.size])[0]
 
 
 def segment_flatness(all_bytes: np.ndarray, lengths: list) -> list:
     """spectral_flatness of each segment of a concatenation of segments
-    of the given lengths, computed BATCH_ROWS segments at a time."""
+    of the given lengths, computed BATCH_ROWS segments at a time: nan for
+    a constant segment, UndefinedStatisticError when every one is."""
     out = []
     start = 0
     for s in batch_slices(lengths):
@@ -319,6 +327,8 @@ def segment_flatness(all_bytes: np.ndarray, lengths: list) -> list:
         rows = all_bytes[start:stop].reshape(s.stop - s.start, n).astype(np.float64)
         out.extend(_flatness_rows(rows).tolist())
         start = stop
+    if out and all(map(math.isnan, out)):
+        raise UndefinedStatisticError("flatness undefined for constant signal")
     return out
 
 
@@ -547,13 +557,15 @@ def analyze_corpus(segments: list, blocks: list, reference: list | None = None) 
     reader gets them back; blocks: one uint8 array per segment. quality is
     fidelity(reference, segments) when a reference is given, else empty:
     nothing was measured. timing.decrypt_seconds is zero, for the caller to
-    fill in.
+    fill in. A flat segment (say a lead-off stretch of ECG) is left out of
+    the means of correlation and flatness, which it does not define;
+    UndefinedStatisticError is raised only when no segment defines one.
     """
     if not segments or len(segments) != len(blocks):
         raise ShapeError("need one block per segment")
 
     all_bytes = np.concatenate(blocks)
-    flatnesses = segment_flatness(all_bytes, [len(b) for b in blocks])
+    flatnesses = [f for f in segment_flatness(all_bytes, [len(b) for b in blocks]) if not math.isnan(f)]
     seg_entropies = []
     correlations = []
     monobit_passes = 0
@@ -562,9 +574,14 @@ def analyze_corpus(segments: list, blocks: list, reference: list | None = None) 
         h = Histogram256.from_bytes(block)  # one per segment, held for one pass
         corpus += h
         seg_entropies.append(_entropy_of_freqs(h.frequencies()))
-        correlations.append(pearson_correlation(seg.samples, block))
+        try:
+            correlations.append(pearson_correlation(seg.samples, block))
+        except UndefinedStatisticError as exc:
+            undefined = exc
         if h.monobit_p() > 0.01:
             monobit_passes += 1
+    if not correlations:
+        raise undefined
 
     n_seg = len(segments)
     hist = histogram_stats(all_bytes, corpus)

@@ -368,11 +368,11 @@ def decrypt(
     return decrypt_with_key_material(record, km, sample_rate)
 
 
-def decrypt_batch(records: list, params_list: list, sample_rate: float = 500.0) -> list:
-    """decrypt for many records, sample for sample, with the key material
-    of one key_material_runs run derived at a time."""
+def decrypt_batch(records: list, params_list: list) -> list:
+    """decrypt at its default sample rate for many records, sample for
+    sample, with the key material of one key_material_runs run at a time."""
     return [
-        decrypt_with_key_material(r, km, sample_rate)
+        decrypt_with_key_material(r, km)
         for s, kms in key_material_runs(records, params_list)
         for r, km in zip(records[s], kms)
     ]
@@ -382,16 +382,18 @@ def decrypt_with_key_material(
     record: EncryptedRecord, km: KeyMaterial, sample_rate: float = 500.0
 ) -> SignalSegment:
     """decrypt with the record's key material already derived."""
-    ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-    q_bytes = remove_keystream(ct, km.permutation, km.mask)
-    return dequantize(QuantizedSegment(bytes=q_bytes, range=record.range), sample_rate)
+    samples = _dequantized_samples(_plain_bytes(record, km), record.range)
+    return SignalSegment(samples=samples, sample_rate=sample_rate)
 
 
 def decrypt_bytes(record: EncryptedRecord, params: ChaoticParams) -> np.ndarray:
     """Byte-domain decryption (dequantization skipped); exact inverse."""
-    ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
-    km = derive_key_material(params, record.segment_len)
-    return remove_keystream(ct, km.permutation, km.mask)
+    return _plain_bytes(record, derive_key_material(params, record.segment_len))
+
+
+def _plain_bytes(record: EncryptedRecord, km: KeyMaterial) -> np.ndarray:
+    """The record's ciphertext with km removed: its quantized bytes."""
+    return remove_keystream(np.frombuffer(record.ciphertext, dtype=np.uint8), km.permutation, km.mask)
 
 
 def params_for_segment(segment: SignalSegment) -> ChaoticParams:

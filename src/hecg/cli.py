@@ -125,12 +125,16 @@ def _device_id(text: str) -> bytes:
 
 def _mode_and_model(args) -> tuple:
     """--mode as a Mode, with the KeyPredictor that ML mode reads from
-    --model; direct mode reads no model file, even one that is named."""
+    --model, refused unless it takes segments of --segment-len; direct
+    mode reads no model file, even one that is named."""
     if args.mode == "direct":
         return Mode.DIRECT, None
     if not args.model:
         raise HecgError("--mode ml requires --model")
-    return Mode.ML_PREDICTED, KeyPredictor.load(args.model)
+    model = KeyPredictor.load(args.model)
+    if model.dims[0] != args.segment_len:
+        raise HecgError(f"--model takes segments of {model.dims[0]} samples, got --segment-len {args.segment_len}")
+    return Mode.ML_PREDICTED, model
 
 
 def _check_output(path: str) -> None:
@@ -164,31 +168,35 @@ def _base_timestamp(args) -> int:
 _MAX_SEED = (2**64 - 1_700_000_000_000) // 1_000_000 - 1
 
 
+def _run_pipeline(args, mode, model, segments, **options) -> pipeline.PipelineMetrics:
+    """run_pipeline of segments into --stream of --store, salted from
+    --seed and --salt-device-id; options are its classifier and pacing."""
+    return pipeline.run_pipeline(segments, mode, FileStore(args.store), model, args.stream,
+                                 args.salt_device_id, _base_timestamp(args), **options)
+
+
+def _segment_errors(args, metrics) -> int:
+    """Print the error: line of each failed segment; exit code 1 if any failed."""
+    for index, message in metrics.errors:
+        print(f"error: {args.stream}[{index}]: {message}", file=sys.stderr)
+    return 1 if metrics.errors else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_encrypt(args) -> int:
+    mode, model = _mode_and_model(args)
     segments = _load_segments(args)
     if not segments:
         print("no segments to encrypt", file=sys.stderr)
         return 1
-    mode, model = _mode_and_model(args)
-    store = FileStore(args.store)
-    store.refuse_stored(args.stream)
-    base_timestamp = _base_timestamp(args)
-    times = []
-    for i, seg in enumerate(segments):
-        t0 = time.perf_counter()
-        record, salted, _ = pipeline.seal_segment(
-            seg, i, mode, model, args.salt_device_id, base_timestamp
-        )
-        times.append(time.perf_counter() - t0)
-        store.write(args.stream, i, record, salted)
-    arr = np.asarray(times)
-    print(f"encrypted {len(segments)} segments -> {args.store}/{args.stream}")
-    print(f"per-segment core encrypt: median {np.median(arr) * 1e3:.4f} ms, p99 {np.percentile(arr, 99) * 1e3:.4f} ms")
-    return 0
+    metrics = _run_pipeline(args, mode, model, segments, classifier=None)
+    timing = metrics.summary()["encrypt_s"]
+    print(f"encrypted {metrics.segments_processed} segments -> {args.store}/{args.stream}")
+    print(f"per-segment core encrypt: median {timing['median'] * 1e3:.4f} ms, p99 {timing['p99'] * 1e3:.4f} ms")
+    return _segment_errors(args, metrics)
 
 
 def cmd_decrypt(args) -> int:
@@ -300,7 +308,9 @@ def cmd_analyze(args) -> int:
         "lag\trho",
         [(k, float(v)) for k, v in enumerate(report.autocorrelation)],
     )
-    head = np.concatenate(blocks)[:4096]
+    # the first 4096 bytes of the corpus, from only the blocks that hold them
+    leading = int(np.searchsorted(np.cumsum([len(b) for b in blocks]), 4096)) + 1
+    head = np.concatenate(blocks[:leading])[:4096]
     spec = analysis.power_spectrum(head - head.mean())
     _emit_series(
         prefix, "spectrum", "bin\tpower", [(i, float(v)) for i, v in enumerate(spec[:-1])]
@@ -367,22 +377,12 @@ def cmd_train(args) -> int:
 
 def cmd_stream(args) -> int:
     mode, model = _mode_and_model(args)
-    metrics = pipeline.run_pipeline(
-        itertools.islice(_source(args, args.segments), args.segments),
-        mode,
-        FileStore(args.store),
-        model=model,
-        stream_id=args.stream,
-        device_id=args.salt_device_id,
-        base_timestamp=_base_timestamp(args),
-        pacing=Pacing(args.pacing),
-    )
+    segments = itertools.islice(_source(args, args.segments), args.segments)
+    metrics = _run_pipeline(args, mode, model, segments, pacing=Pacing(args.pacing))
     print(metrics.table())
     if args.json:
         print(json.dumps(metrics.summary(), indent=2))
-    for index, message in metrics.errors:
-        print(f"error: {args.stream}[{index}]: {message}", file=sys.stderr)
-    return 0 if not metrics.errors else 1
+    return _segment_errors(args, metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ replay sources (synthetic quasi-ECG and CSV) and the cloud by a local
 directory store that keeps ciphertext records and key material in
 separate files. One loop on the caller's thread takes each segment from
 any iterable of SignalSegments as it arrives, so a device reader plugs
-in as the classifier hook does, then encrypts, persists, retrieves,
-decrypts and hands it to that hook.
+in as the classifier hook does, then encrypts and persists it and, when
+there is a hook, retrieves, decrypts and hands it to the hook.
 """
 
 import csv
@@ -520,31 +520,6 @@ class PipelineMetrics:
         return "\n".join(lines)
 
 
-def seal_segment(
-    segment: SignalSegment,
-    index: int,
-    mode: Mode,
-    model: KeyPredictor | None,
-    device_id: bytes,
-    base_timestamp: int,
-) -> tuple[EncryptedRecord, ChaoticParams, ChaoticParams]:
-    """Encrypt segment number index of a stream, ready to persist.
-
-    Derives (Direct) or predicts (ML) the segment's params, salts them
-    with KeySalt(base_timestamp + index, device_id) and encrypts. Returns
-    the record, the salted params the key store must keep, and the
-    unsalted biometric params.
-    """
-    if mode is Mode.ML_PREDICTED:
-        params = predict_params(model, segment)
-    else:
-        params = params_for_segment(segment)
-    salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
-    salted = apply_salt(params, salt)
-    record = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index)
-    return record, salted, params
-
-
 def run_pipeline(
     source: Iterable[SignalSegment],
     mode: Mode,
@@ -559,17 +534,19 @@ def run_pipeline(
     """Process segments end to end until the source ends.
 
     source is any iterable of SignalSegments (a list, a generator such as
-    ingest_csv or synthetic_ecg, a device reader); each read-back decrypts
-    at its segment's own sample rate. Bound an endless or long source with
-    itertools.islice(source, count).
+    ingest_csv or synthetic_ecg, a device reader). Bound an endless or
+    long source with itertools.islice(source, count).
 
-    Per segment: seal it (see seal_segment; the salt timestamp is
-    base_timestamp + index, so runs are reproducible), store it with
-    FileStore.write, read it back with FileStore.read, decrypt, classify.
-    Encrypt latency excludes I/O; store latency is measured separately.
-    Store failures are recorded per segment and the loop continues. A
-    stream that already holds records or key rows is refused (StoreError,
-    see FileStore.refuse_stored) before anything is read or written.
+    Per segment: derive (Direct) or predict (ML) its params, salt them
+    with KeySalt(base_timestamp + index, device_id), so runs are
+    reproducible, encrypt, and store the record and salted params with
+    FileStore.write. The classifier stands for the doctor's side: only
+    with one is the segment read back with FileStore.read, decrypted at
+    its own sample rate (timed in decrypt_s) and classified. Encrypt
+    latency excludes I/O; store latency is measured separately. A segment
+    that fails is recorded in errors and the loop continues. A stream
+    that already holds records or key rows is refused (StoreError, see
+    FileStore.refuse_stored) before anything is read or written.
 
     The source is read in this loop, one segment at a time: the next
     segment is taken only when the one before it is done, so an islice
@@ -599,9 +576,13 @@ def run_pipeline(
         t_seg = time.perf_counter()
         try:
             t0 = time.perf_counter()
-            record, salted, params = seal_segment(
-                segment, index, mode, model, device_id, base_timestamp
-            )
+            if mode is Mode.ML_PREDICTED:
+                params = predict_params(model, segment)
+            else:
+                params = params_for_segment(segment)
+            salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
+            salted = apply_salt(params, salt)
+            record = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index)
             encrypt_elapsed = time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -610,19 +591,18 @@ def run_pipeline(
             biometric_seen.add((params.r, params.x0))
             stored_seen.add((salted.r, salted.x0))
 
-            fetched, key = store.read(stream_id, index)
-            t0 = time.perf_counter()
-            decrypted = decrypt(fetched, key, segment.sample_rate)
-            decrypt_elapsed = time.perf_counter() - t0
-
             if classifier is not None:
+                fetched, key = store.read(stream_id, index)
+                t0 = time.perf_counter()
+                decrypted = decrypt(fetched, key, segment.sample_rate)
+                decrypt_elapsed = time.perf_counter() - t0
                 metrics.labels.append(classifier(decrypted))
+                metrics.decrypt_s.append(decrypt_elapsed)
         except Exception as exc:  # noqa: BLE001 - per-segment fault isolation
             metrics.errors.append((index, f"{type(exc).__name__}: {exc}"))
             continue
         metrics.encrypt_s.append(encrypt_elapsed)
         metrics.store_s.append(store_elapsed)
-        metrics.decrypt_s.append(decrypt_elapsed)
         metrics.total_s.append(time.perf_counter() - t_seg)
 
     metrics.distinct_biometric_params = len(biometric_seen)

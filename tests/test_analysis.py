@@ -255,6 +255,24 @@ class TestHistogramStats:
         assert enc["entropy"] > plain["entropy"]
 
 
+class TestHistogramEquality:
+    def test_equal_counts_and_totals_are_equal(self):
+        data = np.arange(300) % 256
+        h = Histogram256.from_bytes(data)
+        assert h == Histogram256.from_bytes(data[::-1])
+        assert h == Histogram256.from_blocks([data[:100], data[100:]])
+        assert not h != Histogram256.from_bytes(data[::-1])
+        # one byte moved to another bin, or one more byte counted
+        assert h != Histogram256.from_bytes(np.r_[data[:-1], 0])
+        assert h != Histogram256.from_bytes(np.r_[data, 0])
+        assert h != Histogram256(counts=h.counts, total=h.total + 1)
+        assert h != h.counts and h != None  # noqa: E711
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Histogram256.from_bytes(np.zeros(4, dtype=np.uint8)))
+
+
 class TestHistogramDistance:
     def test_identical_zero(self):
         h = Histogram256.from_bytes(np.arange(256, dtype=np.uint8))
@@ -813,7 +831,7 @@ def test_corpus_histogram_is_the_sum_of_the_segment_histograms(encrypted_corpus,
         assert corpus.counts.tolist() == summed.tolist() == np.bincount(concat, minlength=256).tolist()
         assert corpus.total == concat.size
         from_blocks = Histogram256.from_blocks(blocks)
-        assert (from_blocks.counts.tolist(), from_blocks.total) == (corpus.counts.tolist(), corpus.total)
+        assert from_blocks == corpus
         # each report value read from the counts is the byte-wise reference's bits
         assert report.shannon_entropy_bits.hex() == reference_shannon(concat).hex()
         assert report.monobit_p_value.hex() == reference_monobit(concat).hex()

@@ -332,10 +332,10 @@ class TestBatch:
             seg = SignalSegment(segments[i % len(segments)].samples[:n], 500.0)
             records.append(encrypt(seg, params_list[i % len(params_list)]))
             keys.append(params_list[i % len(params_list)])
-        got = decrypt_batch(records, keys, 250.0)
+        got = decrypt_batch(records, keys)
         assert len(got) == len(records)
         for seg, record, params in zip(got, records, keys):
-            want = decrypt(record, params, 250.0)
+            want = decrypt(record, params)
             assert np.array_equal(seg.samples, want.samples)
             assert seg.sample_rate == want.sample_rate
 

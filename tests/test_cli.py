@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hecg import HAVE_COMPILED, analysis, attacks, backend_name, cipher, cli
+from hecg import HAVE_COMPILED, analysis, attacks, backend_name, cipher, cli, pipeline
 from hecg.analysis import AnalysisReport
 from hecg.cipher import decrypt
-from hecg.errors import StoreError, TrainingDivergedError
+from hecg.errors import StoreError, TrainingDivergedError, UndefinedStatisticError
 from hecg.cli import main
 from hecg.pipeline import FileStore, synthetic_ecg_wave
 
@@ -757,3 +758,112 @@ def test_stream_malformed_csv_exits_1_with_its_line(tmp_path, bounded, bad_csv, 
     assert "error: line 20002: non-numeric value 'oops'" in capsys.readouterr().err
     # the 66 segments before the bad row stay in the store
     assert FileStore(store).record_indices("stream0") == list(range(66))
+
+
+def test_encrypt_prints_its_count_and_core_encrypt_timing(tmp_path, csv_file, capsys):
+    store = tmp_path / "store"
+    assert main(["encrypt", "--input", str(csv_file), "--store", str(store)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == f"encrypted 13 segments -> {store}/stream0"
+    assert re.fullmatch(r"per-segment core encrypt: median \d+\.\d{4} ms, p99 \d+\.\d{4} ms", lines[1])
+    assert len(lines) == 2 and captured.err == ""
+
+
+def test_encrypt_keeps_writing_past_a_failed_segment_as_stream_does(tmp_path, csv_file, monkeypatch, capsys):
+    put_record = FileStore.put_record
+
+    def failing(self, stream_id, index, record):
+        if index == 2:
+            raise StoreError("injected fault")
+        put_record(self, stream_id, index, record)
+
+    monkeypatch.setattr(FileStore, "put_record", failing)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["encrypt", "--input", str(csv_file), "--store", str(a)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == f"encrypted 12 segments -> {a}/stream0"
+    assert captured.err.splitlines() == ["error: stream0[2]: StoreError: injected fault"]
+    assert FileStore(a).record_indices("stream0") == [0, 1, *range(3, 13)]
+
+    assert main(["stream", "--input", str(csv_file), "--segments", "13", "--store", str(b)]) == 1
+    assert capsys.readouterr().err == captured.err
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
+
+
+@pytest.mark.parametrize("command", [["encrypt"], ["stream", "--segments", "4"]])
+def test_a_model_of_another_segment_length_is_refused_before_any_work(
+    tmp_path, trained_model, command, capsys
+):
+    model, _ = trained_model
+    path = tmp_path / "m.hmlp"
+    model.save(path)
+    store = tmp_path / "store"
+    # --input names no file: the model is refused before the input is read
+    argv = [*command, "--mode", "ml", "--model", str(path), "--segment-len", "200",
+            "--input", str(tmp_path / "missing.csv"), "--store", str(store)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --model takes segments of 300 samples, got --segment-len 200"]
+    assert captured.out == "" and not store.exists()
+
+
+def _flat_csv(path, flat):
+    """Six 300-sample segments of the CSV at path; those numbered in flat
+    hold the constant 0.25, as a lead-off stretch of ECG would."""
+    wave = synthetic_ecg_wave(3.6, 500.0, 72.0, 0.012, seed=55)[:1800]
+    for i in flat:
+        wave[i * 300 : (i + 1) * 300] = 0.25
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in wave.tolist()))
+    return path
+
+
+@pytest.mark.parametrize("store_mode", [True, False], ids=["store", "plain"])
+def test_analyze_leaves_a_flat_segment_out_of_correlation_and_flatness(tmp_path, store_mode, capsys):
+    csv_path = _flat_csv(tmp_path / "flat.csv", [2])
+    segments = list(pipeline.ingest_csv(csv_path))
+    if store_mode:
+        store = FileStore(tmp_path / "store")
+        assert main(["encrypt", "--input", str(csv_path), "--store", str(store.root)]) == 0
+        records = [store.read("stream0", i)[0] for i in range(6)]
+        segments = cipher.decrypt_batch(records, [store.read("stream0", i)[1] for i in range(6)])
+        blocks = [np.frombuffer(r.ciphertext, dtype=np.uint8) for r in records]
+        source = ["--store", str(store.root)]
+    else:
+        blocks = [cipher.quantize(s).bytes for s in segments]
+        source = ["--input", str(csv_path)]
+    prefix = tmp_path / "rep"
+    assert main(["analyze", *source, "--output", str(prefix)]) == 0
+    report = json.loads(Path(f"{prefix}_report.json").read_text())
+
+    def defined_mean(statistic, *columns):
+        values = []
+        for args in zip(*columns):
+            try:
+                values.append(statistic(*args))
+            except UndefinedStatisticError:
+                pass
+        return float(np.mean(values)), len(values)
+
+    correlation, n = defined_mean(analysis.pearson_correlation, [s.samples for s in segments], blocks)
+    assert n == 5 and report["pearson_correlation"].hex() == correlation.hex()
+    flatness, n = defined_mean(analysis.spectral_flatness, blocks)
+    assert n == (6 if store_mode else 5) and report["spectral_flatness"].hex() == flatness.hex()
+
+
+@pytest.mark.parametrize(
+    "store_mode, message",
+    [(True, "error: correlation undefined for constant input"), (False, "error: flatness undefined for constant signal")],
+    ids=["store", "plain"],
+)
+def test_analyze_of_an_all_flat_corpus_fails(tmp_path, store_mode, message, capsys):
+    csv_path = _flat_csv(tmp_path / "flat.csv", range(6))
+    source = ["--input", str(csv_path)]
+    if store_mode:
+        assert main(["encrypt", *source, "--store", str(tmp_path / "store")]) == 0
+        source = ["--store", str(tmp_path / "store")]
+    capsys.readouterr()
+    assert main(["analyze", *source, "--output", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecg import mlkey
-from hecg.chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams
-from hecg.cipher import Mode, SignalSegment, decrypt_bytes, params_for_segment, quantize
+from hecg.chaos import NUDGE, R_MAX, R_MIN, R_SPAN, X0_MAX, X0_MIN, X0_SPAN, ChaoticParams, KeySalt, apply_salt
+from hecg.cipher import Mode, SignalSegment, decrypt_bytes, encrypt, params_for_segment, quantize
 from hecg.errors import (
     CorruptRecordError,
     DatasetError,
@@ -23,7 +23,6 @@ from hecg.mlkey import (
     predict_params,
     train,
 )
-from hecg.pipeline import seal_segment
 
 
 def small_segments(n=30, length=40, seed=0):
@@ -315,10 +314,9 @@ class TestPredictParams:
 
 def _seal_ml(segment, model, index=0):
     """Encrypt as the ML stream path does: (record, stored params)."""
-    record, salted, _ = seal_segment(
-        segment, index, Mode.ML_PREDICTED, model, b"desk01", 1_700_000_000_000
-    )
-    return record, salted
+    salt = KeySalt(timestamp=1_700_000_000_000 + index, device_id=b"desk01")
+    salted = apply_salt(predict_params(model, segment), salt)
+    return encrypt(segment, salted, salt=salt, mode_tag=Mode.ML_PREDICTED, counter=index), salted
 
 
 class TestEncryptMl:

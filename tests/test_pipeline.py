@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -6,6 +7,7 @@ import math
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,6 +613,20 @@ class TestRunPipeline:
         sha.update("\n".join(metrics.labels).encode())
         assert sha.hexdigest() == "da2ad476cdfdb802e57d0575cd00506fe2ee4dd94071c0e48b5a96f9b92a5f96"
 
+    def test_without_a_classifier_nothing_is_read_back(self, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a run without a classifier read a segment back")
+
+        monkeypatch.setattr(FileStore, "read", refused)
+        monkeypatch.setattr(pipeline, "decrypt", refused)
+        monkeypatch.setattr(cipher, "decrypt", refused)
+        store = FileStore(tmp_path / "s")
+        segments = itertools.islice(synthetic_ecg(8.0, seed=21), 9)
+        metrics = run_pipeline(segments, Mode.DIRECT, store, classifier=None)
+        assert not metrics.errors and store.record_indices("stream0") == list(range(9))
+        assert len(metrics.encrypt_s) == len(metrics.store_s) == len(metrics.total_s) == 9
+        assert metrics.decrypt_s == [] and metrics.labels == []
+
     def test_ten_segments_direct(self, tmp_path):
         source = synthetic_ecg(8.0, seed=21)
         store = FileStore(tmp_path / "store")
@@ -902,3 +918,57 @@ class TestClassifier:
 
     def test_constant_segment_zero_peaks(self):
         assert count_peaks(SignalSegment(np.full(100, 2.0), 500.0)) == 0
+
+
+# The one function allowed to call each FileStore method that writes, as
+# module.qualname: every writer goes through run_pipeline's loop, and the
+# loop's FileStore.write stores a key before its record.
+_WRITE_CALLERS = {
+    "write": "pipeline.run_pipeline",
+    "put_key": "pipeline.FileStore.write",
+    "put_record": "pipeline.FileStore.write",
+}
+
+
+def _opened_names(tree) -> set:
+    """The names that a module binds to open(): its file objects."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.withitem):
+            value, targets = node.context_expr, [node.optional_vars]
+        elif isinstance(node, ast.Assign):
+            value, targets = node.value, node.targets
+        else:
+            continue
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "open":
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _store_write_calls() -> set:
+    """(method, module.qualname of the caller) of each call in src/hecg of a
+    _WRITE_CALLERS method on anything but a file object."""
+    calls = set()
+
+    def visit(node, qualname, files):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{qualname}.{child.name}", files)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _WRITE_CALLERS
+                and getattr(child.func.value, "id", None) not in files
+            ):
+                calls.add((child.func.attr, qualname))
+            visit(child, qualname, files)
+
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, path.stem, _opened_names(tree))
+    return calls
+
+
+def test_only_run_pipeline_writes_a_store():
+    assert _store_write_calls() == set(_WRITE_CALLERS.items())
