@@ -193,9 +193,9 @@ def cmd_encrypt(args) -> int:
         print("no segments to encrypt", file=sys.stderr)
         return 1
     metrics = _run_pipeline(args, mode, model, segments, classifier=None)
-    timing = metrics.summary()["encrypt_s"]
     print(f"encrypted {metrics.segments_processed} segments -> {args.store}/{args.stream}")
-    print(f"per-segment core encrypt: median {timing['median'] * 1e3:.4f} ms, p99 {timing['p99'] * 1e3:.4f} ms")
+    if timing := metrics.summary()["encrypt_s"]:
+        print(f"per-segment core encrypt: median {timing['median'] * 1e3:.4f} ms, p99 {timing['p99'] * 1e3:.4f} ms")
     return _segment_errors(args, metrics)
 
 

@@ -31,7 +31,7 @@ from .cipher import (
     make_key_id,
     params_for_segment,
 )
-from .errors import CorruptRecordError, IngestionError, StoreError
+from .errors import CorruptRecordError, IngestionError, ParameterDomainError, StoreError
 from .mlkey import KeyPredictor, predict_params
 
 DEFAULT_SAMPLE_RATE = 500.0
@@ -413,6 +413,8 @@ class FileStore:
             return ChaoticParams(r=float(r), x0=float(x0))
         except ValueError:
             raise StoreError(f"key {want} in stream {stream_id} is not numeric: {r} {x0}") from None
+        except ParameterDomainError as exc:
+            raise StoreError(f"key {want} in stream {stream_id} is out of range: {exc}") from None
 
     def streams(self) -> list:
         if not self.root.is_dir():
@@ -462,62 +464,77 @@ def default_classifier(segment: SignalSegment) -> str:
 # metrics and the loop
 
 
+@dataclass(slots=True)
+class SegmentRow:
+    """A segment taken from the source: its latencies in seconds, label and
+    unsalted and salted params if stored (decrypt_s None if nothing read it
+    back), else its error, kept without its traceback."""
+
+    index: int
+    encrypt_s: float | None = None
+    store_s: float | None = None
+    decrypt_s: float | None = None
+    total_s: float | None = None
+    label: str | None = None
+    params: ChaoticParams | None = None
+    salted: ChaoticParams | None = None
+    error: Exception | None = None
+
+
 @dataclass
 class PipelineMetrics:
-    """Per-segment latencies in seconds plus run-level counters."""
+    """One SegmentRow per segment taken, in source order. Every count and
+    statistic is read from the rows; a stage with no entries is None in
+    summary() and has no row in table()."""
+
+    STAGES = ("encrypt_s", "store_s", "decrypt_s", "total_s")
 
     mode_tag: Mode
-    encrypt_s: list = field(default_factory=list)
-    store_s: list = field(default_factory=list)
-    decrypt_s: list = field(default_factory=list)
-    total_s: list = field(default_factory=list)
-    labels: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    distinct_biometric_params: int = 0
-    distinct_stored_params: int = 0
+    rows: list = field(default_factory=list)
 
     @property
     def segments_processed(self) -> int:
-        return len(self.total_s)
+        return sum(row.error is None for row in self.rows)
+
+    @property
+    def labels(self) -> list:
+        return [row.label for row in self.rows if row.label is not None]
+
+    @property
+    def errors(self) -> list:
+        """(index, "<Type>: <message>") of each failed segment."""
+        return [(row.index, f"{type(row.error).__name__}: {row.error}")
+                for row in self.rows if row.error is not None]
 
     def summary(self) -> dict:
-        def stats(values):
-            if not values:
-                return {"median": 0.0, "p99": 0.0, "mean": 0.0}
-            arr = np.asarray(values)
+        stored = [row for row in self.rows if row.error is None]
+        def stats(stage):
+            arr = np.array([getattr(row, stage) for row in stored if getattr(row, stage) is not None])
             return {
                 "median": float(np.median(arr)),
                 "p99": float(np.percentile(arr, 99)),
                 "mean": float(np.mean(arr)),
-            }
+            } if arr.size else None
 
         return {
             "mode": self.mode_tag.name,
-            "segments": self.segments_processed,
-            "errors": len(self.errors),
-            "encrypt_s": stats(self.encrypt_s),
-            "store_s": stats(self.store_s),
-            "decrypt_s": stats(self.decrypt_s),
-            "total_s": stats(self.total_s),
-            "distinct_biometric_params": self.distinct_biometric_params,
-            "distinct_stored_params": self.distinct_stored_params,
+            "segments": len(stored),
+            "errors": len(self.rows) - len(stored),
+            **{stage: stats(stage) for stage in self.STAGES},
+            "distinct_biometric_params": len({row.params for row in stored}),
+            "distinct_stored_params": len({row.salted for row in stored}),
         }
 
     def table(self) -> str:
         s = self.summary()
-        lines = [
+        stages = [f"{stage:<10s} {st['median'] * 1e3:<11.4f} {st['p99'] * 1e3:<11.4f} {st['mean'] * 1e3:.4f}"
+                  for stage in self.STAGES if (st := s[stage])]
+        return "\n".join([
             f"mode={s['mode']} segments={s['segments']} errors={s['errors']}",
             "stage      median_ms   p99_ms      mean_ms",
-        ]
-        for stage in ("encrypt_s", "store_s", "decrypt_s", "total_s"):
-            st = s[stage]
-            lines.append(
-                f"{stage:<10s} {st['median'] * 1e3:<11.4f} {st['p99'] * 1e3:<11.4f} {st['mean'] * 1e3:.4f}"
-            )
-        lines.append(
-            f"distinct params: biometric={s['distinct_biometric_params']} stored={s['distinct_stored_params']}"
-        )
-        return "\n".join(lines)
+            *stages,
+            f"distinct params: biometric={s['distinct_biometric_params']} stored={s['distinct_stored_params']}",
+        ])
 
 
 def run_pipeline(
@@ -542,11 +559,11 @@ def run_pipeline(
     reproducible, encrypt, and store the record and salted params with
     FileStore.write. The classifier stands for the doctor's side: only
     with one is the segment read back with FileStore.read, decrypted at
-    its own sample rate (timed in decrypt_s) and classified. Encrypt
-    latency excludes I/O; store latency is measured separately. A segment
-    that fails is recorded in errors and the loop continues. A stream
-    that already holds records or key rows is refused (StoreError, see
-    FileStore.refuse_stored) before anything is read or written.
+    its own sample rate and classified. Each segment taken adds one
+    SegmentRow to metrics.rows: a stored one's encrypt (no I/O), store,
+    decrypt and total latencies, or a failed one's error, and the loop
+    goes on. A stream that already holds records or key rows is refused
+    (StoreError, see FileStore.refuse_stored) before a segment is taken.
 
     The source is read in this loop, one segment at a time: the next
     segment is taken only when the one before it is done, so an islice
@@ -565,8 +582,6 @@ def run_pipeline(
         raise StoreError("ML mode requires a trained KeyPredictor")
     store.refuse_stored(stream_id)
     metrics = PipelineMetrics(mode_tag=mode)
-    biometric_seen = set()
-    stored_seen = set()
     for index, segment in enumerate(source):
         if index == 0:
             first = time.perf_counter()
@@ -575,7 +590,6 @@ def run_pipeline(
             time.sleep(max(0.0, first + index * cadence - time.perf_counter()))
         t_seg = time.perf_counter()
         try:
-            t0 = time.perf_counter()
             if mode is Mode.ML_PREDICTED:
                 params = predict_params(model, segment)
             else:
@@ -583,28 +597,18 @@ def run_pipeline(
             salt = KeySalt(timestamp=base_timestamp + index, device_id=device_id)
             salted = apply_salt(params, salt)
             record = encrypt(segment, salted, salt=salt, mode_tag=mode, counter=index)
-            encrypt_elapsed = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
+            t_enc = time.perf_counter()
             store.write(stream_id, index, record, salted)
-            store_elapsed = time.perf_counter() - t0
-            biometric_seen.add((params.r, params.x0))
-            stored_seen.add((salted.r, salted.x0))
-
+            t_store = time.perf_counter()
+            decrypt_s = label = None
             if classifier is not None:
                 fetched, key = store.read(stream_id, index)
                 t0 = time.perf_counter()
                 decrypted = decrypt(fetched, key, segment.sample_rate)
-                decrypt_elapsed = time.perf_counter() - t0
-                metrics.labels.append(classifier(decrypted))
-                metrics.decrypt_s.append(decrypt_elapsed)
+                decrypt_s, label = time.perf_counter() - t0, classifier(decrypted)
+            row = SegmentRow(index, t_enc - t_seg, t_store - t_enc, decrypt_s, time.perf_counter() - t_seg,
+                             label, params, salted)
         except Exception as exc:  # noqa: BLE001 - per-segment fault isolation
-            metrics.errors.append((index, f"{type(exc).__name__}: {exc}"))
-            continue
-        metrics.encrypt_s.append(encrypt_elapsed)
-        metrics.store_s.append(store_elapsed)
-        metrics.total_s.append(time.perf_counter() - t_seg)
-
-    metrics.distinct_biometric_params = len(biometric_seen)
-    metrics.distinct_stored_params = len(stored_seen)
+            row = SegmentRow(index, error=exc.with_traceback(None))
+        metrics.rows.append(row)
     return metrics

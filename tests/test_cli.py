@@ -677,6 +677,26 @@ def test_stream_names_the_segments_that_failed(tmp_path, monkeypatch, capsys):
     assert summary["errors"] == 3 and summary["distinct_stored_params"] == 0
 
 
+def test_a_run_that_stored_nothing_prints_no_stage_timing(tmp_path, monkeypatch, capsys):
+    def refused(self, stream_id, key_id, params):
+        raise StoreError("injected fault")
+
+    monkeypatch.setattr(FileStore, "put_key", refused)
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--synthetic", "3", "--store", "a"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["encrypted 0 segments -> a/stream0"]
+    assert main(["stream", "--segments", "3", "--store", "b", "--json"]) == 1
+    out = capsys.readouterr().out
+    table, summary = out[: out.index("{")], json.loads(out[out.index("{") :])
+    assert table.splitlines() == [
+        "mode=DIRECT segments=0 errors=3",
+        "stage      median_ms   p99_ms      mean_ms",
+        "distinct params: biometric=0 stored=0",
+    ]
+    for stage in ("encrypt_s", "store_s", "decrypt_s", "total_s"):
+        assert summary[stage] is None and f'"{stage}": null' in out
+
+
 @pytest.mark.parametrize("seed", ["7", "8"])
 def test_stream_into_orphaned_key_rows_is_refused_once(tmp_path, capsys, seed):
     # With the records deleted, the same seed would fail each put_key and
@@ -768,6 +788,68 @@ def test_encrypt_prints_its_count_and_core_encrypt_timing(tmp_path, csv_file, ca
     assert lines[0] == f"encrypted 13 segments -> {store}/stream0"
     assert re.fullmatch(r"per-segment core encrypt: median \d+\.\d{4} ms, p99 \d+\.\d{4} ms", lines[1])
     assert len(lines) == 2 and captured.err == ""
+
+
+# A timing number as encrypt, stream's table and stream --json print it,
+# with the padding of its table cell: a masked cell keeps its width.
+_TIMING = re.compile(r"(?:\d+(?:\.\d+)?e-\d+|\d+\.\d+)(?: {2,})?")
+CLEAN_RUN = """\
+encrypted 5 segments -> store/stream0
+per-segment core encrypt: median T ms, p99 T ms
+mode=DIRECT segments=4 errors=0
+stage      median_ms   p99_ms      mean_ms
+encrypt_s  T           T           T
+store_s    T           T           T
+decrypt_s  T           T           T
+total_s    T           T           T
+distinct params: biometric=4 stored=4
+mode=DIRECT segments=4 errors=0
+stage      median_ms   p99_ms      mean_ms
+encrypt_s  T           T           T
+store_s    T           T           T
+decrypt_s  T           T           T
+total_s    T           T           T
+distinct params: biometric=4 stored=4
+{
+  "mode": "DIRECT",
+  "segments": 4,
+  "errors": 0,
+  "encrypt_s": {
+    "median": T,
+    "p99": T,
+    "mean": T
+  },
+  "store_s": {
+    "median": T,
+    "p99": T,
+    "mean": T
+  },
+  "decrypt_s": {
+    "median": T,
+    "p99": T,
+    "mean": T
+  },
+  "total_s": {
+    "median": T,
+    "p99": T,
+    "mean": T
+  },
+  "distinct_biometric_params": 4,
+  "distinct_stored_params": 4
+}
+"""
+
+
+def test_clean_run_output_layout(tmp_path, monkeypatch, capsys):
+    """The stdout of clean encrypt, stream and stream --json runs for a
+    fixed seed, every timing number masked as T."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--synthetic", "5", "--seed", "3", "--store", "store"]) == 0
+    assert main(["stream", "--segments", "4", "--seed", "3", "--store", "store", "--stream", "s1"]) == 0
+    assert main(["stream", "--segments", "4", "--seed", "3", "--store", "store", "--stream", "s2", "--json"]) == 0
+    captured = capsys.readouterr()
+    masked = _TIMING.sub(lambda m: "T".ljust(len(m[0])) if m[0].endswith("  ") else "T", captured.out)
+    assert masked == CLEAN_RUN and captured.err == ""
 
 
 def test_encrypt_keeps_writing_past_a_failed_segment_as_stream_does(tmp_path, csv_file, monkeypatch, capsys):

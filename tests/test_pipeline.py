@@ -21,6 +21,7 @@ from hecg.errors import CorruptRecordError, IngestionError, StoreError
 from hecg.pipeline import (
     FileStore,
     Pacing,
+    PipelineMetrics,
     count_peaks,
     default_classifier,
     ingest_csv,
@@ -624,8 +625,12 @@ class TestRunPipeline:
         segments = itertools.islice(synthetic_ecg(8.0, seed=21), 9)
         metrics = run_pipeline(segments, Mode.DIRECT, store, classifier=None)
         assert not metrics.errors and store.record_indices("stream0") == list(range(9))
-        assert len(metrics.encrypt_s) == len(metrics.store_s) == len(metrics.total_s) == 9
-        assert metrics.decrypt_s == [] and metrics.labels == []
+        assert [row.index for row in metrics.rows] == list(range(9))
+        for row in metrics.rows:
+            assert row.encrypt_s > 0 and row.store_s > 0 and row.total_s > 0
+            assert row.decrypt_s is None and row.label is None
+        assert metrics.labels == [] and metrics.summary()["decrypt_s"] is None
+        assert "decrypt_s" not in metrics.table() and "encrypt_s" in metrics.table()
 
     def test_ten_segments_direct(self, tmp_path):
         source = synthetic_ecg(8.0, seed=21)
@@ -646,11 +651,9 @@ class TestRunPipeline:
     def test_metrics_invariants(self, tmp_path):
         source = synthetic_ecg(8.0, seed=22)
         metrics = run_pipeline(itertools.islice(source, 8), Mode.DIRECT, FileStore(tmp_path / "s"))
-        assert len(metrics.encrypt_s) == 8
-        for enc, sto, dec, total in zip(
-            metrics.encrypt_s, metrics.store_s, metrics.decrypt_s, metrics.total_s
-        ):
-            assert total >= enc + sto + dec - 1e-9
+        assert len(metrics.rows) == 8
+        for row in metrics.rows:
+            assert row.total_s >= row.encrypt_s + row.store_s + row.decrypt_s - 1e-9
         assert len(metrics.labels) == 8
         assert all(label for label in metrics.labels)
 
@@ -658,8 +661,9 @@ class TestRunPipeline:
         source = synthetic_ecg(40.0, seed=23)
         metrics = run_pipeline(itertools.islice(source, 60), Mode.DIRECT, FileStore(tmp_path / "s"))
         assert metrics.segments_processed == 60
-        assert metrics.distinct_biometric_params >= 0.9 * 60
-        assert metrics.distinct_stored_params >= 0.9 * 60
+        summary = metrics.summary()
+        assert summary["distinct_biometric_params"] >= 0.9 * 60
+        assert summary["distinct_stored_params"] >= 0.9 * 60
 
     def test_key_separation(self, tmp_path):
         source = synthetic_ecg(5.0, seed=24)
@@ -753,6 +757,25 @@ class TestRunPipeline:
         assert len(metrics.errors) == 1
         assert metrics.errors[0][0] == 1
         assert metrics.segments_processed == 3
+        # one row per segment taken, in order
+        assert [row.index for row in metrics.rows] == [0, 1, 2, 3]
+        failed = metrics.rows[1]
+        assert isinstance(failed.error, StoreError) and str(failed.error) == "injected fault"
+        assert failed.error.__traceback__ is None
+        stages = (failed.encrypt_s, failed.store_s, failed.decrypt_s, failed.total_s)
+        assert stages == (None,) * 4 and failed.label is None and failed.params is failed.salted is None
+        stored = [row for row in metrics.rows if row.error is None]
+        assert [row.index for row in stored] == [0, 2, 3]
+        for row in stored:
+            assert row.total_s >= row.encrypt_s + row.store_s + row.decrypt_s - 1e-9
+            assert row.label and isinstance(row.params, ChaoticParams) and row.salted != row.params
+        # segment 1 was salted and its key row written, but it is not stored
+        summary = metrics.summary()
+        assert summary["segments"] == 3 and summary["errors"] == 1
+        assert summary["distinct_biometric_params"] == len({row.params for row in stored}) == 3
+        assert summary["distinct_stored_params"] == len({row.salted for row in stored}) == 3
+        assert metrics.labels == [row.label for row in stored]
+        assert metrics.errors == [(1, "StoreError: injected fault")]
 
     def test_realtime_pacing_cadence(self, tmp_path):
         # 300 samples at 500 Hz = 600 ms cadence; allow 50 ms of sleep slop.
@@ -804,8 +827,16 @@ class TestRunPipeline:
         metrics = run_pipeline(synthetic_ecg(2.0, seed=33), Mode.DIRECT, KeylessStore(tmp_path / "s"))
         assert metrics.errors == [(i, "StoreError: injected fault") for i in range(3)]
         assert metrics.segments_processed == 0
-        assert metrics.distinct_stored_params == 0
-        assert metrics.distinct_biometric_params == 0
+        summary = metrics.summary()
+        assert summary["distinct_stored_params"] == 0
+        assert summary["distinct_biometric_params"] == 0
+        # no stage has an entry: none is 0.0 in summary() or has a table row
+        assert [summary[stage] for stage in PipelineMetrics.STAGES] == [None] * 4
+        assert metrics.table().splitlines() == [
+            "mode=DIRECT segments=0 errors=3",
+            "stage      median_ms   p99_ms      mean_ms",
+            "distinct params: biometric=0 stored=0",
+        ]
 
     def test_source_exhaustion_clean_stop(self, tmp_path):
         source = synthetic_ecg(2.0, seed=31)  # only 3 segments available

@@ -6,7 +6,8 @@ with an `error:` line, and decrypt writes no CSV:
 - two record files swapped, or one renamed to an unused index;
 - a flipped byte in the record's magic, version or segment length, or in
   its salt (timestamp, device id length, device id) or key_id;
-- a torn final row of keys.txt.
+- a torn final row of keys.txt;
+- a key row's r or x0 set outside (3.6, 4.0) x (0.1, 0.9), or to nan.
 A record file missing from the middle of a stream makes decrypt exit 1;
 analyze and attack read the records as a set and still run.
 
@@ -15,7 +16,8 @@ salt and its file's index, so it needs no byte the store does not
 already write. These damages still read without an error until records
 are bound to their key rows:
 - the range min or max bytes of a record, ciphertext bytes, and an
-  edited r or x0 in a key row, each of which decrypts to wrong plaintext;
+  in-range edit of r or x0 in a key row, each of which decrypts to wrong
+  plaintext;
 - the mode tag's 0 <-> 1 bit, which decrypts to the right plaintext
   under the wrong mode.
 
@@ -25,6 +27,7 @@ in one test call, and each needs a fresh copy of the store.
 
 import contextlib
 import io
+import math
 import shutil
 import struct
 import tempfile
@@ -143,6 +146,25 @@ def test_torn_final_key_row(template, data):
         cut = data.draw(st.integers(last_row, len(keys) - 1), label="cut")
         (stream / "keys.txt").write_bytes(keys[:cut])
         assert_refused(work, f"error: stream0[{SEGMENTS - 1}]: no key")
+
+
+# Values ChaoticParams refuses, for a key row's r and x0 fields.
+OUT_OF_RANGE = {
+    1: st.sampled_from([5.0, math.nan]) | st.floats(max_value=3.6) | st.floats(min_value=4.0),
+    2: st.sampled_from([5.0, math.nan]) | st.floats(max_value=0.1) | st.floats(min_value=0.9),
+}
+
+
+@fault_settings
+@given(index=st.integers(0, SEGMENTS - 1), field=st.sampled_from([1, 2]), data=st.data())
+def test_key_row_out_of_range(template, index, field, data):
+    with damaged(template) as (work, stream):
+        rows = (stream / "keys.txt").read_text().splitlines()
+        parts = rows[index].split()  # the rows are in segment order
+        parts[field] = repr(data.draw(OUT_OF_RANGE[field], label="value"))
+        rows[index] = " ".join(parts)
+        (stream / "keys.txt").write_text("\n".join(rows) + "\n")
+        assert_refused(work, f"error: stream0[{index}]: key {parts[0]} in stream stream0 is out of range: ")
 
 
 @fault_settings
