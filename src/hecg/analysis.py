@@ -68,17 +68,39 @@ class Histogram256:
         return self.counts / self.total
 
     def monobit_p(self) -> float:
-        """monobit_test of the counted bytes, whose S is 2 * (1 bits) - n."""
-        n = 8 * self.total
-        if n < 100:
-            raise InsufficientDataError(f"monobit needs >= 100 bits, got {n}")
-        return float(math.erfc(abs(2 * int(self.counts @ _POPCOUNT) - n) / math.sqrt(2.0 * n)))
+        """monobit_test of the counted bytes."""
+        return _monobit_p(int(self.counts @ _POPCOUNT), self.total)
 
     def min_entropy(self) -> float:
         """min_entropy_mcv of the counted bytes."""
-        if self.total < 256:
-            raise InsufficientDataError(f"MCV estimator needs >= 256 bytes, got {self.total}")
+        _check_mcv_bytes(self.total)
         return _mcv_bits(self.counts, self.total)
+
+
+def _monobit_p(ones: int, total: int) -> float:
+    """Monobit p-value of total bytes holding ones 1 bits: S is 2 * ones - n."""
+    n = 8 * total
+    if n < 100:
+        raise InsufficientDataError(f"monobit needs >= 100 bits, got {n}")
+    return float(math.erfc(abs(2 * ones - n) / math.sqrt(2.0 * n)))
+
+
+def _row_counts(rows: np.ndarray) -> np.ndarray:
+    """The (k, 256) byte counts of the rows of a (k, n) array of byte
+    values, from one bincount over row * 256 + byte."""
+    k = len(rows)
+    offsets = np.arange(0, 256 * k, 256)[:, None]
+    return np.bincount((rows + offsets).ravel(), minlength=256 * k).reshape(k, 256)
+
+
+def _row_runs(all_bytes: np.ndarray, lengths: list):
+    """(s, rows) for each batch_slices run s of a concatenation of segments
+    of the given lengths, rows the (len, n) view of the run's bytes."""
+    start = 0
+    for s in batch_slices(lengths):
+        stop = start + (s.stop - s.start) * lengths[s.start]
+        yield s, all_bytes[start:stop].reshape(s.stop - s.start, lengths[s.start])
+        start = stop
 
 
 def shannon_entropy(data) -> float:
@@ -89,6 +111,22 @@ def shannon_entropy(data) -> float:
 def _entropy_of_freqs(p: np.ndarray) -> float:
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def _row_entropies(counts: np.ndarray, n: int) -> list:
+    """_entropy_of_freqs of each row's frequencies counts / n, bit for bit.
+
+    The log terms of every row are taken at once. Each row's nonzero terms
+    are then summed on their own, as one 1-D sum: a sum over the whole
+    2-D array, with zeros for the empty bins, would group the pairwise
+    summation differently and change the last bits.
+    """
+    p = counts / n
+    nz = p[counts > 0]
+    terms = nz * np.log2(nz)
+    ends = np.cumsum(np.count_nonzero(counts, axis=1)).tolist()
+    add = np.add.reduce  # np.sum's reduction, without its per-call wrapping
+    return [float(-add(terms[a:b])) for a, b in zip([0, *ends], ends)]
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -159,10 +197,20 @@ def min_entropy_mcv(data) -> float:
     return Histogram256.from_bytes(data).min_entropy()
 
 
+def _check_mcv_bytes(n: int):
+    if n < 256:
+        raise InsufficientDataError(f"MCV estimator needs >= 256 bytes, got {n}")
+
+
 def _mcv_bits(counts: np.ndarray, n: int) -> float:
     """-log2 of the 99% upper bound on the most common of n symbols'
     probability, p_hat = max(counts) / n."""
-    p_hat = float(np.max(counts)) / n
+    return _mcv_bound(int(np.max(counts)), n)
+
+
+def _mcv_bound(most: int, n: int) -> float:
+    """_mcv_bits of counts whose largest is most."""
+    p_hat = float(most) / n
     p_u = min(1.0, p_hat + 2.576 * math.sqrt(p_hat * (1.0 - p_hat) / (n - 1)))
     return -math.log2(p_u)
 
@@ -195,7 +243,18 @@ class MinEntropySummary:
 
     @classmethod
     def from_segments(cls, segment_bytes_list) -> "MinEntropySummary":
-        bounds = [min_entropy_mcv(b) for b in segment_bytes_list]
+        """min_entropy_mcv of each segment, its largest count read from the
+        byte counts of one batch_slices run of segments at a time."""
+        blocks = [np.asarray(b, dtype=np.uint8) for b in segment_bytes_list]
+        if not blocks:
+            raise EmptyInputError("no segments to bound")
+        lengths = [b.size for b in blocks]
+        for n in lengths:
+            _check_mcv_bytes(n)
+        bounds = []
+        for s, rows in _row_runs(np.concatenate(blocks), lengths):
+            n = lengths[s.start]
+            bounds += [_mcv_bound(most, n) for most in _row_counts(rows).max(axis=1).tolist()]
         arr = np.asarray(bounds)
         return cls(
             per_segment_bits=[float(b) for b in bounds],
@@ -227,8 +286,28 @@ def pearson_correlation(a, b) -> float:
     na = math.sqrt(_dot(da, da))
     nb = math.sqrt(_dot(db, db))
     if na == 0.0 or nb == 0.0:
-        raise UndefinedStatisticError("correlation undefined for constant input")
+        raise UndefinedStatisticError(_CONSTANT_CORRELATION)
     return _dot(da, db) / (na * nb)
+
+
+_CONSTANT_CORRELATION = "correlation undefined for constant input"
+
+
+def _row_correlations(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """pearson_correlation of each row pair of two (k, n) float64 arrays,
+    bit for bit, and nan where it is undefined (a constant row). The
+    arrays are overwritten: their row means are removed in place.
+
+    Row means are one reduction along the rows, and the row-wise einsum
+    sums each row's products in the order _dot does."""
+    da -= da.mean(axis=1, keepdims=True)
+    db -= db.mean(axis=1, keepdims=True)
+    na = np.sqrt(np.einsum("ij,ij->i", da, da))
+    nb = np.sqrt(np.einsum("ij,ij->i", db, db))
+    defined = (na != 0.0) & (nb != 0.0)
+    out = np.full(len(da), math.nan)
+    out[defined] = np.einsum("ij,ij->i", da, db)[defined] / (na * nb)[defined]
+    return out
 
 
 def autocorrelation(data, max_lag: int) -> np.ndarray:
@@ -320,13 +399,8 @@ def segment_flatness(all_bytes: np.ndarray, lengths: list) -> list:
     of the given lengths, computed BATCH_ROWS segments at a time: nan for
     a constant segment, UndefinedStatisticError when every one is."""
     out = []
-    start = 0
-    for s in batch_slices(lengths):
-        n = lengths[s.start]
-        stop = start + (s.stop - s.start) * n
-        rows = all_bytes[start:stop].reshape(s.stop - s.start, n).astype(np.float64)
-        out.extend(_flatness_rows(rows).tolist())
-        start = stop
+    for _, rows in _row_runs(all_bytes, lengths):
+        out.extend(_flatness_rows(rows.astype(np.float64)).tolist())
     if out and all(map(math.isnan, out)):
         raise UndefinedStatisticError("flatness undefined for constant signal")
     return out
@@ -359,17 +433,36 @@ def empirical_key_space_bits(observed, step: float) -> float:
 
 def normalize_unit(samples: np.ndarray, lo: float, hi: float):
     """Affine map of samples onto [0, 1] in the reference frame [lo, hi]."""
-    x = np.asarray(samples, dtype=np.float64)
+    return _normalize_in_place(np.array(samples, dtype=np.float64), lo, hi)
+
+
+def _normalize_in_place(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """normalize_unit of the float64 array x, done in x and returned."""
     if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+        x.fill(0.0)
+    else:
+        x -= lo
+        x /= hi - lo
+    return x
 
 
 def clean_reference(original) -> tuple[float, float, np.ndarray]:
     """The original's min, max and samples normalized to [0,1] on them: the
     frame every recovered or attacked copy of it is measured in."""
-    lo, hi = float(np.min(original.samples)), float(np.max(original.samples))
-    return lo, hi, normalize_unit(original.samples, lo, hi)
+    return _clean_references(original.samples[np.newaxis])[0]
+
+
+def _clean_references(samples: np.ndarray) -> list:
+    """clean_reference of each row of a (k, n) float64 array of samples:
+    row min and max, and the row normalized on them as normalize_unit does
+    (a constant row's x - lo is zero, so it normalizes to zeros)."""
+    lo = samples.min(axis=1, keepdims=True)
+    hi = samples.max(axis=1, keepdims=True)
+    span = hi - lo
+    span[span == 0.0] = 1.0
+    clean = samples - lo
+    clean /= span
+    return list(zip(lo[:, 0].tolist(), hi[:, 0].tolist(), clean))
 
 
 def normalized_errors(clean: np.ndarray, got: np.ndarray) -> tuple[float, float]:
@@ -379,10 +472,18 @@ def normalized_errors(clean: np.ndarray, got: np.ndarray) -> tuple[float, float]
     """
     if clean.shape != got.shape:
         raise ShapeError(f"length mismatch {clean.shape} vs {got.shape}")
-    diff = clean - got
-    # np.mean's pairwise sum and one division, without its per-call overhead
+    return _errors_in_place(clean - got)
+
+
+def _errors_in_place(diff: np.ndarray) -> tuple[float, float]:
+    """normalized_errors of a float64 difference, overwritten in place."""
+    # np.mean's pairwise sum and one division, without its per-call
+    # overhead; |d| * |d| is d * d to the bit
     n = diff.size
-    return float((diff * diff).sum() / n), float(np.abs(diff).sum() / n)
+    np.abs(diff, out=diff)
+    mae = float(np.add.reduce(diff) / n)
+    np.square(diff, out=diff)
+    return float(np.add.reduce(diff) / n), mae
 
 
 def fidelity(reference: list, recovered: list) -> dict:
@@ -550,6 +651,18 @@ class AnalysisReport:
         return cls(**json.loads(text))
 
 
+def _run_statistics(segments: list, rows: np.ndarray) -> tuple:
+    """The per-segment battery of one run of segments of one length, rows
+    their (len, n) bytes: the run's byte counts summed over its rows, each
+    segment's entropy, how many pass monobit, and the correlations of the
+    segments that define one."""
+    n = rows.shape[1]
+    counts = _row_counts(rows)
+    passes = sum(_monobit_p(ones, n) > 0.01 for ones in (counts @ _POPCOUNT).tolist())
+    rho = _row_correlations(np.array([seg.samples for seg in segments]), rows.astype(np.float64))
+    return counts.sum(axis=0), _row_entropies(counts, n), passes, rho[~np.isnan(rho)].tolist()
+
+
 def analyze_corpus(segments: list, blocks: list, reference: list | None = None) -> tuple:
     """The battery's AnalysisReport on per-segment byte blocks, and their summed Histogram256.
 
@@ -560,30 +673,37 @@ def analyze_corpus(segments: list, blocks: list, reference: list | None = None) 
     fill in. A flat segment (say a lead-off stretch of ECG) is left out of
     the means of correlation and flatness, which it does not define;
     UndefinedStatisticError is raised only when no segment defines one.
+
+    The per-segment statistics are taken one batch_slices run of segments
+    at a time, from the run's (rows, 256) byte counts and its rows of
+    samples and bytes; each value is the same bits as the one-segment
+    function's (_entropy_of_freqs, Histogram256.monobit_p,
+    pearson_correlation).
     """
     if not segments or len(segments) != len(blocks):
         raise ShapeError("need one block per segment")
+    lengths = [len(b) for b in blocks]
+    for seg, n in zip(segments, lengths):
+        if len(seg) != n:
+            raise ShapeError(f"need equal lengths >= 2, got ({len(seg)},) and ({n},)")
 
     all_bytes = np.concatenate(blocks)
-    flatnesses = [f for f in segment_flatness(all_bytes, [len(b) for b in blocks]) if not math.isnan(f)]
+    flatnesses = [f for f in segment_flatness(all_bytes, lengths) if not math.isnan(f)]
     seg_entropies = []
     correlations = []
     monobit_passes = 0
-    corpus = Histogram256.from_bytes(())
-    for seg, block in zip(segments, blocks):
-        h = Histogram256.from_bytes(block)  # one per segment, held for one pass
-        corpus += h
-        seg_entropies.append(_entropy_of_freqs(h.frequencies()))
-        try:
-            correlations.append(pearson_correlation(seg.samples, block))
-        except UndefinedStatisticError as exc:
-            undefined = exc
-        if h.monobit_p() > 0.01:
-            monobit_passes += 1
+    corpus_counts = np.zeros(256, dtype=np.int64)
+    for s, rows in _row_runs(all_bytes, lengths):
+        counts, entropies, passes, defined = _run_statistics(segments[s], rows)
+        corpus_counts += counts
+        seg_entropies += entropies
+        monobit_passes += passes
+        correlations += defined
     if not correlations:
-        raise undefined
+        raise UndefinedStatisticError(_CONSTANT_CORRELATION)
 
     n_seg = len(segments)
+    corpus = Histogram256(counts=corpus_counts, total=int(all_bytes.size))
     hist = histogram_stats(all_bytes, corpus)
     report = AnalysisReport(
         shannon_entropy_bits=hist["entropy"],

@@ -18,16 +18,18 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import clean_reference, normalize_unit, normalized_errors
+# clean_reference is imported for callers, who build an attack's reference with it
+from .analysis import _clean_references, _errors_in_place, _normalize_in_place, clean_reference  # noqa: F401
 from .cipher import (
     EncryptedRecord,
     KeyMaterial,
     QuantizationRange,
-    _dequantized_samples,
-    decrypt_with_key_material,
+    _decrypted_rows,
+    _dequantize_in_place,
+    _keystream_operands,
     key_material_runs,
-    remove_keystream,
 )
+from .errors import ShapeError
 
 
 class AttackKind(Enum):
@@ -66,16 +68,27 @@ def _damage(
     """MAE and MSE of the attacked ciphertext, decrypted with km and
     rescaled by rng, against reference, and the sorted plaintext positions
     that the changed ciphertext positions hit, with their dispersion.
-    remove_keystream rejects key material of another length
-    (CorruptRecordError) before hit indexes its permutation."""
+    Key material of another length is rejected (CorruptRecordError) before
+    hit indexes its permutation.
+
+    remove_keystream, _dequantized_samples, normalize_unit and
+    normalized_errors, bit for bit, in one float64 buffer: the plain bytes
+    are written into it and then rescaled, normalized and differenced in
+    place. The recovered samples are finite by construction, so they are
+    not checked into a SignalSegment.
+    """
     lo, hi, clean = reference
-    q_bytes = remove_keystream(attacked, km.permutation, km.mask)
-    # the recovered bytes are finite samples by construction: no SignalSegment
-    got = normalize_unit(_dequantized_samples(q_bytes, rng), lo, hi)
-    mse, mae = normalized_errors(clean, got)
-    corrupted = km.permutation[hit]
+    c, perm, mask = _keystream_operands(attacked, km.permutation, km.mask)
+    if clean.shape != c.shape:
+        raise ShapeError(f"length mismatch {clean.shape} vs {c.shape}")
+    got = np.empty(c.size)
+    got[perm] = np.bitwise_xor(c, mask)
+    _normalize_in_place(_dequantize_in_place(got, rng), lo, hi)
+    np.subtract(clean, got, out=got)
+    mse, mae = _errors_in_place(got)
+    corrupted = perm[hit]
     corrupted.sort()
-    return AttackResult(mae, mse, tuple(corrupted.tolist()), _dispersion(corrupted, q_bytes.size))
+    return AttackResult(mae, mse, tuple(corrupted.tolist()), _dispersion(corrupted, c.size))
 
 
 def _dispersion(idx: np.ndarray, n: int) -> float:
@@ -97,14 +110,20 @@ def noise_attack(
     """Add seeded noise to the ciphertext bytes, clamp to [0,255], decrypt.
 
     Uniform noise draws integers in [-a, a]; Gaussian draws round(N(0, a)).
+    An amplitude that draws only zeros (uniform with round(a) == 0,
+    Gaussian with a == 0) leaves the ciphertext as it is, and no generator
+    is built for it.
     """
     if config.kind not in (AttackKind.NOISE_UNIFORM, AttackKind.NOISE_GAUSSIAN):
         raise ValueError(f"noise_attack got config kind {config.kind}")
     ct = np.frombuffer(record.ciphertext, dtype=np.uint8)
+    uniform = config.kind is AttackKind.NOISE_UNIFORM
+    a = int(round(config.intensity)) if uniform else config.intensity
+    if a == 0:
+        return _damage(ct, np.empty(0, dtype=np.intp), km, record.range, reference)
     rng = np.random.default_rng(config.seed)
-    a = config.intensity
-    if config.kind is AttackKind.NOISE_UNIFORM:
-        delta = rng.integers(-int(round(a)), int(round(a)) + 1, size=ct.size)
+    if uniform:
+        delta = rng.integers(-a, a + 1, size=ct.size)
     else:
         delta = np.round(rng.normal(0.0, a, size=ct.size)).astype(np.int64)
     noisy = ct + delta  # int64, so nothing wraps before the clamp
@@ -141,7 +160,10 @@ def attack_sweep(
     per record, one key_material_runs run at a time, and serves every
     intensity, as does the record's reference: the clean_reference of the
     record decrypted with that key material, taken for the whole run before
-    its attacks, so a store is read, derived and decrypted once.
+    its attacks as rows of one array (decrypted, then row min, max and
+    normalize), so a store is read, derived and decrypted once. Each
+    attack is still one call of the module-level attack function per
+    record and intensity.
     key_material_runs raises ShapeError unless there is one params per
     record.
     """
@@ -150,7 +172,7 @@ def attack_sweep(
     damage = [([], [], []) for _ in intensities]
     for s, kms in key_material_runs(records, params_list):
         # the run's references first, so that no decrypt lands between two attacks
-        refs = [clean_reference(decrypt_with_key_material(r, km)) for r, km in zip(records[s], kms)]
+        refs = _clean_references(_decrypted_rows(records[s], kms))
         for i, rec, km, ref in zip(range(s.start, s.stop), records[s], kms, refs):
             for level, intensity in enumerate(intensities):
                 cfg = AttackConfig(kind=kind, intensity=intensity, seed=seed + 7919 * level + i)

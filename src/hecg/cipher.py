@@ -223,10 +223,20 @@ def dequantize(q: QuantizedSegment, sample_rate: float) -> SignalSegment:
 
 def _dequantized_samples(q_bytes: np.ndarray, rng: QuantizationRange) -> np.ndarray:
     """The samples of dequantize, before it validates them into a SignalSegment."""
+    return _dequantize_in_place(q_bytes.astype(np.float64), rng)
+
+
+def _dequantize_in_place(x: np.ndarray, rng: QuantizationRange) -> np.ndarray:
+    """Quantized bytes held as float64 in x, made into their samples in
+    place and returned: lo + x / 255 * (hi - lo), or lo for a flat range."""
     lo, hi = rng.min, rng.max
     if hi == lo:
-        return np.full(len(q_bytes), lo, dtype=np.float64)
-    return lo + q_bytes.astype(np.float64) / 255.0 * (hi - lo)
+        x.fill(lo)
+    else:
+        x /= 255.0
+        x *= hi - lo
+        x += lo
+    return x
 
 
 def derive_key_material(params: ChaoticParams, n: int) -> KeyMaterial:
@@ -241,7 +251,8 @@ def derive_key_material(params: ChaoticParams, n: int) -> KeyMaterial:
     (x * 2^24 is an exact exponent shift in binary64).
 
     The permutation is the stable ascending argsort of X (ties broken by
-    lower original index).
+    lower original index), computed as _mask_and_permutation does: the
+    default sort, redone stably only when the orbit repeats a value.
 
     The arrays are read-only: a call with the (r, x0, n) of the last
     derivation returns its KeyMaterial again without iterating the map.
@@ -272,9 +283,19 @@ def _mask_and_permutation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For iterates in [0, 1] the cast to int64 truncates to floor(x * 2^24),
     and the cast to uint8 keeps its low byte: floor(x * 2^24) mod 256.
+
+    The permutation is taken with argsort's default (unstable) kind, which
+    is faster. Where a row's iterates are all distinct its ascending order
+    is unique, so that is the stable argsort; a row whose sorted iterates
+    hold two equal neighbours (a periodic orbit, say) is sorted again with
+    kind="stable".
     """
     mask = (x * 16777216.0).astype(np.int64).astype(np.uint8)
-    perm = np.argsort(x, axis=-1, kind="stable").astype(np.intp)
+    perm = np.argsort(x, axis=-1)
+    ordered = np.take_along_axis(x, perm, axis=-1)
+    tied = (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
+    if tied.any():
+        perm[tied] = np.argsort(x[tied], axis=-1, kind="stable")
     return mask, perm
 
 
@@ -372,10 +393,30 @@ def decrypt_batch(records: list, params_list: list) -> list:
     """decrypt at its default sample rate for many records, sample for
     sample, with the key material of one key_material_runs run at a time."""
     return [
-        decrypt_with_key_material(r, km)
+        SignalSegment(samples=row, sample_rate=500.0)
         for s, kms in key_material_runs(records, params_list)
-        for r, km in zip(records[s], kms)
+        for row in _decrypted_rows(records[s], kms)
     ]
+
+
+def _decrypted_rows(records: list, kms: list) -> np.ndarray:
+    """The samples of decrypt_with_key_material(record, km) for each record
+    of one key_material_runs run and its key material, bit for bit, as the
+    rows of one (len, n) float64 array: the keystream is removed and the
+    bytes are dequantized for the whole run at once."""
+    c = np.frombuffer(b"".join(r.ciphertext for r in records), dtype=np.uint8).reshape(len(records), -1)
+    q = np.empty_like(c)
+    perm = np.array([km.permutation for km in kms])
+    np.put_along_axis(q, perm, c ^ np.array([km.mask for km in kms]), axis=1)
+    lo = np.array([[r.range.min] for r in records])
+    hi = np.array([[r.range.max] for r in records])
+    samples = q.astype(np.float64)
+    samples /= 255.0
+    samples *= hi - lo
+    samples += lo
+    flat = hi[:, 0] == lo[:, 0]
+    samples[flat] = lo[flat]  # as _dequantized_samples fills a flat range
+    return samples
 
 
 def decrypt_with_key_material(

@@ -339,9 +339,17 @@ class FileStore:
 
     def write(self, stream_id: str, index: int, record: EncryptedRecord, params: ChaoticParams):
         """Store segment index of stream_id: its key, then its record, so a
-        key that put_key refuses leaves the stream's records as they were."""
-        self.put_key(stream_id, record.key_id, params)
-        self.put_record(stream_id, index, record)
+        key that put_key refuses leaves the stream's records as they were.
+        If put_record fails, keys.txt is cut back to its size before this
+        key's row and the failure raised again, so no key row is left that
+        no record names; the cut changes the signature of keys.txt, so the
+        next lookup reads it again."""
+        start = self.put_key(stream_id, record.key_id, params)
+        try:
+            self.put_record(stream_id, index, record)
+        except BaseException:
+            os.truncate(self._keys_path(stream_id), start)
+            raise
 
     def read(self, stream_id: str, index: int) -> tuple[EncryptedRecord, ChaoticParams]:
         """Segment index of stream_id as written: its checked record and the
@@ -377,7 +385,9 @@ class FileStore:
         if keys:
             raise StoreError(f"{len(keys)} orphaned key rows, and no records, in stream {stream_id}")
 
-    def put_key(self, stream_id: str, key_id: bytes, params: ChaoticParams):
+    def put_key(self, stream_id: str, key_id: bytes, params: ChaoticParams) -> int:
+        """Append the row of key_id to keys.txt; returns the offset at which
+        the row starts."""
         want = key_id.hex()
         keys = self._key_index(stream_id)
         if keys is None:
@@ -400,6 +410,7 @@ class FileStore:
         if unchanged and after[1] == size + len(line):
             keys[want] = (r, x0)
             self._index = (stream_id, after, keys, 0)
+        return size
 
     def get_key(self, stream_id: str, key_id: bytes) -> ChaoticParams:
         keys = self._key_index(stream_id)
@@ -468,7 +479,8 @@ def default_classifier(segment: SignalSegment) -> str:
 class SegmentRow:
     """A segment taken from the source: its latencies in seconds, label and
     unsalted and salted params if stored (decrypt_s None if nothing read it
-    back), else its error, kept without its traceback."""
+    back), else its error, kept without the traceback of it or of any
+    exception in its __cause__ and __context__ chain."""
 
     index: int
     encrypt_s: float | None = None
@@ -609,6 +621,23 @@ def run_pipeline(
             row = SegmentRow(index, t_enc - t_seg, t_store - t_enc, decrypt_s, time.perf_counter() - t_seg,
                              label, params, salted)
         except Exception as exc:  # noqa: BLE001 - per-segment fault isolation
-            row = SegmentRow(index, error=exc.with_traceback(None))
+            row = SegmentRow(index, error=_without_tracebacks(exc))
         metrics.rows.append(row)
     return metrics
+
+
+def _without_tracebacks(exc: BaseException) -> BaseException:
+    """exc with the traceback of it and of every exception in its
+    __cause__ and __context__ chain cleared, so that a kept error holds no
+    frame (and no frame's locals). Each exception is visited once, so a
+    cycle in the chain ends the walk."""
+    seen = set()
+    pending = [exc]
+    while pending:
+        e = pending.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        e.__traceback__ = None
+        pending += [e.__cause__, e.__context__]
+    return exc

@@ -843,3 +843,115 @@ def test_corpus_histogram_is_the_sum_of_the_segment_histograms(encrypted_corpus,
         assert report.per_segment_entropy_mean.hex() == float(np.mean(entropies)).hex()
         passes = sum(reference_monobit(b) > 0.01 for b in blocks)
         assert report.monobit_pass_fraction == passes / len(blocks)
+
+
+# The battery takes its per-segment values a batch_slices run of segments
+# at a time. Each must be the one-segment function's bits: _entropy_of_freqs
+# of the segment's frequencies, Histogram256.monobit_p and
+# pearson_correlation, at every length, flat rows among them.
+BATTERY_LENGTHS = [*range(2, 70), 127, 128, 129, 255, 256, 257, 300, 511, 512, 1000, 1024, 4096]
+FLAT_ROWS = (1, 6)
+
+
+def _battery_rows(n: int, corpus: str) -> tuple:
+    """(samples, bytes) of 9 segments of n samples as (9, n) arrays: seeded
+    random walks, rows FLAT_ROWS constant, and either their ciphertext under
+    each one's biometric key or their plain quantized bytes."""
+    rng = np.random.default_rng(n)
+    samples = np.cumsum(rng.normal(0.0, 1.0, (9, n)), axis=1)
+    for i in FLAT_ROWS:
+        samples[i] = 0.25
+    segments = [SignalSegment(row, 500.0) for row in samples]
+    if corpus == "cipher":
+        blocks = [np.frombuffer(encrypt(s, params_for_segment(s)).ciphertext, dtype=np.uint8) for s in segments]
+    else:
+        blocks = [cipher.quantize(s).bytes for s in segments]
+    return samples, np.array(blocks)
+
+
+@pytest.mark.parametrize("corpus", ["cipher", "plain"])
+def test_battery_rows_are_the_one_segment_values(corpus):
+    for n in BATTERY_LENGTHS:
+        samples, rows = _battery_rows(n, corpus)
+        counts = analysis._row_counts(rows)
+        hists = [Histogram256.from_bytes(row) for row in rows]
+        assert counts.tolist() == [h.counts.tolist() for h in hists]
+
+        got = analysis._row_entropies(counts, n)
+        assert [e.hex() for e in got] == [analysis._entropy_of_freqs(h.frequencies()).hex() for h in hists]
+
+        if 8 * n >= 100:
+            got = [analysis._monobit_p(ones, n) for ones in (counts @ analysis._POPCOUNT).tolist()]
+            assert [p.hex() for p in got] == [h.monobit_p().hex() for h in hists]
+            assert [p.hex() for p in got] == [reference_monobit(row).hex() for row in rows]
+
+        rho = analysis._row_correlations(samples.copy(), rows.astype(np.float64))
+        for i, (a, b) in enumerate(zip(samples, rows)):
+            try:
+                want = pearson_correlation(a, b).hex()
+            except UndefinedStatisticError:
+                want = "nan"
+            assert (rho[i].hex() if not math.isnan(rho[i]) else "nan") == want, (n, i)
+        assert all(math.isnan(rho[i]) for i in FLAT_ROWS)
+
+
+def reference_segment_values(segments, blocks) -> tuple:
+    """analyze_corpus's per-segment loop as it was, one segment at a time:
+    (entropy mean, monobit pass fraction, mean correlation of the segments
+    that define one)."""
+    entropies, passes, correlations = [], 0, []
+    for seg, block in zip(segments, blocks):
+        h = Histogram256.from_bytes(block)
+        entropies.append(analysis._entropy_of_freqs(h.frequencies()))
+        passes += h.monobit_p() > 0.01
+        try:
+            correlations.append(pearson_correlation(seg.samples, block))
+        except UndefinedStatisticError:
+            pass
+    return float(np.mean(entropies)), passes / len(blocks), float(np.mean(correlations))
+
+
+@pytest.mark.parametrize("corpus", ["cipher", "plain"])
+def test_battery_report_is_the_one_segment_loop(corpus):
+    # runs of several lengths, one longer than BATCH_ROWS, flat rows in each
+    segments, blocks = [], []
+    for n, repeat in [(300, 10), (13, 1), (69, 1), (300, 1), (257, 2), (1024, 1)]:
+        for _ in range(repeat):
+            samples, rows = _battery_rows(n, corpus)
+            segments += [SignalSegment(row, 500.0) for row in samples]
+            blocks += list(rows)
+    assert len(segments) > 2 * cipher.BATCH_ROWS
+    report, _ = analysis.analyze_corpus(segments, blocks)
+    entropy, passes, correlation = reference_segment_values(segments, blocks)
+    assert report.per_segment_entropy_mean.hex() == entropy.hex()
+    assert report.monobit_pass_fraction == passes
+    assert report.pearson_correlation.hex() == correlation.hex()
+
+
+def test_battery_of_an_all_flat_corpus_raises():
+    samples = np.full((3, 300), 0.25)
+    segments = [SignalSegment(row, 500.0) for row in samples]
+    # ciphertext bytes are not flat, so only the correlation is undefined
+    blocks = [np.frombuffer(encrypt(s, params_for_segment(s)).ciphertext, dtype=np.uint8) for s in segments]
+    with pytest.raises(UndefinedStatisticError, match="^correlation undefined for constant input$"):
+        analysis.analyze_corpus(segments, blocks)
+
+
+def test_battery_refuses_a_block_of_another_length():
+    segments = [SignalSegment(np.arange(300.0), 500.0)] * 2
+    blocks = [np.arange(300) % 256, np.arange(299) % 256]
+    with pytest.raises(ShapeError, match=r"need equal lengths >= 2, got \(300,\) and \(299,\)"):
+        analysis.analyze_corpus(segments, [b.astype(np.uint8) for b in blocks])
+
+
+@pytest.mark.parametrize("corpus", ["cipher", "plain"])
+def test_min_entropy_summary_is_the_one_segment_bounds(corpus):
+    blocks = []
+    for n in (256, 300, 257, 1024):
+        blocks += list(_battery_rows(n, corpus)[1]) * (8 if n == 300 else 1)
+    summary = MinEntropySummary.from_segments(blocks)
+    assert [b.hex() for b in summary.per_segment_bits] == [min_entropy_mcv(b).hex() for b in blocks]
+    with pytest.raises(InsufficientDataError, match="MCV estimator needs >= 256 bytes, got 255"):
+        MinEntropySummary.from_segments(blocks + [blocks[0][:255]])
+    with pytest.raises(EmptyInputError):
+        MinEntropySummary.from_segments([])

@@ -18,6 +18,7 @@ from hecg.attacks import (
 from hecg.cipher import (
     BATCH_ROWS,
     QuantizedSegment,
+    SignalSegment,
     batch_slices,
     decrypt,
     dequantize,
@@ -208,6 +209,33 @@ class TestMatchesReference:
             rec, km, ref = attack_inputs[i]
             assert result_bits(noise_attack(rec, km, cfg, ref)) == result_bits(want)
 
+    @pytest.mark.parametrize(
+        "kind, intensity",
+        [
+            (AttackKind.NOISE_UNIFORM, 0.0),
+            (AttackKind.NOISE_UNIFORM, 0.4),
+            (AttackKind.NOISE_UNIFORM, 0.5),
+            (AttackKind.NOISE_GAUSSIAN, 0.0),
+        ],
+    )
+    def test_noise_that_draws_only_zeros(self, attack_corpus, attack_inputs, kind, intensity, monkeypatch):
+        # round(a) == 0 for uniform, a == 0 for Gaussian: the ciphertext is
+        # left as it is, and no generator is built
+        segments, records, params_list = attack_corpus
+        cases = []
+        for i in range(0, 40, 5):
+            cfg = AttackConfig(kind, intensity, seed=31 + i)
+            cases.append((cfg, attack_inputs[i], reference_noise_attack(records[i], params_list[i], cfg, segments[i])))
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was built for a zero draw")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for cfg, (rec, km, ref), want in cases:
+            got = noise_attack(rec, km, cfg, ref)
+            assert result_bits(got) == result_bits(want)
+            assert got.corrupted_sample_indices == () and got.dispersion == 0.0
+
     @pytest.mark.parametrize("intensity", [0.0, 0.1, 0.5, 1.0])
     def test_occlusion(self, attack_corpus, attack_inputs, intensity):
         segments, records, params_list = attack_corpus
@@ -269,6 +297,22 @@ def test_given_key_material(attack_corpus, attack, config):
     wrong = derive_key_material(p, rec.segment_len - 1)
     with pytest.raises(CorruptRecordError, match="keystream length mismatch"):
         attack(rec, wrong, config, ref)
+
+
+def test_reference_of_another_length_rejected(attack_corpus, attack_inputs):
+    segments, _, _ = attack_corpus
+    rec, km, _ = attack_inputs[3]
+    short = clean_reference(SignalSegment(segments[3].samples[:-1], 500.0))
+    with pytest.raises(ShapeError, match=r"length mismatch \(299,\) vs \(300,\)"):
+        noise_attack(rec, km, AttackConfig(AttackKind.NOISE_UNIFORM, 4.0, seed=2), short)
+
+
+@pytest.mark.parametrize("flat", [None, 0.25, -0.0, 0.0])
+def test_clean_reference_is_normalize_unit(attack_corpus, flat):
+    samples = attack_corpus[0][7].samples if flat is None else np.full(300, flat)
+    lo, hi, clean = clean_reference(SignalSegment(samples, 500.0))
+    assert (lo, hi) == (float(np.min(samples)), float(np.max(samples)))
+    assert clean.tobytes() == normalize_unit(samples, lo, hi).tobytes()
 
 
 def _sweep_bits(rows):

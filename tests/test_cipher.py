@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hecg import cipher
 from hecg.analysis import key_sensitivity_test
-from hecg.chaos import ChaoticParams, KeySalt, iterate_logistic
+from hecg.chaos import ChaoticParams, KeySalt, iterate_logistic, iterate_logistic_batch
 from hecg.cipher import (
     BATCH_ROWS,
     EncryptedRecord,
@@ -181,6 +181,48 @@ class TestKeyMaterial:
             derive_key_material(ChaoticParams(3.9, 0.3), 1)
 
 
+# r = 3.83 lies in the period-3 window: its orbit settles onto a cycle that
+# repeats the same floats, so its sorted iterates hold equal neighbours.
+TIED = [ChaoticParams(3.83, 0.2), ChaoticParams(3.83, 0.5)]
+CHAOTIC = [ChaoticParams(3.99, 0.123), ChaoticParams(3.61, 0.87), ChaoticParams(3.7, 0.4)]
+
+
+def _has_tie(row) -> bool:
+    ordered = np.sort(row)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
+class TestPermutationTies:
+    """The permutation is the stable argsort, whether or not the orbit ties."""
+
+    @pytest.mark.parametrize("n", [2, 3, 299, 300, 301, 1024])
+    def test_rows_equal_stable_argsort(self, n):
+        params = [CHAOTIC[0], TIED[0], *CHAOTIC[1:], TIED[1]]
+        x = iterate_logistic_batch(params, n)
+        if n >= 299:
+            # the fixture exercises the stable fallback
+            assert [_has_tie(row) for row in x] == [False, True, False, False, True]
+        _, perm = _mask_and_permutation(x)
+        assert perm.dtype == np.intp
+        assert np.array_equal(perm, np.argsort(x, axis=-1, kind="stable"))
+        for row, p in zip(x, perm):
+            _, one = _mask_and_permutation(row)
+            assert np.array_equal(one, np.argsort(row, kind="stable"))
+            assert np.array_equal(one, p)
+
+    def test_hand_made_ties(self):
+        x = np.array([[0.5, 0.25, 0.5, 0.25, 0.75], [0.1, 0.2, 0.3, 0.4, 0.5]])
+        _, perm = _mask_and_permutation(x)
+        assert perm.tolist() == [[1, 3, 0, 2, 4], [0, 1, 2, 3, 4]]
+        _, perm = _mask_and_permutation(x[0])
+        assert perm.tolist() == [1, 3, 0, 2, 4]
+
+    @pytest.mark.parametrize("params", TIED + CHAOTIC[:1])
+    def test_derived_permutation_is_stable_argsort(self, params):
+        km = derive_key_material(params, 300)
+        assert np.array_equal(km.permutation, np.argsort(iterate_logistic(params, 300), kind="stable"))
+
+
 def _uncached(params, n):
     """(mask, permutation) of a derivation that bypasses the memo."""
     return _mask_and_permutation(iterate_logistic(params, n))
@@ -338,6 +380,18 @@ class TestBatch:
             want = decrypt(record, params)
             assert np.array_equal(seg.samples, want.samples)
             assert seg.sample_rate == want.sample_rate
+
+    def test_decrypt_of_flat_ranges_matches_serial(self):
+        # a constant segment's range decrypts to its value, signed zero included
+        params_list = _batch_params(6)
+        values = [0.25, -0.0, 0.0, -3.5]
+        segments = [SignalSegment(np.full(300, v), 500.0) for v in values]
+        segments += [SignalSegment(np.sin(np.arange(300.0) / (7 + i)), 500.0) for i in range(2)]
+        records = [encrypt(seg, p) for seg, p in zip(segments, params_list)]
+        got = decrypt_batch(records, params_list)
+        for seg, record, params in zip(got, records, params_list):
+            assert seg.samples.tobytes() == decrypt(record, params).samples.tobytes()
+        assert [np.signbit(seg.samples[0]) for seg in got[:4]] == [False, True, False, True]
 
     def test_first_degenerate_row_raises_like_scalar(self):
         params_list = _batch_params(2 * BATCH_ROWS + 7)

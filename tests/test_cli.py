@@ -875,6 +875,24 @@ def test_encrypt_keeps_writing_past_a_failed_segment_as_stream_does(tmp_path, cs
     assert all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
 
 
+def test_encrypt_leaves_no_key_row_for_a_record_it_failed_to_write(tmp_path, monkeypatch, capsys):
+    put_record = FileStore.put_record
+
+    def failing(self, stream_id, index, record):
+        if index == 2:
+            raise OSError("injected write fault")
+        put_record(self, stream_id, index, record)
+
+    monkeypatch.setattr(FileStore, "put_record", failing)
+    assert main(["encrypt", "--synthetic", "5", "--store", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: stream0[2]: OSError: injected write fault"]
+    store = FileStore(tmp_path / "a")
+    indices = store.record_indices("stream0")
+    assert indices == [0, 1, 3, 4]
+    rows = [line.split()[0] for line in (tmp_path / "a" / "stream0" / "keys.txt").read_text().splitlines()]
+    assert rows == [store.get_record("stream0", i).key_id.hex() for i in indices]
+
+
 @pytest.mark.parametrize("command", [["encrypt"], ["stream", "--segments", "4"]])
 def test_a_model_of_another_segment_length_is_refused_before_any_work(
     tmp_path, trained_model, command, capsys

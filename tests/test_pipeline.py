@@ -558,6 +558,36 @@ class TestFileStore:
                 assert record.to_bytes() == records[i].to_bytes()
                 assert params == params_list[i]
 
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_failed_record_write_cuts_its_key_row(self, tmp_path, encrypted_corpus, monkeypatch, fail_at):
+        _, _, records, params_list = encrypted_corpus
+        store = FileStore(tmp_path / "store")
+        keys = store.root / "s0" / "keys.txt"
+        put_record = FileStore.put_record
+
+        def failing(self, stream_id, index, record):
+            if index == fail_at:
+                raise OSError("injected write fault")
+            put_record(self, stream_id, index, record)
+
+        monkeypatch.setattr(FileStore, "put_record", failing)
+        for i in range(fail_at):
+            store.write("s0", i, records[i], params_list[i])
+        before = keys.read_bytes() if keys.exists() else b""
+        with pytest.raises(OSError, match="injected write fault"):
+            store.write("s0", fail_at, records[fail_at], params_list[fail_at])
+        assert keys.read_bytes() == before
+        with pytest.raises(StoreError, match="no key"):
+            store.get_key("s0", records[fail_at].key_id)
+        # the store goes on, and the failed segment can be written again
+        store.write("s0", 2, records[2], params_list[2])
+        monkeypatch.undo()
+        store.write("s0", fail_at, records[fail_at], params_list[fail_at])
+        for reader in (store, FileStore(tmp_path / "store")):
+            for i in sorted({fail_at, 2, *range(fail_at)}):
+                record, params = reader.read("s0", i)
+                assert record.to_bytes() == records[i].to_bytes() and params == params_list[i]
+
     def test_refused_key_writes_no_record(self, tmp_path, encrypted_corpus):
         _, _, records, params_list = encrypted_corpus
         store = FileStore(tmp_path / "store")
@@ -776,6 +806,34 @@ class TestRunPipeline:
         assert summary["distinct_stored_params"] == len({row.salted for row in stored}) == 3
         assert metrics.labels == [row.label for row in stored]
         assert metrics.errors == [(1, "StoreError: injected fault")]
+
+    def test_failed_row_keeps_no_traceback_in_its_chain(self, tmp_path, monkeypatch):
+        # read raises the lookup's StoreError again naming the segment, from
+        # None: the lookup's error is still its __context__
+        def lost(self, stream_id, key_id):
+            raise StoreError("injected lookup fault")
+
+        monkeypatch.setattr(FileStore, "get_key", lost)
+        metrics = run_pipeline(itertools.islice(synthetic_ecg(3.0, seed=31), 2), Mode.DIRECT, FileStore(tmp_path / "s"))
+        error = metrics.rows[0].error
+        assert str(error) == "stream0[0]: injected lookup fault"
+        chain = [error]
+        while chain[-1].__cause__ or chain[-1].__context__:
+            chain.append(chain[-1].__cause__ or chain[-1].__context__)
+        assert [str(e) for e in chain] == ["stream0[0]: injected lookup fault", "injected lookup fault"]
+        assert [e.__traceback__ for e in chain] == [None, None]
+
+    def test_traceback_clearing_ends_on_a_cycle(self):
+        errors = []
+        for kind in (ValueError, KeyError):
+            try:
+                raise kind("fault")
+            except kind as exc:
+                errors.append(exc)
+        a, b = errors
+        a.__cause__, a.__context__, b.__context__ = b, b, a
+        assert pipeline._without_tracebacks(a) is a
+        assert a.__traceback__ is None and b.__traceback__ is None
 
     def test_realtime_pacing_cadence(self, tmp_path):
         # 300 samples at 500 Hz = 600 ms cadence; allow 50 ms of sleep slop.
